@@ -1,0 +1,30 @@
+"""Byte-exact golden CSVs of the three named scenarios.
+
+The files under tests/data/ were produced by
+
+    fdmimo run --scenario NAME --modes nosic,stt,sps,hd --trials 50 \
+        --seed 1 --output tests/data/golden-NAME.csv
+
+Any change to the Monte Carlo engine, the transceivers, the closed forms or
+the CSV rendering that moves a single output byte fails here.  Regenerate a
+golden only for a deliberate change of results, and say why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+import fdmimo.cli as cli
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("scenario", ["fig-perfect", "fig-imperfect-si",
+                                      "fig-correlated"])
+def test_golden_csv_is_byte_identical(scenario, tmp_path):
+    out = tmp_path / f"{scenario}.csv"
+    rc = cli.main(["run", "--scenario", scenario,
+                   "--modes", "nosic,stt,sps,hd", "--trials", "50",
+                   "--seed", "1", "--output", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (DATA / f"golden-{scenario}.csv").read_bytes()
