@@ -22,7 +22,7 @@ import numpy as np
 from . import closedform, experiments, metrics
 from .channel import RicianParams, SystemConfig, default_geometry
 from .estimation import model_from_config, estimate
-from .metrics import monte_carlo_sweep, residual_si
+from .metrics import Curve, monte_carlo_curves, residual_si
 from .numerics import RngStream
 from .transceiver import SicMode, build
 from .channel import generate_iid, CorrelatedSampler
@@ -64,15 +64,15 @@ def criterion_perfect_csi_match(config: SystemConfig, base_trials: int,
                for x in points]
     worst = 0.0
     worst_at = ""
-    for mode in _MODES:
-        reports = monte_carlo_sweep(configs, mode, trials=base_trials,
-                                    master_seed=seed)
+    curves = monte_carlo_curves(configs, [Curve(mode) for mode in _MODES],
+                                trials=base_trials, master_seed=seed)
+    for mode, reports in zip(_MODES, curves):
         for x, cfg, rep in zip(points, configs, reports):
             cf = closedform.rate_perfect(mode, cfg)
             for label, sim, ref in (("dl", rep.dl_sum_rate, cf.dl_rate),
                                     ("ul", rep.ul_sum_rate, cf.ul_rate)):
                 err = abs(sim - ref) / ref
-                if err > worst:
+                if math.isnan(err) or err > worst:  # NaN: no trial worked
                     worst = err
                     worst_at = f"{mode.value} {label} at {x:g} dB"
     return CriterionResult(
@@ -96,17 +96,18 @@ def criterion_imperfect_ul_match(config: SystemConfig, base_trials: int,
     ok = True
     worst_desc = ""
     worst_margin = -math.inf
-    for mode in _MODES:
-        reports = monte_carlo_sweep(configs, mode, trials=base_trials,
-                                    master_seed=seed, estimation=model)
+    curves = monte_carlo_curves(configs, [Curve(mode) for mode in _MODES],
+                                trials=base_trials, master_seed=seed,
+                                estimation=model)
+    for mode, reports in zip(_MODES, curves):
         for off, cfg, rep in zip(offsets, configs, reports):
             ref = closedform.ul_rate_imperfect(mode, cfg)
             err = abs(rep.ul_sum_rate - ref) / ref
             tol = 0.05 if off >= 0.0 else 0.15
-            if err >= tol:
+            if not err < tol:
                 ok = False
             margin = err - tol
-            if margin > worst_margin:
+            if math.isnan(margin) or margin > worst_margin:
                 worst_margin = margin
                 worst_desc = (f"{mode.value} at rho_si/alpha_anc {off:+g} dB: "
                               f"err {err:.4f} vs tol {tol:.2f}")
@@ -256,7 +257,7 @@ def criterion_rate_orderings(config: SystemConfig, base_trials: int,
         if not (a.dl_cf + a.ul_cf >= b.dl_cf + b.ul_cf):
             problems.append(f"perfect cf ordering at {x:g} dB")
         slack = a.dl_sim_ci + a.ul_sim_ci + b.dl_sim_ci + b.ul_sim_ci
-        if (a.dl_sim + a.ul_sim) < (b.dl_sim + b.ul_sim) - slack:
+        if not (a.dl_sim + a.ul_sim) >= (b.dl_sim + b.ul_sim) - slack:
             problems.append(f"perfect sim ordering at {x:g} dB")
 
     scn_b = dataclasses.replace(
@@ -269,9 +270,9 @@ def criterion_rate_orderings(config: SystemConfig, base_trials: int,
         lo, mid, hi = by_mode["nosic"][x], by_mode["stt"][x], by_mode["sps"][x]
         if not (hi.ul_cf >= mid.ul_cf >= lo.ul_cf):
             problems.append(f"imperfect cf ordering at {x:g} dB")
-        if hi.ul_sim < mid.ul_sim - (hi.ul_sim_ci + mid.ul_sim_ci):
+        if not hi.ul_sim >= mid.ul_sim - (hi.ul_sim_ci + mid.ul_sim_ci):
             problems.append(f"imperfect sim sps<stt at {x:g} dB")
-        if mid.ul_sim < lo.ul_sim - (mid.ul_sim_ci + lo.ul_sim_ci):
+        if not mid.ul_sim >= lo.ul_sim - (mid.ul_sim_ci + lo.ul_sim_ci):
             problems.append(f"imperfect sim stt<nosic at {x:g} dB")
 
     detail = "; ".join(problems) if problems else (
@@ -335,9 +336,9 @@ def criterion_correlated_orderings(config: SystemConfig, base_trials: int,
         dl_margin = a.dl_sim - b.dl_sim - (a.dl_sim_ci + b.dl_sim_ci)
         min_ul = min(min_ul, ul_margin)
         min_dl = min(min_dl, dl_margin)
-        if ul_margin <= 0.0:
+        if not ul_margin > 0.0:
             problems.append(f"ul ordering at {x:g} dB")
-        if dl_margin <= 0.0:
+        if not dl_margin > 0.0:
             problems.append(f"dl ordering at {x:g} dB")
         if a.failures + b.failures > 0:
             problems.append(f"solver failures at {x:g} dB")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from typing import Sequence
 
@@ -112,6 +113,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 2
+    for mode in dict.fromkeys(r.mode for r in rows if math.isnan(r.dl_sim)):
+        print(f"warning: mode {mode}: every trial failed, so its simulated "
+              f"rates are left empty", file=sys.stderr)
     _emit(rows, args.output)
     return 0
 

@@ -20,6 +20,7 @@ to the defaults of the named scenario.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
@@ -276,10 +277,11 @@ def run_scenario(config: SystemConfig, scenario: Scenario,
     """Run every (mode, sweep point) pair and return rows in CSV order.
 
     Rows are mode-major in the scenario's mode order, sweep value
-    ascending within a mode.  All modes and points share the same per-trial
-    channel and error draws (common random numbers keyed by master_seed).
-    If a sink list is supplied, rows land there as each mode completes, so
-    a caller can still flush partial results when a later mode raises.
+    ascending within a mode.  One engine call draws every trial once for
+    all modes and points (common random numbers keyed by master_seed).
+    If a sink list is supplied, rows land there as each mode's rows are
+    built, so a caller can still flush partial results when a later mode
+    raises.  A mode with no successful trial gets NaN simulated rates.
     """
     xs = scenario.sweep_values()
     configs = [_point_config(config, scenario, x) for x in xs]
@@ -292,44 +294,52 @@ def run_scenario(config: SystemConfig, scenario: Scenario,
         rician = CORRELATED_RICIAN
     model = model_from_config(config, perfect=(scenario.name == "fig-perfect"))
 
-    rows: list[SweepRow] = sink if sink is not None else []
-    for token in scenario.modes:
-        if token == HALF_DUPLEX:
-            engine_mode = SicMode.SUBTRACTION
-            si_snrs: list[float] | None = [0.0] * len(configs)
-            scale = 0.5
-        else:
-            engine_mode = SicMode(token)
-            si_snrs = None
-            scale = 1.0
-        if progress is not None:
+    curves = [metrics.Curve(SicMode.SUBTRACTION, [0.0] * len(configs))
+              if token == HALF_DUPLEX else metrics.Curve(SicMode(token))
+              for token in scenario.modes]
+    if progress is not None:
+        for token in scenario.modes:
             progress(f"{scenario.name}: mode {token}, {len(xs)} points, "
                      f"{scenario.trials} trials")
-        reports = metrics.monte_carlo_sweep(
-            configs, engine_mode, trials=scenario.trials,
-            master_seed=scenario.master_seed, estimation=model,
-            geometry=geometry, rician=rician, si_snrs=si_snrs)
-        for x, cfg, rep in zip(xs, configs, reports):
-            dl_cf, ul_cf = _closed_forms(scenario, token, cfg)
-            rows.append(SweepRow(
-                scenario=scenario.name, mode=token, x_db=x,
-                dl_sim=scale * rep.dl_sum_rate,
-                dl_sim_ci=scale * rep.dl_ci95,
-                ul_sim=scale * rep.ul_sum_rate,
-                ul_sim_ci=scale * rep.ul_ci95,
-                dl_cf=dl_cf, ul_cf=ul_cf,
-                trials=rep.trials, failures=rep.failures))
+    reports = metrics.monte_carlo_curves(
+        configs, curves, trials=scenario.trials,
+        master_seed=scenario.master_seed, estimation=model,
+        geometry=geometry, rician=rician)
+
+    rows: list[SweepRow] = sink if sink is not None else []
+    for token, curve_reports in zip(scenario.modes, reports):
+        rows.extend(_mode_rows(scenario, token, xs, configs, curve_reports))
+    return rows
+
+
+def _mode_rows(scenario: Scenario, token: str, xs: Sequence[float],
+               configs: Sequence[SystemConfig],
+               reports: Sequence[metrics.RateReport]) -> list[SweepRow]:
+    """The CSV rows of one mode, sweep value ascending."""
+    scale = 0.5 if token == HALF_DUPLEX else 1.0
+    rows = []
+    for x, cfg, rep in zip(xs, configs, reports):
+        dl_cf, ul_cf = _closed_forms(scenario, token, cfg)
+        rows.append(SweepRow(
+            scenario=scenario.name, mode=token, x_db=x,
+            dl_sim=scale * rep.dl_sum_rate, dl_sim_ci=scale * rep.dl_ci95,
+            ul_sim=scale * rep.ul_sum_rate, ul_sim_ci=scale * rep.ul_ci95,
+            dl_cf=dl_cf, ul_cf=ul_cf,
+            trials=rep.trials, failures=rep.failures))
     return rows
 
 
 def _fmt(value: float | None) -> str:
-    if value is None:
+    if value is None or math.isnan(value):
         return ""
     return f"{value:.6g}"
 
 
 def render_csv(rows: Sequence[SweepRow]) -> str:
-    """CSV text with LF line endings and 6-significant-digit reals."""
+    """CSV text with LF line endings and 6-significant-digit reals.
+
+    A field with no value (None or NaN) is left empty.
+    """
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(",".join([

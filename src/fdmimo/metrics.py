@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,9 +35,11 @@ from . import closedform
 from .channel import (ChannelRealization, ConfigError, CorrelatedSampler,
                       ArrayGeometry, RicianParams, SystemConfig, generate_iid)
 from .estimation import EstimatedChannels, EstimationModel, estimate
-from .numerics import RngStream, SingularMatrixError
-from .transceiver import (DegeneratePrecoderError, SicMode, TransceiverSet,
-                          build)
+from .numerics import RngStream
+# build is not called here, but stays importable as fdmimo.metrics.build,
+# where tracing tools look up the pipeline's stages.
+from .transceiver import (SicMode, TransceiverSet, build,  # noqa: F401
+                          build_stack)
 
 
 @dataclass(frozen=True)
@@ -68,23 +70,30 @@ class RateReport:
 
 def _dl_terms(h_dl_true: np.ndarray, g: np.ndarray):
     p = np.abs(h_dl_true @ g) ** 2
-    sig = np.diagonal(p).copy()
-    np.fill_diagonal(p, 0.0)
-    return sig, p.sum(axis=1)
+    users = np.arange(p.shape[-1])
+    sig = p[..., users, users]
+    p[..., users, users] = 0.0
+    return sig, p.sum(axis=-1)
 
 
 def _ul_terms(h_ul_true: np.ndarray, w: np.ndarray):
     p = np.abs(w @ h_ul_true) ** 2
-    sig = np.diagonal(p).copy()
-    np.fill_diagonal(p, 0.0)
-    noise = np.sum(np.abs(w) ** 2, axis=1)
-    return sig, p.sum(axis=1), noise
+    users = np.arange(p.shape[-1])
+    sig = p[..., users, users]
+    p[..., users, users] = 0.0
+    noise = np.sum(np.abs(w) ** 2, axis=-1)
+    return sig, p.sum(axis=-1), noise
 
 
-def dl_sinr(h_dl_true: np.ndarray, g: np.ndarray, rho_dl: float) -> np.ndarray:
-    """Per-user downlink SINRs against the true channel."""
+def dl_sinr(h_dl_true: np.ndarray, g: np.ndarray, rho_dl) -> np.ndarray:
+    """Per-user downlink SINRs against the true channel.
+
+    Leading axes of h_dl_true and g broadcast as in a matrix product, and
+    rho_dl may be an array broadcasting against them; users stay last.
+    """
     sig, intf = _dl_terms(h_dl_true, g)
-    return rho_dl * sig / (rho_dl * intf + 1.0)
+    rho = np.expand_dims(rho_dl, -1)
+    return rho * sig / (rho * intf + 1.0)
 
 
 def residual_si(mode: SicMode, w: np.ndarray, h_si_true: np.ndarray,
@@ -95,29 +104,28 @@ def residual_si(mode: SicMode, w: np.ndarray, h_si_true: np.ndarray,
     else:
         x = h_si_true
     rows = w @ x @ g
-    return np.sum(np.abs(rows) ** 2, axis=1)
+    return np.sum(np.abs(rows) ** 2, axis=-1)
 
 
 def ul_sinr(h_ul_true: np.ndarray, w: np.ndarray, omega: np.ndarray,
-            config: SystemConfig, mode: SicMode,
-            si_snr: float | None = None) -> np.ndarray:
+            rho_ul, si_level) -> np.ndarray:
     """Per-user uplink SINRs against the true channel.
 
-    si_snr is the linear received SI SNR multiplying omega (before the
-    analog-cancellation division); it defaults to config.rho_si and is
-    overridden when per-element path gains are already folded into the SI
-    channel.  The analog attenuation applies in every mode, so the mode
-    argument only documents how omega was produced.
+    si_level is the linear received SI SNR after analog cancellation, the
+    factor of omega: config.rho_si / config.alpha_anc for a flat SI link,
+    and the raw transmit SNR over alpha_anc when per-element path gains
+    are already folded into the SI channel.  Leading axes broadcast as in
+    dl_sinr, with omega carrying the users last.
     """
-    del mode
     sig, intf, noise = _ul_terms(h_ul_true, w)
-    pref = (config.rho_si if si_snr is None else si_snr) / config.alpha_anc
-    return config.rho_ul * sig / (config.rho_ul * intf + pref * omega + noise)
+    rho = np.expand_dims(rho_ul, -1)
+    pref = np.expand_dims(si_level, -1)
+    return rho * sig / (rho * intf + pref * omega + noise)
 
 
-def sum_rate(sinrs: np.ndarray) -> float:
-    """Sum of log2(1 + sinr) over users, in bps/Hz."""
-    return float(np.sum(np.log2(1.0 + np.asarray(sinrs))))
+def sum_rate(sinrs: np.ndarray):
+    """Sum of log2(1 + sinr) over users (the last axis), in bps/Hz."""
+    return np.sum(np.log2(1.0 + np.asarray(sinrs)), axis=-1)
 
 
 def trial_sample(config: SystemConfig, mode: SicMode,
@@ -126,49 +134,87 @@ def trial_sample(config: SystemConfig, mode: SicMode,
                  si_snr: float | None = None) -> SinrSample:
     """Evaluate all SINRs of one already-drawn trial."""
     omega = residual_si(mode, ts.w, channels.h_si, est.h_si_hat, ts.g)
+    si = config.rho_si if si_snr is None else si_snr
     return SinrSample(
         dl=dl_sinr(channels.h_dl, ts.g, config.rho_dl),
-        ul=ul_sinr(channels.h_ul, ts.w, omega, config, mode, si_snr=si_snr),
+        ul=ul_sinr(channels.h_ul, ts.w, omega, config.rho_ul,
+                   si / config.alpha_anc),
         omega=omega)
 
 
 class _Welford:
-    """Streaming mean/variance accumulator (fixed accumulation order)."""
+    """Streaming mean/variance accumulator (fixed accumulation order),
+    elementwise over arrays of a fixed shape."""
 
     __slots__ = ("n", "mean", "m2")
 
-    def __init__(self) -> None:
+    def __init__(self, shape: tuple[int, ...] = ()) -> None:
         self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
+        self.mean = np.zeros(shape)
+        self.m2 = np.zeros(shape)
 
-    def add(self, x: float) -> None:
+    def add(self, x) -> None:
         self.n += 1
         delta = x - self.mean
         self.mean += delta / self.n
         self.m2 += delta * (x - self.mean)
 
-    def ci95(self) -> float:
+    def ci95(self) -> np.ndarray:
         if self.n < 2:
-            return math.nan
-        return 1.96 * math.sqrt(self.m2 / (self.n - 1) / self.n)
+            return np.full(self.mean.shape, math.nan)
+        return 1.96 * np.sqrt(self.m2 / (self.n - 1) / self.n)
 
 
-def monte_carlo_sweep(configs: Sequence[SystemConfig], mode: SicMode, *,
-                      trials: int, master_seed: int,
-                      estimation: EstimationModel | None = None,
-                      geometry: ArrayGeometry | None = None,
-                      rician: RicianParams | None = None,
-                      si_snrs: Sequence[float] | None = None
-                      ) -> list[RateReport]:
-    """Monte Carlo rates for several operating points sharing all draws.
+class Curve(NamedTuple):
+    """One simulated curve of a sweep: a mode and its SI levels.
+
+    si_snrs=None takes every point's default SI level (see
+    monte_carlo_sweep); otherwise it holds one level per point, None for
+    that point's default.  The half-duplex reference is SUBTRACTION at
+    zero SI.
+    """
+
+    mode: SicMode
+    si_snrs: Sequence[float | None] | None = None
+
+
+#: Working-set budget of one chunk of trials.  A chunk's channels,
+#: estimates and pseudo-inverse temporaries are alive together, so this
+#: bounds what the engine adds to peak memory.
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunk_trials(m: int, n: int, k: int) -> int:
+    """Trials per chunk that keep the working set within _CHUNK_BYTES."""
+    # Complex entries alive per trial at once: the true channels, the
+    # estimates (downlink rows stacked over SI rows, uplink), the SVD
+    # factors and inverse of that (K + N) x M stack, the largest
+    # pseudo-inverse, and the SI estimation error of subtraction.
+    entries = (k * m + n * k + n * m) + ((k + n) * m + n * k) \
+        + (k + n) * (k + n) + 2 * (k + n) * m + n * m
+    return max(1, _CHUNK_BYTES // (16 * entries))
+
+
+def monte_carlo_curves(configs: Sequence[SystemConfig],
+                       curves: Sequence[Curve], *, trials: int,
+                       master_seed: int,
+                       estimation: EstimationModel | None = None,
+                       geometry: ArrayGeometry | None = None,
+                       rician: RicianParams | None = None
+                       ) -> list[list[RateReport]]:
+    """Monte Carlo rates of several curves over shared operating points.
 
     The configs must agree on (M, N, K); they may differ in the SNR
     scalars.  Trial t draws its channels from substream 2t and its
-    estimation errors from substream 2t+1 of master_seed, so the draws are
-    identical for every config, every mode, and any execution order
-    (paired sampling / common random numbers).  Each point's report is
-    bit-identical to running monte_carlo on it alone with the same seed.
+    estimation errors from substream 2t+1 of master_seed, once for every
+    curve and point (paired sampling / common random numbers).  Trials
+    run in chunks: each chunk's transceivers are built once per distinct
+    precoder, and its SINRs are evaluated for every curve and point in
+    stacked arrays.  Returns one report per point for each curve; each is
+    bit-identical to a one-curve call, to a one-point call, and for any
+    chunk size.  A trial whose transceiver for a curve's mode cannot be
+    built counts as a failure of that curve only; a curve with no
+    successful trial reports NaN rates.
     """
     if trials < 1:
         raise ConfigError("trials must be positive")
@@ -195,39 +241,96 @@ def monte_carlo_sweep(configs: Sequence[SystemConfig], mode: SicMode, *,
         def draw(stream: RngStream) -> ChannelRealization:
             return generate_iid(base, stream)
         defaults = [cfg.rho_si for cfg in configs]
-    if si_snrs is None:
-        si_levels = defaults
-    else:
-        if len(si_snrs) != len(configs):
+    pref = []
+    for curve in curves:
+        if curve.si_snrs is None:
+            levels = defaults
+        elif len(curve.si_snrs) != len(configs):
             raise ConfigError("si_snrs must match configs")
-        si_levels = [d if s is None else s for s, d in zip(si_snrs, defaults)]
+        else:
+            levels = [d if s is None else s
+                      for s, d in zip(curve.si_snrs, defaults)]
+        pref.append([s / cfg.alpha_anc for s, cfg in zip(levels, configs)])
+    pref = np.array(pref)
+    rho_dl = np.array([cfg.rho_dl for cfg in configs])
+    rho_ul = np.array([cfg.rho_ul for cfg in configs])
+    modes = list(dict.fromkeys(curve.mode for curve in curves))
 
-    acc_dl = [_Welford() for _ in configs]
-    acc_ul = [_Welford() for _ in configs]
-    failures = 0
-    for t in range(trials):
-        try:
+    m, n, k = base.M, base.N, base.K
+    size = min(trials, _chunk_trials(m, n, k))
+    h_dl = np.empty((size, k, m), dtype=complex)
+    h_ul = np.empty((size, n, k), dtype=complex)
+    h_si = np.empty((size, n, m), dtype=complex)
+    h_ext_hat = np.empty((size, k + n, m), dtype=complex)
+    h_ul_hat = np.empty((size, n, k), dtype=complex)
+    acc = [_Welford((2, len(configs))) for _ in curves]
+    failures = [0] * len(curves)
+    for start in range(0, trials, size):
+        c = min(size, trials - start)
+        for i in range(c):
+            t = start + i
             ch = draw(RngStream(master_seed, 2 * t))
             est = estimate(ch, model, RngStream(master_seed, 2 * t + 1),
                            si_error_scale=si_scale)
-            ts = build(mode, est)
-        except (SingularMatrixError, DegeneratePrecoderError):
-            failures += 1
-            continue
-        dl_sig, dl_intf = _dl_terms(ch.h_dl, ts.g)
-        ul_sig, ul_intf, noise = _ul_terms(ch.h_ul, ts.w)
-        omega = residual_si(mode, ts.w, ch.h_si, est.h_si_hat, ts.g)
-        for j, cfg in enumerate(configs):
-            gdl = cfg.rho_dl * dl_sig / (cfg.rho_dl * dl_intf + 1.0)
-            pref = si_levels[j] / cfg.alpha_anc
-            gul = cfg.rho_ul * ul_sig / (
-                cfg.rho_ul * ul_intf + pref * omega + noise)
-            acc_dl[j].add(sum_rate(gdl))
-            acc_ul[j].add(sum_rate(gul))
-    return [RateReport(dl_sum_rate=acc_dl[j].mean, ul_sum_rate=acc_ul[j].mean,
-                       dl_ci95=acc_dl[j].ci95(), ul_ci95=acc_ul[j].ci95(),
-                       trials=trials, failures=failures)
-            for j in range(len(configs))]
+            h_dl[i], h_ul[i], h_si[i] = ch.h_dl, ch.h_ul, ch.h_si
+            h_ext_hat[i, :k], h_ext_hat[i, k:] = est.h_dl_hat, est.h_si_hat
+            h_ul_hat[i] = est.h_ul_hat
+        w, built = build_stack(modes, h_ext_hat[:c], h_ul_hat[:c])
+        # Axes: trial, [curve,] point, user.  The downlink rates depend on
+        # the precoder only, so each distinct one is evaluated once.
+        dl_rates = {}
+        omegas = {}
+        for mode, (g, _) in built.items():
+            if id(g) not in dl_rates:
+                dl_rates[id(g)] = sum_rate(
+                    dl_sinr(h_dl[:c, None], g[:, None], rho_dl))
+            omegas[mode] = residual_si(mode, w, h_si[:c], h_ext_hat[:c, k:],
+                                       g)
+        omega = np.stack([omegas[curve.mode] for curve in curves], axis=1)
+        ul_rates = sum_rate(ul_sinr(h_ul[:c, None, None], w[:, None, None],
+                                    omega[:, :, None], rho_ul, pref))
+        for q, curve in enumerate(curves):
+            g, failed = built[curve.mode]
+            rates = np.stack((dl_rates[id(g)], ul_rates[:, q]), axis=1)
+            for i in range(c):
+                if failed[i]:
+                    failures[q] += 1
+                else:
+                    acc[q].add(rates[i])
+    reports = []
+    for a, failed in zip(acc, failures):
+        # With no successful trial, Welford's initial zero is no rate.
+        mean = a.mean if a.n else np.full_like(a.mean, math.nan)
+        ci = a.ci95()
+        reports.append([
+            RateReport(dl_sum_rate=float(mean[0, j]),
+                       ul_sum_rate=float(mean[1, j]),
+                       dl_ci95=float(ci[0, j]), ul_ci95=float(ci[1, j]),
+                       trials=trials, failures=failed)
+            for j in range(len(configs))])
+    return reports
+
+
+def monte_carlo_sweep(configs: Sequence[SystemConfig], mode: SicMode, *,
+                      trials: int, master_seed: int,
+                      estimation: EstimationModel | None = None,
+                      geometry: ArrayGeometry | None = None,
+                      rician: RicianParams | None = None,
+                      si_snrs: Sequence[float | None] | None = None
+                      ) -> list[RateReport]:
+    """Monte Carlo rates of one mode at several operating points.
+
+    The one-curve case of monte_carlo_curves.  si_snrs overrides the
+    linear received SI SNR per point (None entries keep the default): by
+    default rho_si, or the raw transmit SNR rho_t under the correlated
+    model, whose path gains are folded into the SI channel.  Each point's
+    report is bit-identical to running monte_carlo on it alone with the
+    same seed.
+    """
+    return monte_carlo_curves(
+        configs, [Curve(mode, si_snrs)], trials=trials,
+        master_seed=master_seed, estimation=estimation, geometry=geometry,
+        rician=rician)[0]
 
 
 def monte_carlo(config: SystemConfig, mode: SicMode, *, trials: int,

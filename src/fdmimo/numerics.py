@@ -98,18 +98,32 @@ def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
     return root
 
 
-def _svd_pseudo_inverse(a: np.ndarray, gram_name: str) -> np.ndarray:
-    """Moore-Penrose inverse via SVD with a condition guard on the Gram."""
+def _svd_pseudo_inverse(a: np.ndarray,
+                        gram_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Moore-Penrose inverse via SVD with a condition guard on the Gram.
+
+    a is one matrix or a stack of matrices along leading axes.  Returns the
+    inverses and a boolean mask over the leading axes that marks every
+    matrix whose Gram matrix is singular or has a condition number at or
+    above GRAM_CONDITION_LIMIT; the inverses of those are meaningless.  A
+    single matrix that fails the guard raises SingularMatrixError instead.
+    """
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s[-1] <= 0.0:
-        raise SingularMatrixError(
-            f"Gram matrix {gram_name} is singular (zero singular value)")
-    cond_gram = (s[0] / s[-1]) ** 2
-    if not np.isfinite(cond_gram) or cond_gram >= GRAM_CONDITION_LIMIT:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond_gram = (s[..., 0] / s[..., -1]) ** 2
+    failed = ~(cond_gram < GRAM_CONDITION_LIMIT)
+    if a.ndim == 2 and failed:
+        if s[-1] <= 0.0:
+            raise SingularMatrixError(
+                f"Gram matrix {gram_name} is singular (zero singular value)")
         raise SingularMatrixError(
             f"Gram matrix {gram_name} is ill-conditioned: condition number "
             f"{cond_gram:.3e} exceeds {GRAM_CONDITION_LIMIT:.1e}")
-    return (vh.conj().T / s) @ u.conj().T
+    # x = (V / s) U^H, with the conjugates and the scaling done in place.
+    np.conjugate(vh, out=vh)
+    vh /= np.where(failed[..., None], 1.0, s)[..., None]
+    x = vh.swapaxes(-1, -2) @ np.conjugate(u, out=u).swapaxes(-1, -2)
+    return x, failed
 
 
 def right_pseudo_inverse(a: np.ndarray) -> np.ndarray:
@@ -122,7 +136,7 @@ def right_pseudo_inverse(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] > a.shape[1]:
         raise ValueError("right inverse needs rows <= cols")
-    return _svd_pseudo_inverse(a, "A·Aᴴ")
+    return _svd_pseudo_inverse(a, "A·Aᴴ")[0]
 
 
 def left_pseudo_inverse(a: np.ndarray) -> np.ndarray:
@@ -130,7 +144,7 @@ def left_pseudo_inverse(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise ValueError("left inverse needs rows >= cols")
-    return _svd_pseudo_inverse(a, "Aᴴ·A")
+    return _svd_pseudo_inverse(a, "Aᴴ·A")[0]
 
 
 # J0 evaluation: power series on |x| <= _J0_SERIES_CUTOFF, Hankel asymptotic

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .estimation import EstimatedChannels
 from .numerics import (SingularMatrixError, left_pseudo_inverse,
                        right_pseudo_inverse)
@@ -73,17 +74,26 @@ def sps_precoder(h_dl_hat: np.ndarray, h_si_hat: np.ndarray) -> np.ndarray:
     return full[:, :k]
 
 
+def _normalize(f_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user normalization over leading axes, plus a mask of the
+    matrices with a zero column (whose normalization is meaningless)."""
+    norms = np.linalg.norm(f_raw, axis=-2)
+    degenerate = np.any(norms == 0.0, axis=-1)
+    norms = np.where(degenerate[..., None], 1.0, norms)
+    k = f_raw.shape[-1]
+    return f_raw / (np.sqrt(k) * norms[..., None, :]), degenerate
+
+
 def normalize_vector(f_raw: np.ndarray) -> np.ndarray:
     """Per-user normalization g_k = f_k / (sqrt(K) ||f_k||).
 
     Every column then has norm 1/sqrt(K) and the precoder's total power
     ||G||_F^2 is one.
     """
-    norms = np.linalg.norm(f_raw, axis=0)
-    if np.any(norms == 0.0):
+    g, degenerate = _normalize(f_raw)
+    if degenerate:
         raise DegeneratePrecoderError("precoder has a zero column")
-    k = f_raw.shape[1]
-    return f_raw / (np.sqrt(k) * norms)
+    return g
 
 
 def zf_combiner(h_ul_hat: np.ndarray) -> np.ndarray:
@@ -100,3 +110,31 @@ def build(mode: SicMode, est: EstimatedChannels) -> TransceiverSet:
     g = normalize_vector(f_raw)
     w = zf_combiner(est.h_ul_hat)
     return TransceiverSet(g=g, f_raw=f_raw, w=w, mode=mode)
+
+
+def build_stack(modes, h_ext_hat: np.ndarray, h_ul_hat: np.ndarray):
+    """Transceivers for a stack of CSI draws, each distinct one built once.
+
+    h_ext_hat is (T, K + N, M): every downlink estimate stacked over its SI
+    estimate; h_ul_hat is (T, N, K).  Returns the combiners (T, K, N) and
+    a dict giving each mode its normalized precoders (T, M, K) and a (T,)
+    mask of the draws for which build(mode, ...) would raise.  NO_SIC and
+    SUBTRACTION share one zero-forcing precoder.  Every matrix equals its
+    build() counterpart bit for bit.
+    """
+    k = h_ul_hat.shape[-1]
+    w, w_failed = numerics._svd_pseudo_inverse(h_ul_hat, "Aᴴ·A")
+
+    def precoder(rows):
+        full, failed = numerics._svd_pseudo_inverse(rows, "A·Aᴴ")
+        g, degenerate = _normalize(full[..., :k])
+        return g, failed | degenerate | w_failed
+
+    sps = SicMode.SPATIAL_SUPPRESSION
+    zf_modes = set(modes) - {sps}
+    out = {}
+    if zf_modes:
+        out.update(dict.fromkeys(zf_modes, precoder(h_ext_hat[..., :k, :])))
+    if sps in modes:
+        out[sps] = precoder(h_ext_hat)
+    return w, out

@@ -1,6 +1,7 @@
 import pytest
 
 import fdmimo.cli as cli
+import fdmimo.numerics as numerics
 from fdmimo.acceptance import CriterionResult
 from fdmimo.experiments import CSV_HEADER, parse_config
 
@@ -121,6 +122,19 @@ def test_run_flushes_partial_rows_on_abort(small_conf, tmp_path, capsys,
     lines = out_path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 2  # header plus the flushed first-mode row
+
+
+def test_run_warns_when_every_trial_of_a_mode_fails(small_conf, capsys,
+                                                   monkeypatch):
+    monkeypatch.setattr(numerics, "GRAM_CONDITION_LIMIT", 1.0)
+    assert cli.main(["run", "--config", small_conf]) == 0
+    out, err = capsys.readouterr()
+    assert "warning: mode stt: every trial failed" in err
+    assert "warning: mode sps: every trial failed" in err
+    for line in out.splitlines()[1:]:
+        fields = line.split(",")
+        assert fields[3:7] == [""] * 4       # rates and their CIs
+        assert fields[9:] == ["5", "5"]
 
 
 def test_run_abort_with_no_rows_reports_plain_error(monkeypatch, capsys):

@@ -1,9 +1,11 @@
 import dataclasses
 import io
+import math
 
 import pytest
 
 import fdmimo.experiments as experiments
+import fdmimo.numerics as numerics
 from fdmimo.channel import ConfigError, SystemConfig
 from fdmimo.closedform import rate_perfect, ul_rate_imperfect
 from fdmimo.experiments import (CSV_HEADER, HALF_DUPLEX, Scenario, SweepRow,
@@ -228,21 +230,34 @@ def test_correlated_scenario_is_simulation_only():
 
 
 def test_partial_rows_reach_the_sink(monkeypatch):
-    real = experiments.metrics.monte_carlo_sweep
+    real = experiments._mode_rows
     calls = {"n": 0}
 
     def explode_on_second(*args, **kwargs):
         calls["n"] += 1
         if calls["n"] == 2:
-            raise RuntimeError("synthetic solver blowup")
+            raise RuntimeError("synthetic row-building blowup")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(experiments.metrics, "monte_carlo_sweep",
-                        explode_on_second)
+    monkeypatch.setattr(experiments, "_mode_rows", explode_on_second)
     sink: list[SweepRow] = []
     with pytest.raises(RuntimeError):
         run_scenario(SMALL, _small_scenario(), sink=sink)
     assert [r.mode for r in sink] == ["nosic"] * 3
+
+
+def test_every_trial_failing_gives_nan_rates_and_empty_fields(monkeypatch):
+    # the Gram condition number is at least 1, so every build fails
+    monkeypatch.setattr(numerics, "GRAM_CONDITION_LIMIT", 1.0)
+    rows = run_scenario(SMALL, _small_scenario(modes=("sps", HALF_DUPLEX)))
+    for r in rows:
+        assert r.failures == r.trials == 30
+        assert math.isnan(r.dl_sim) and math.isnan(r.ul_sim)
+        assert math.isnan(r.dl_sim_ci) and math.isnan(r.ul_sim_ci)
+    fields = render_csv(rows).split("\n")[1].split(",")
+    assert fields[:3] == ["custom", "sps", "0"]
+    assert fields[3:7] == [""] * 4          # rates and their CIs
+    assert fields[9:] == ["30", "30"]
 
 
 def test_ci_below_rate_at_moderate_trials():

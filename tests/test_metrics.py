@@ -3,16 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fdmimo.metrics as metrics
+import fdmimo.numerics as numerics
 from fdmimo.channel import (ConfigError, RicianParams, SystemConfig,
                             default_geometry, generate_iid)
 from fdmimo.closedform import rate_perfect
-from fdmimo.estimation import EstimationModel, estimate
-from fdmimo.metrics import (RateReport, dl_sinr, half_duplex_rate,
-                            monte_carlo, monte_carlo_sweep, residual_si,
-                            sum_rate, trial_sample, ul_sinr)
-from fdmimo.numerics import RngStream, SingularMatrixError
+from fdmimo.estimation import EstimationModel, estimate, model_from_config
+from fdmimo.metrics import (Curve, RateReport, dl_sinr, half_duplex_rate,
+                            monte_carlo, monte_carlo_curves,
+                            monte_carlo_sweep, residual_si, sum_rate,
+                            trial_sample, ul_sinr)
+from fdmimo.numerics import RngStream
 from fdmimo.transceiver import SicMode, build
 
 CFG_SMALL = SystemConfig(M=9, N=5, K=3)
@@ -63,7 +67,8 @@ def test_ul_sinr_matches_naive_loops():
     ch, est = _trial(4, model)
     ts = build(SicMode.NO_SIC, est)
     omega = residual_si(SicMode.NO_SIC, ts.w, ch.h_si, est.h_si_hat, ts.g)
-    got = ul_sinr(ch.h_ul, ts.w, omega, CFG_SMALL, SicMode.NO_SIC)
+    got = ul_sinr(ch.h_ul, ts.w, omega, CFG_SMALL.rho_ul,
+                  CFG_SMALL.rho_si / CFG_SMALL.alpha_anc)
     want = _naive_ul(ch.h_ul, ts.w, omega, CFG_SMALL.rho_ul,
                      CFG_SMALL.rho_si / CFG_SMALL.alpha_anc)
     assert np.allclose(got, want, rtol=1e-12)
@@ -95,7 +100,7 @@ def test_ul_sinr_si_snr_override():
     ch, est = _trial(7)
     ts = build(SicMode.NO_SIC, est)
     omega = residual_si(SicMode.NO_SIC, ts.w, ch.h_si, est.h_si_hat, ts.g)
-    off = ul_sinr(ch.h_ul, ts.w, omega, CFG_SMALL, SicMode.NO_SIC, si_snr=0.0)
+    off = ul_sinr(ch.h_ul, ts.w, omega, CFG_SMALL.rho_ul, 0.0)
     want = _naive_ul(ch.h_ul, ts.w, omega, CFG_SMALL.rho_ul, 0.0)
     assert np.allclose(off, want, rtol=1e-12)
 
@@ -170,21 +175,106 @@ def test_common_random_numbers_pair_modes():
     assert a.dl_sum_rate > b.dl_sum_rate
 
 
+def _chunks_of(monkeypatch, size):
+    monkeypatch.setattr(metrics, "_chunk_trials", lambda m, n, k: size)
+
+
+def _failing_precoders(monkeypatch, doomed, rows=None):
+    """Make the stacked pseudo-inverse guard reject the downlink precoders
+    of the trials in doomed (counting precoder inputs in call order), only
+    for inputs with the given row count when rows is set."""
+    real = numerics._svd_pseudo_inverse
+    seen = {"n": 0}
+
+    def flaky(a, gram_name):
+        x, failed = real(a, gram_name)
+        if gram_name == "A·Aᴴ" and rows in (None, a.shape[-2]):
+            index = seen["n"] + np.arange(failed.size)
+            seen["n"] += failed.size
+            failed = failed | np.isin(index, doomed)
+        return x, failed
+
+    monkeypatch.setattr(numerics, "_svd_pseudo_inverse", flaky)
+
+
 def test_failures_are_counted(monkeypatch):
-    calls = {"n": 0}
-    real_build = metrics.build
-
-    def flaky(mode, est):
-        calls["n"] += 1
-        if calls["n"] % 5 == 0:
-            raise SingularMatrixError("synthetic failure")
-        return real_build(mode, est)
-
-    monkeypatch.setattr(metrics, "build", flaky)
+    _chunks_of(monkeypatch, 4)
+    _failing_precoders(monkeypatch, [4, 9, 14, 19, 24])
     rep = monte_carlo(CFG_SMALL, SicMode.SUBTRACTION, trials=25, master_seed=1)
     assert rep.failures == 5
     assert rep.trials == 25
     assert not rep.valid
+
+
+def test_failed_suppression_trial_still_counts_for_other_modes(monkeypatch):
+    cfg, trials, seed = CFG_SMALL, 10, 3
+    curves = [Curve(SicMode.NO_SIC), Curve(SicMode.SUBTRACTION),
+              Curve(SicMode.SPATIAL_SUPPRESSION),
+              Curve(SicMode.SUBTRACTION, [0.0])]
+    with pytest.MonkeyPatch.context() as mp:
+        _chunks_of(mp, 4)
+        _failing_precoders(mp, [0, 5, 9], rows=cfg.K + cfg.N)
+        got = monte_carlo_curves([cfg], curves, trials=trials,
+                                 master_seed=seed)
+    assert [reports[0].failures for reports in got] == [0, 0, 3, 0]
+    for curve, reports in zip(curves, got):
+        if curve.mode is not SicMode.SPATIAL_SUPPRESSION:
+            assert reports == monte_carlo_sweep(
+                [cfg], curve.mode, si_snrs=curve.si_snrs, trials=trials,
+                master_seed=seed)
+    # the suppression curve averages exactly the trials that survived
+    dl = []
+    for t in sorted(set(range(trials)) - {0, 5, 9}):
+        ch = generate_iid(cfg, RngStream(seed, 2 * t))
+        est = estimate(ch, EstimationModel(), RngStream(seed, 2 * t + 1))
+        ts = build(SicMode.SPATIAL_SUPPRESSION, est)
+        dl.append(sum_rate(dl_sinr(ch.h_dl, ts.g, cfg.rho_dl)))
+    assert got[2][0].dl_sum_rate == pytest.approx(np.mean(dl), rel=1e-12)
+
+
+def test_every_trial_failing_reports_nan(monkeypatch):
+    monkeypatch.setattr(numerics, "GRAM_CONDITION_LIMIT", 1.0)
+    rep = monte_carlo(CFG_SMALL, SicMode.NO_SIC, trials=6, master_seed=1)
+    assert rep.failures == rep.trials == 6
+    assert math.isnan(rep.dl_sum_rate) and math.isnan(rep.ul_sum_rate)
+    assert math.isnan(rep.dl_ci95) and math.isnan(rep.ul_ci95)
+    assert not rep.valid
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(1, 3), extra_n=st.integers(1, 3),
+       extra_m=st.integers(0, 3), chunk=st.integers(2, 5),
+       trials=st.integers(2, 13), correlated=st.booleans(),
+       seed=st.integers(0, 1000))
+def test_multi_curve_call_equals_one_curve_calls(k, extra_n, extra_m, chunk,
+                                                 trials, correlated, seed):
+    assume(trials % chunk != 0)    # a partial last chunk; two trials give CIs
+    n = k + extra_n
+    cfg = SystemConfig(M=n + k + extra_m, N=n, K=k)
+    configs = [cfg, dataclasses.replace(cfg, rho_t_db=70.0),
+               dataclasses.replace(cfg, rho_ul_db=0.0, alpha_anc_db=30.0)]
+    curves = [Curve(SicMode.NO_SIC), Curve(SicMode.SUBTRACTION),
+              Curve(SicMode.SPATIAL_SUPPRESSION),
+              Curve(SicMode.SUBTRACTION, [0.0, None, 0.0])]
+    kw = dict(trials=trials, master_seed=seed,
+              estimation=model_from_config(cfg, perfect=False))
+    if correlated:
+        kw.update(geometry=default_geometry(cfg, 2.1e9),
+                  rician=RicianParams(kappa=1.0, sigma_si=1.0))
+    with pytest.MonkeyPatch.context() as mp:
+        _chunks_of(mp, chunk)
+        together = monte_carlo_curves(configs, curves, **kw)
+    for curve, reports in zip(curves, together):
+        # one-curve calls at the default chunk size, one chunk here
+        assert reports == monte_carlo_sweep(configs, curve.mode,
+                                            si_snrs=curve.si_snrs, **kw)
+
+
+def test_chunk_size_follows_the_array_sizes():
+    assert metrics._chunk_trials(64, 20, 10) >= 4
+    assert (metrics._chunk_trials(128, 40, 20)
+            < metrics._chunk_trials(64, 20, 10))
+    assert metrics._chunk_trials(4096, 2048, 1024) == 1
 
 
 def test_ci_shrinks_like_sqrt_n():
