@@ -254,7 +254,7 @@ def monte_carlo_curves(configs: Sequence[SystemConfig],
     pref = np.array(pref)
     rho_dl = np.array([cfg.rho_dl for cfg in configs])
     rho_ul = np.array([cfg.rho_ul for cfg in configs])
-    modes = list(dict.fromkeys(curve.mode for curve in curves))
+    modes = {curve.mode for curve in curves}
 
     m, n, k = base.M, base.N, base.K
     size = min(trials, _chunk_trials(m, n, k))

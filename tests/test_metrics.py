@@ -105,6 +105,29 @@ def test_ul_sinr_si_snr_override():
     assert np.allclose(off, want, rtol=1e-12)
 
 
+def test_sinrs_broadcast_over_trials_and_points():
+    model = EstimationModel(0.05, 0.05, 0.1)
+    draws = [_trial(seed, model) for seed in range(3)]
+    sets = [build(SicMode.SUBTRACTION, est) for _, est in draws]
+    h_dl, h_ul, h_si, h_si_hat, g, w = (np.stack(a) for a in zip(*[
+        (ch.h_dl, ch.h_ul, ch.h_si, est.h_si_hat, ts.g, ts.w)
+        for (ch, est), ts in zip(draws, sets)]))
+    rho = np.array([0.5, 2.0])
+    omega = residual_si(SicMode.SUBTRACTION, w, h_si, h_si_hat, g)
+    dl = dl_sinr(h_dl[:, None], g[:, None], rho)
+    ul = ul_sinr(h_ul[:, None], w[:, None], omega[:, None], rho, 3.0)
+    assert dl.shape == ul.shape == (3, 2, 3)
+    assert sum_rate(dl).shape == (3, 2)
+    for t, ((ch, est), ts) in enumerate(zip(draws, sets)):
+        om = residual_si(SicMode.SUBTRACTION, ts.w, ch.h_si, est.h_si_hat,
+                         ts.g)
+        assert np.array_equal(omega[t], om)
+        for j, r in enumerate(rho):
+            assert np.array_equal(dl[t, j], dl_sinr(ch.h_dl, ts.g, r))
+            assert np.array_equal(ul[t, j],
+                                  ul_sinr(ch.h_ul, ts.w, om, r, 3.0))
+
+
 def test_sum_rate_frozen():
     assert sum_rate(np.array([1.0, 3.0])) == 3.0
     assert sum_rate(np.array([0.0])) == 0.0

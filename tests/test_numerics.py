@@ -6,7 +6,8 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from fdmimo.numerics import (GRAM_CONDITION_LIMIT, RngStream,
-                             SingularMatrixError, bessel_j0, hermitian_sqrt,
+                             SingularMatrixError, _svd_pseudo_inverse,
+                             bessel_j0, hermitian_sqrt,
                              left_pseudo_inverse, right_pseudo_inverse,
                              sample_complex_gaussian)
 
@@ -176,6 +177,15 @@ def test_condition_guard_boundary():
     a = np.diag([1.0, sigma]) @ _unitary(2, 6, seed=8)
     x = right_pseudo_inverse(a)
     assert np.linalg.norm(a @ x - np.eye(2)) < 1e-6
+
+
+def test_stacked_pseudo_inverse_flags_only_the_failing_matrix():
+    a = np.stack([_random_complex(3, 7, seed) for seed in range(4)])
+    a[2] = 1.0  # rank one
+    x, failed = _svd_pseudo_inverse(a, "A·Aᴴ")
+    assert failed.tolist() == [False, False, True, False]
+    for i in (0, 1, 3):
+        assert np.array_equal(x[i], right_pseudo_inverse(a[i]))
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,7 +7,7 @@ from fdmimo.estimation import EstimationModel, estimate
 from fdmimo.numerics import (RngStream, SingularMatrixError,
                              sample_complex_gaussian)
 from fdmimo.transceiver import (DegeneratePrecoderError, SicMode, build,
-                                normalize_vector, sps_precoder,
+                                build_stack, normalize_vector, sps_precoder,
                                 zf_combiner, zf_precoder)
 
 
@@ -175,3 +175,17 @@ def test_gaussian_matrices_never_degenerate(seed):
     a = sample_complex_gaussian(4, 12, 1.0, RngStream(seed, 0))
     f = zf_precoder(a)
     assert np.all(np.isfinite(f))
+
+
+def test_build_stack_equals_build_bit_for_bit():
+    ests = [_hats(seed=seed) for seed in range(3)]
+    ext = np.stack([np.vstack([e.h_dl_hat, e.h_si_hat]) for e in ests])
+    w, built = build_stack(list(SicMode), ext,
+                           np.stack([e.h_ul_hat for e in ests]))
+    assert built[SicMode.NO_SIC] is built[SicMode.SUBTRACTION]
+    for mode, (g, failed) in built.items():
+        assert not failed.any()
+        for i, est in enumerate(ests):
+            ts = build(mode, est)
+            assert np.array_equal(g[i], ts.g)
+            assert np.array_equal(w[i], ts.w)
