@@ -24,7 +24,7 @@ from .channel import RicianParams, SystemConfig, default_geometry
 from .estimation import model_from_config, estimate
 from .metrics import Curve, monte_carlo_curves, residual_si
 from .numerics import RngStream
-from .transceiver import SicMode, build
+from .transceiver import SicMode, build, build_stack
 from .channel import generate_iid, CorrelatedSampler
 
 _MODES = (SicMode.NO_SIC, SicMode.SUBTRACTION, SicMode.SPATIAL_SUPPRESSION)
@@ -210,20 +210,29 @@ def criterion_paired_residual_si(config: SystemConfig, base_trials: int,
     """5: spatial suppression leaves no more residual SI than subtraction.
 
     Paired one-sided test at the 1 percent level on the per-trial mean
-    residual SI power difference (suppression minus subtraction).
+    residual SI power difference (suppression minus subtraction).  Both
+    modes' transceivers come from one build_stack call per chunk of
+    trials, so each trial's combiner is built once.
     """
     model = model_from_config(config, perfect=False)
-    diffs = np.empty(base_trials)
-    for t in range(base_trials):
-        ch = generate_iid(config, RngStream(seed, 2 * t))
-        est = estimate(ch, model, RngStream(seed, 2 * t + 1))
-        ts_stt = build(SicMode.SUBTRACTION, est)
-        ts_sps = build(SicMode.SPATIAL_SUPPRESSION, est)
-        om_stt = residual_si(SicMode.SUBTRACTION, ts_stt.w, ch.h_si,
-                             est.h_si_hat, ts_stt.g)
-        om_sps = residual_si(SicMode.SPATIAL_SUPPRESSION, ts_sps.w, ch.h_si,
-                             est.h_si_hat, ts_sps.g)
-        diffs[t] = float(np.mean(om_sps) - np.mean(om_stt))
+    stt, sps = SicMode.SUBTRACTION, SicMode.SPATIAL_SUPPRESSION
+    k = config.K
+    diffs = []
+    for _, _, h_si, h_ext_hat, h_ul_hat in metrics._trial_chunks(
+            lambda stream: generate_iid(config, stream), model, None, seed,
+            base_trials, config.M, config.N, k):
+        w, built = build_stack((stt, sps), h_ext_hat, h_ul_hat)
+        means = {}
+        for mode, (g, failed) in built.items():
+            if failed.any():
+                trial = sum(map(len, diffs)) + int(np.argmax(failed))
+                return CriterionResult(
+                    5, "paired residual-SI ordering", False,
+                    f"{mode.value} transceiver failed at trial {trial}")
+            omega = residual_si(mode, w, h_si, h_ext_hat[:, k:], g)
+            means[mode] = np.mean(omega, axis=-1)
+        diffs.append(means[sps] - means[stt])
+    diffs = np.concatenate(diffs)
     mean = float(np.mean(diffs))
     se = float(np.std(diffs, ddof=1)) / math.sqrt(base_trials)
     t_stat = mean / se

@@ -64,7 +64,7 @@ class RateReport:
 
     @property
     def valid(self) -> bool:
-        """False when more than 0.1 percent of trials failed."""
+        """False when 0.1 percent of trials or more failed."""
         return self.trials > 0 and self.failures / self.trials < 1e-3
 
 
@@ -187,12 +187,44 @@ _CHUNK_BYTES = 1 << 20
 def _chunk_trials(m: int, n: int, k: int) -> int:
     """Trials per chunk that keep the working set within _CHUNK_BYTES."""
     # Complex entries alive per trial at once: the true channels, the
-    # estimates (downlink rows stacked over SI rows, uplink), the SVD
-    # factors and inverse of that (K + N) x M stack, the largest
-    # pseudo-inverse, and the SI estimation error of subtraction.
+    # estimates (downlink rows stacked over SI rows, uplink), the largest
+    # pseudo-inverse's temporaries (for that (K + N) x M stack A: the Gram
+    # G, G^-1 and the refinement residual, (K + N) x (K + N) each, and A^H
+    # and the inverse, M x (K + N) each), and the SI estimation error of
+    # subtraction.
     entries = (k * m + n * k + n * m) + ((k + n) * m + n * k) \
-        + (k + n) * (k + n) + 2 * (k + n) * m + n * m
+        + 3 * (k + n) * (k + n) + 2 * (k + n) * m + n * m
     return max(1, _CHUNK_BYTES // (16 * entries))
+
+
+def _trial_chunks(draw, model: EstimationModel, si_scale, master_seed: int,
+                  trials: int, m: int, n: int, k: int):
+    """Draw and estimate trials 0 .. trials - 1 in chunks.
+
+    Trial t draws its channels with draw(RngStream(master_seed, 2t)) and
+    its estimation errors from substream 2t+1.  Yields, per chunk of at
+    most _chunk_trials(m, n, k) trials, the stacked true channels h_dl,
+    h_ul, h_si and estimates h_ext_hat (each downlink estimate over its SI
+    estimate) and h_ul_hat.  They are views of buffers that the next
+    chunk overwrites.
+    """
+    size = min(trials, _chunk_trials(m, n, k))
+    h_dl = np.empty((size, k, m), dtype=complex)
+    h_ul = np.empty((size, n, k), dtype=complex)
+    h_si = np.empty((size, n, m), dtype=complex)
+    h_ext_hat = np.empty((size, k + n, m), dtype=complex)
+    h_ul_hat = np.empty((size, n, k), dtype=complex)
+    for start in range(0, trials, size):
+        c = min(size, trials - start)
+        for i in range(c):
+            t = start + i
+            ch = draw(RngStream(master_seed, 2 * t))
+            est = estimate(ch, model, RngStream(master_seed, 2 * t + 1),
+                           si_error_scale=si_scale)
+            h_dl[i], h_ul[i], h_si[i] = ch.h_dl, ch.h_ul, ch.h_si
+            h_ext_hat[i, :k], h_ext_hat[i, k:] = est.h_dl_hat, est.h_si_hat
+            h_ul_hat[i] = est.h_ul_hat
+        yield h_dl[:c], h_ul[:c], h_si[:c], h_ext_hat[:c], h_ul_hat[:c]
 
 
 def monte_carlo_curves(configs: Sequence[SystemConfig],
@@ -256,26 +288,12 @@ def monte_carlo_curves(configs: Sequence[SystemConfig],
     rho_ul = np.array([cfg.rho_ul for cfg in configs])
     modes = {curve.mode for curve in curves}
 
-    m, n, k = base.M, base.N, base.K
-    size = min(trials, _chunk_trials(m, n, k))
-    h_dl = np.empty((size, k, m), dtype=complex)
-    h_ul = np.empty((size, n, k), dtype=complex)
-    h_si = np.empty((size, n, m), dtype=complex)
-    h_ext_hat = np.empty((size, k + n, m), dtype=complex)
-    h_ul_hat = np.empty((size, n, k), dtype=complex)
+    k = base.K
     acc = [_Welford((2, len(configs))) for _ in curves]
     failures = [0] * len(curves)
-    for start in range(0, trials, size):
-        c = min(size, trials - start)
-        for i in range(c):
-            t = start + i
-            ch = draw(RngStream(master_seed, 2 * t))
-            est = estimate(ch, model, RngStream(master_seed, 2 * t + 1),
-                           si_error_scale=si_scale)
-            h_dl[i], h_ul[i], h_si[i] = ch.h_dl, ch.h_ul, ch.h_si
-            h_ext_hat[i, :k], h_ext_hat[i, k:] = est.h_dl_hat, est.h_si_hat
-            h_ul_hat[i] = est.h_ul_hat
-        w, built = build_stack(modes, h_ext_hat[:c], h_ul_hat[:c])
+    for h_dl, h_ul, h_si, h_ext_hat, h_ul_hat in _trial_chunks(
+            draw, model, si_scale, master_seed, trials, base.M, base.N, k):
+        w, built = build_stack(modes, h_ext_hat, h_ul_hat)
         # Axes: trial, [curve,] point, user.  The downlink rates depend on
         # the precoder only, so each distinct one is evaluated once.
         dl_rates = {}
@@ -283,16 +301,15 @@ def monte_carlo_curves(configs: Sequence[SystemConfig],
         for mode, (g, _) in built.items():
             if id(g) not in dl_rates:
                 dl_rates[id(g)] = sum_rate(
-                    dl_sinr(h_dl[:c, None], g[:, None], rho_dl))
-            omegas[mode] = residual_si(mode, w, h_si[:c], h_ext_hat[:c, k:],
-                                       g)
+                    dl_sinr(h_dl[:, None], g[:, None], rho_dl))
+            omegas[mode] = residual_si(mode, w, h_si, h_ext_hat[:, k:], g)
         omega = np.stack([omegas[curve.mode] for curve in curves], axis=1)
-        ul_rates = sum_rate(ul_sinr(h_ul[:c, None, None], w[:, None, None],
+        ul_rates = sum_rate(ul_sinr(h_ul[:, None, None], w[:, None, None],
                                     omega[:, :, None], rho_ul, pref))
         for q, curve in enumerate(curves):
             g, failed = built[curve.mode]
             rates = np.stack((dl_rates[id(g)], ul_rates[:, q]), axis=1)
-            for i in range(c):
+            for i in range(len(rates)):
                 if failed[i]:
                     failures[q] += 1
                 else:

@@ -123,10 +123,10 @@ def build_stack(modes, h_ext_hat: np.ndarray, h_ul_hat: np.ndarray):
     build() counterpart bit for bit.
     """
     k = h_ul_hat.shape[-1]
-    w, w_failed = numerics._svd_pseudo_inverse(h_ul_hat, "Aᴴ·A")
+    w, w_failed = numerics._pseudo_inverse(h_ul_hat, "Aᴴ·A")
 
     def precoder(rows):
-        full, failed = numerics._svd_pseudo_inverse(rows, "A·Aᴴ")
+        full, failed = numerics._pseudo_inverse(rows, "A·Aᴴ")
         g, degenerate = _normalize(full[..., :k])
         return g, failed | degenerate | w_failed
 

@@ -165,6 +165,11 @@ def test_rate_report_valid_threshold():
     assert ok.valid
     bad = RateReport(1.0, 1.0, 0.1, 0.1, trials=1000, failures=2)
     assert not bad.valid
+    # exactly 0.1 percent is already invalid, just below it is not
+    edge = RateReport(1.0, 1.0, 0.1, 0.1, trials=1000, failures=1)
+    assert not edge.valid
+    below = RateReport(1.0, 1.0, 0.1, 0.1, trials=1001, failures=1)
+    assert below.valid
 
 
 # ----------------------------------------------------------- monte carlo
@@ -206,7 +211,7 @@ def _failing_precoders(monkeypatch, doomed, rows=None):
     """Make the stacked pseudo-inverse guard reject the downlink precoders
     of the trials in doomed (counting precoder inputs in call order), only
     for inputs with the given row count when rows is set."""
-    real = numerics._svd_pseudo_inverse
+    real = numerics._pseudo_inverse
     seen = {"n": 0}
 
     def flaky(a, gram_name):
@@ -217,7 +222,7 @@ def _failing_precoders(monkeypatch, doomed, rows=None):
             failed = failed | np.isin(index, doomed)
         return x, failed
 
-    monkeypatch.setattr(numerics, "_svd_pseudo_inverse", flaky)
+    monkeypatch.setattr(numerics, "_pseudo_inverse", flaky)
 
 
 def test_failures_are_counted(monkeypatch):

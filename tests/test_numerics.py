@@ -6,7 +6,8 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from fdmimo.numerics import (GRAM_CONDITION_LIMIT, RngStream,
-                             SingularMatrixError, _svd_pseudo_inverse,
+                             SingularMatrixError, _GRAM_FAST_LIMIT,
+                             _pseudo_inverse, _svd_pseudo_inverse,
                              bessel_j0, hermitian_sqrt,
                              left_pseudo_inverse, right_pseudo_inverse,
                              sample_complex_gaussian)
@@ -180,12 +181,79 @@ def test_condition_guard_boundary():
 
 
 def test_stacked_pseudo_inverse_flags_only_the_failing_matrix():
-    a = np.stack([_random_complex(3, 7, seed) for seed in range(4)])
+    a = np.stack([_random_complex(3, 7, seed) for seed in range(5)])
     a[2] = 1.0  # rank one
-    x, failed = _svd_pseudo_inverse(a, "A·Aᴴ")
-    assert failed.tolist() == [False, False, True, False]
-    for i in (0, 1, 3):
+    # singular values 1, 1, 1e-5: Gram condition about 1e10, past the
+    # Gram route's limit but inside the guard, so the SVD takes it
+    a[4] = np.diag([1.0, 1.0, 1e-5]) @ _unitary(3, 7, seed=9)
+    x, failed = _pseudo_inverse(a, "A·Aᴴ")
+    assert failed.tolist() == [False, False, True, False, False]
+    assert np.array_equal(x[4], _svd_pseudo_inverse(a[4], "A·Aᴴ")[0])
+    assert not np.array_equal(x[0], _svd_pseudo_inverse(a[0], "A·Aᴴ")[0])
+    for i in (0, 1, 3, 4):
         assert np.array_equal(x[i], right_pseudo_inverse(a[i]))
+
+
+def test_exactly_singular_gram_keeps_the_rest_of_the_stack():
+    # an all-zero member makes the batched Gram inverse raise
+    a = np.stack([_random_complex(7, 3, seed) for seed in range(3)])
+    a[1] = 0.0
+    x, failed = _pseudo_inverse(a, "Aᴴ·A")
+    assert failed.tolist() == [False, True, False]
+    for i in (0, 2):
+        assert np.array_equal(x[i], left_pseudo_inverse(a[i]))
+    with pytest.raises(SingularMatrixError, match="singular"):
+        left_pseudo_inverse(a[1])
+
+
+def _with_spread(rows, cols, decades, seed):
+    """rows x cols matrix with singular values s from 1 down to
+    10^-decades, and s."""
+    r = min(rows, cols)
+    s = np.logspace(0.0, -decades, r)
+    u = _unitary(r, rows, seed).conj().T
+    vh = _unitary(r, cols, seed + 1)
+    return (u * s) @ vh, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=4),
+       st.booleans(),
+       st.lists(st.one_of(st.floats(0.0, 7.0),
+                          # Gram condition within 2.5% of GRAM_CONDITION_LIMIT
+                          st.floats(5.995, 6.005)),
+                min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=10_000))
+def test_pseudo_inverse_routes_agree_with_the_svd(rows, extra, tall, spreads,
+                                                  seed):
+    members = [_with_spread(rows, rows + extra, d, seed + 2 * i)
+               for i, d in enumerate(spreads)]
+    a = np.stack([m for m, _ in members])
+    if tall:
+        a = a.conj().swapaxes(-1, -2).copy()
+    name = "Aᴴ·A" if tall else "A·Aᴴ"
+    x, failed = _pseudo_inverse(a, name)
+    ref, ref_failed = _svd_pseudo_inverse(a, name)
+    assert np.array_equal(failed, ref_failed)
+    eye = np.eye(rows)
+    for i, (_, s) in enumerate(members):
+        if not failed[i]:
+            single = (left_pseudo_inverse if tall
+                      else right_pseudo_inverse)(a[i])
+            assert np.array_equal(x[i], single)
+        kappa_a = s[0] / s[-1]
+        kappa_f = math.sqrt(np.sum(s ** 4) * np.sum(s ** -4.0))
+        if kappa_f > 2.0 * _GRAM_FAST_LIMIT:
+            assert np.array_equal(x[i], ref[i])   # the SVD route itself
+            continue
+        # Both routes carry a forward error of order eps kappa(A), the
+        # SVD's being the larger against the exact inverse, so beyond
+        # kappa(A) = 1e3 the agreement bound grows with kappa(A).
+        err = np.linalg.norm(x[i] - ref[i]) / np.linalg.norm(ref[i])
+        assert err <= 1e-12 * max(1.0, kappa_a / 1e3)
+        if kappa_f < 0.5 * _GRAM_FAST_LIMIT:
+            res = x[i] @ a[i] if tall else a[i] @ x[i]
+            assert np.linalg.norm(res - eye) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
