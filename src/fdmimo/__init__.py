@@ -12,41 +12,22 @@ scenarios that write deterministic CSVs.
 from .channel import (ArrayGeometry, ChannelRealization, ConfigError,
                       CorrelatedSampler, RicianParams, SystemConfig,
                       db_to_linear, default_geometry, free_space_gains,
-                      generate_correlated, generate_iid, jakes_correlation,
-                      si_pathloss_gains)
-from .closedform import (ClosedFormPoint, expected_si_power, rate_perfect,
-                         ul_rate_imperfect, ul_sinr_imperfect)
+                      generate_iid, jakes_correlation, si_pathloss_gains)
+from .closedform import (ClosedFormPoint, expected_si_power, rate_half_duplex,
+                         rate_perfect, ul_rate_imperfect, ul_sinr_imperfect)
 from .estimation import (EstimatedChannels, EstimationModel, estimate,
                          model_from_config, uldl_error_variance)
 from .experiments import (Scenario, SweepRow, default_config,
                           default_scenario, emit_csv, format_config,
                           load_config, parse_config, render_csv, run_scenario,
                           save_config)
-from .metrics import (RateReport, dl_sinr, half_duplex_rate, monte_carlo,
-                      monte_carlo_sweep, residual_si, sum_rate, ul_sinr)
+from .metrics import (RateReport, dl_sinr, monte_carlo, monte_carlo_sweep,
+                      residual_si, sum_rate, ul_sinr)
 from .numerics import (RngStream, SingularMatrixError, bessel_j0,
                        hermitian_sqrt, left_pseudo_inverse,
-                       right_pseudo_inverse, sample_complex_gaussian)
+                       right_pseudo_inverse)
 from .transceiver import (DegeneratePrecoderError, SicMode, TransceiverSet,
                           build, normalize_vector, sps_precoder, zf_combiner,
                           zf_precoder)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArrayGeometry", "ChannelRealization", "ClosedFormPoint", "ConfigError",
-    "CorrelatedSampler", "DegeneratePrecoderError", "EstimatedChannels",
-    "EstimationModel", "RateReport", "RicianParams", "RngStream", "Scenario",
-    "SicMode", "SingularMatrixError", "SweepRow", "SystemConfig",
-    "TransceiverSet", "bessel_j0", "build", "db_to_linear", "default_config",
-    "default_geometry", "default_scenario", "dl_sinr", "emit_csv", "estimate",
-    "expected_si_power", "format_config", "free_space_gains",
-    "generate_correlated", "generate_iid", "half_duplex_rate",
-    "hermitian_sqrt", "jakes_correlation", "left_pseudo_inverse",
-    "load_config", "model_from_config", "monte_carlo", "monte_carlo_sweep",
-    "normalize_vector", "parse_config", "rate_perfect", "render_csv",
-    "residual_si", "right_pseudo_inverse", "run_scenario",
-    "sample_complex_gaussian", "save_config", "si_pathloss_gains",
-    "sps_precoder", "sum_rate", "ul_rate_imperfect", "ul_sinr",
-    "ul_sinr_imperfect", "uldl_error_variance", "zf_combiner", "zf_precoder",
-]

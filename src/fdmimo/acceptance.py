@@ -21,11 +21,10 @@ import numpy as np
 
 from . import closedform, experiments, metrics
 from .channel import RicianParams, SystemConfig, default_geometry
-from .estimation import model_from_config, estimate
+from .estimation import model_from_config
 from .metrics import Curve, monte_carlo_curves, residual_si
 from .numerics import RngStream
-from .transceiver import SicMode, build, build_stack
-from .channel import generate_iid, CorrelatedSampler
+from .transceiver import SicMode, build_stack
 
 _MODES = (SicMode.NO_SIC, SicMode.SUBTRACTION, SicMode.SPATIAL_SUPPRESSION)
 
@@ -175,28 +174,33 @@ def criterion_zero_forcing_residuals(config: SystemConfig, base_trials: int,
     """4: per-trial null-space and combiner residuals below 1e-9."""
     model = model_from_config(config, perfect=False)
     geometry = default_geometry(config, experiments.CORRELATED_CARRIER_HZ)
-    sampler = CorrelatedSampler(config, geometry, RicianParams(1.0, 1.0))
+    sps = SicMode.SPATIAL_SUPPRESSION
+    k = config.K
     worst_null = 0.0
     worst_comb = 0.0
     iid_trials = max(50, min(300, base_trials // 20))
     corr_trials = max(20, min(200, base_trials // 50))
-    for i in range(iid_trials + corr_trials):
-        correlated = i >= iid_trials
-        if correlated:
-            ch = sampler.sample(RngStream(seed, 2 * i))
-            scale = sampler.si_gains
-        else:
-            ch = generate_iid(config, RngStream(seed, 2 * i))
-            scale = None
-        est = estimate(ch, model, RngStream(seed, 2 * i + 1),
-                       si_error_scale=scale)
-        ts = build(SicMode.SPATIAL_SUPPRESSION, est)
-        null = np.linalg.norm(est.h_si_hat @ ts.g)
-        null_rel = null / (np.linalg.norm(est.h_si_hat)
-                           * np.linalg.norm(ts.g))
-        comb = np.linalg.norm(ts.w @ est.h_ul_hat - np.eye(config.K))
-        worst_null = max(worst_null, null_rel)
-        worst_comb = max(worst_comb, comb)
+    segments = ((range(iid_trials), None, None),
+                (range(iid_trials, iid_trials + corr_trials), geometry,
+                 RicianParams(1.0, 1.0)))
+    for trials, geo, rician in segments:
+        for chunk, _, _, _, h_ext_hat, h_ul_hat in metrics._trial_chunks(
+                config, model, seed, trials, geo, rician):
+            w, built = build_stack((sps,), h_ext_hat, h_ul_hat)
+            g, failed = built[sps]
+            if failed.any():
+                return CriterionResult(
+                    4, "zero-forcing residuals", False,
+                    f"{sps.value} transceiver failed at trial "
+                    f"{chunk[int(np.argmax(failed))]}")
+            for i in range(len(chunk)):
+                h_si_hat = h_ext_hat[i, k:]
+                null = np.linalg.norm(h_si_hat @ g[i])
+                null_rel = null / (np.linalg.norm(h_si_hat)
+                                   * np.linalg.norm(g[i]))
+                comb = np.linalg.norm(w[i] @ h_ul_hat[i] - np.eye(k))
+                worst_null = max(worst_null, null_rel)
+                worst_comb = max(worst_comb, comb)
     ok = worst_null < 1e-9 and worst_comb < 1e-9
     return CriterionResult(
         4, "zero-forcing residuals", ok,
@@ -218,17 +222,16 @@ def criterion_paired_residual_si(config: SystemConfig, base_trials: int,
     stt, sps = SicMode.SUBTRACTION, SicMode.SPATIAL_SUPPRESSION
     k = config.K
     diffs = []
-    for _, _, h_si, h_ext_hat, h_ul_hat in metrics._trial_chunks(
-            lambda stream: generate_iid(config, stream), model, None, seed,
-            base_trials, config.M, config.N, k):
+    for chunk, _, _, h_si, h_ext_hat, h_ul_hat in metrics._trial_chunks(
+            config, model, seed, range(base_trials)):
         w, built = build_stack((stt, sps), h_ext_hat, h_ul_hat)
         means = {}
         for mode, (g, failed) in built.items():
             if failed.any():
-                trial = sum(map(len, diffs)) + int(np.argmax(failed))
                 return CriterionResult(
                     5, "paired residual-SI ordering", False,
-                    f"{mode.value} transceiver failed at trial {trial}")
+                    f"{mode.value} transceiver failed at trial "
+                    f"{chunk[int(np.argmax(failed))]}")
             omega = residual_si(mode, w, h_si, h_ext_hat[:, k:], g)
             means[mode] = np.mean(omega, axis=-1)
         diffs.append(means[sps] - means[stt])
@@ -309,12 +312,12 @@ def criterion_half_duplex_identity(config: SystemConfig, base_trials: int,
             nmse=float(gen.uniform(0.0, 1.0)))
         point = closedform.rate_perfect(SicMode.SUBTRACTION, cfg)
         want = 0.5 * (point.dl_rate + point.ul_rate)
-        got = metrics.half_duplex_rate(cfg)
+        got = closedform.rate_half_duplex(cfg).total
         worst = max(worst, abs(got - want))
         rho = float(gen.uniform(0.0, 1e4))
         point2 = closedform.rate_perfect(SicMode.SUBTRACTION, cfg, rho_dl=rho)
         want2 = 0.5 * (point2.dl_rate + point2.ul_rate)
-        got2 = metrics.half_duplex_rate(cfg, rho_dl_linear=rho)
+        got2 = closedform.rate_half_duplex(cfg, rho_dl=rho).total
         worst = max(worst, abs(got2 - want2))
     return CriterionResult(
         7, "half-duplex identity", worst == 0.0,

@@ -258,8 +258,6 @@ class CorrelatedSampler:
                  r_rx: np.ndarray | None = None,
                  si_gains: np.ndarray | None = None) -> None:
         self.config = config
-        self.geometry = geometry
-        self.rician = rician
         lam = geometry.wavelength
         if r_tx is None:
             r_tx = jakes_correlation(geometry.tx_positions, lam)
@@ -282,6 +280,13 @@ class CorrelatedSampler:
         self._nlos_amp = np.sqrt(1.0 / (k + 1.0))
 
     def sample(self, rng: RngStream) -> ChannelRealization:
+        """One correlated Rician realization from the stream.
+
+        h_dl = H_iid R_tx^(1/2); h_ul = R_rx^(1/2) H_iid; the
+        self-interference channel is R_rx^(1/2) (LOS + NLOS) R_tx^(1/2)
+        scaled entrywise by the square root of the free-space path gains,
+        which replace the flat beta_si of the i.i.d. model.
+        """
         cfg = self.config
         gen = rng.generator()
         h_dl_iid = _complex_gaussian(gen, cfg.K, cfg.M, 1.0)
@@ -294,15 +299,3 @@ class CorrelatedSampler:
         h_si = self._si_amp * h_si
         return ChannelRealization(h_dl=h_dl, h_ul=h_ul, h_si=h_si)
 
-
-def generate_correlated(config: SystemConfig, geometry: ArrayGeometry,
-                        rician: RicianParams,
-                        rng: RngStream) -> ChannelRealization:
-    """One correlated Rician realization (see CorrelatedSampler).
-
-    h_dl = H_iid R_tx^(1/2); h_ul = R_rx^(1/2) H_iid; the self-interference
-    channel is R_rx^(1/2) (LOS + NLOS) R_tx^(1/2) scaled entrywise by the
-    square root of the free-space path gains, which replace the flat
-    beta_si of the i.i.d. model.
-    """
-    return CorrelatedSampler(config, geometry, rician).sample(rng)

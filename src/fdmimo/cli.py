@@ -130,6 +130,8 @@ def _emit(rows, output: str) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be positive")
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
     results = acceptance.run_all(base_trials=args.trials, seed=args.seed,
                                  report=lambda line: print(line,
                                                            file=sys.stderr))

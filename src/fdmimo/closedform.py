@@ -91,6 +91,19 @@ def rate_perfect(mode: SicMode, config: SystemConfig, *,
                            ul_sinr=ul_sinr, omega_bar=omega_bar)
 
 
+def rate_half_duplex(config: SystemConfig, *,
+                     rho_dl: float | None = None) -> ClosedFormPoint:
+    """Half-duplex baseline: half of each perfect-CSI subtraction rate.
+
+    A half-duplex BS splits the resources between the two directions, and
+    each direction then runs the same zero-forcing link with no SI at all.
+    rho_dl overrides the config-derived downlink SNR as in rate_perfect.
+    """
+    point = rate_perfect(SicMode.SUBTRACTION, config, rho_dl=rho_dl)
+    return ClosedFormPoint(dl_rate=0.5 * point.dl_rate,
+                           ul_rate=0.5 * point.ul_rate)
+
+
 def ul_sinr_imperfect(mode: SicMode, config: SystemConfig) -> float:
     """Imperfect-CSI per-user uplink SINR approximation.
 

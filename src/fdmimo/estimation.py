@@ -68,7 +68,7 @@ def model_from_config(config: SystemConfig, perfect: bool) -> EstimationModel:
     """
     if perfect:
         return EstimationModel()
-    eps2 = 1.0 / (config.K * config.rho_ul + 1.0)
+    eps2 = uldl_error_variance(1.0, config.rho_ul, config.K)
     return EstimationModel(eps2_dl=eps2, eps2_ul=eps2, eps2_si=config.nmse)
 
 

@@ -130,15 +130,12 @@ def default_scenario(name: str) -> Scenario:
     return Scenario(name=name, master_seed=1, **_SCENARIO_DEFAULTS[name])
 
 
-_CONFIG_INT_KEYS = {"M": "M", "N": "N", "K": "K"}
-_CONFIG_FLOAT_KEYS = {
-    "rho_t_db": "rho_t_db", "beta_ue_db": "beta_ue_db",
-    "beta_si_db": "beta_si_db", "rho_ul_db": "rho_ul_db",
-    "alpha_anc_db": "alpha_anc_db", "nmse": "nmse",
-}
+#: Each SystemConfig field with the type its value is parsed as.
+_CONFIG_KEYS = {f.name: type(f.default)
+                for f in dataclasses.fields(SystemConfig)}
 _SCENARIO_FLOAT_KEYS = ("sweep_start", "sweep_stop", "sweep_step")
 _SCENARIO_INT_KEYS = ("trials", "master_seed")
-_ALL_KEYS = (set(_CONFIG_INT_KEYS) | set(_CONFIG_FLOAT_KEYS)
+_ALL_KEYS = (set(_CONFIG_KEYS)
              | set(_SCENARIO_FLOAT_KEYS) | set(_SCENARIO_INT_KEYS)
              | {"scenario", "sweep_variable", "modes"})
 
@@ -182,14 +179,10 @@ def parse_config(text: str,
     entries.pop("scenario", None)
 
     cfg_kwargs = {}
-    for key, field in _CONFIG_INT_KEYS.items():
+    for key, kind in _CONFIG_KEYS.items():
         if key in entries:
             lineno, value = entries.pop(key)
-            cfg_kwargs[field] = _convert(key, lineno, value, int)
-    for key, field in _CONFIG_FLOAT_KEYS.items():
-        if key in entries:
-            lineno, value = entries.pop(key)
-            cfg_kwargs[field] = _convert(key, lineno, value, float)
+            cfg_kwargs[key] = _convert(key, lineno, value, kind)
 
     scn = default_scenario(scenario_name)
     scn_kwargs: dict = {}
@@ -228,8 +221,8 @@ def load_config(path: str,
 def format_config(config: SystemConfig, scenario: Scenario) -> str:
     """Render a config + scenario as a loadable key = value document."""
     lines = ["# system"]
-    for key, field in (*_CONFIG_INT_KEYS.items(), *_CONFIG_FLOAT_KEYS.items()):
-        lines.append(f"{key} = {getattr(config, field)!r}")
+    for key in _CONFIG_KEYS:
+        lines.append(f"{key} = {getattr(config, key)!r}")
     lines.append("")
     lines.append("# sweep")
     lines.append(f"scenario = {scenario.name}")
@@ -260,9 +253,9 @@ def _closed_forms(scenario: Scenario, mode_token: str,
                   cfg: SystemConfig) -> tuple[float | None, float | None]:
     if scenario.name == "fig-perfect":
         if mode_token == HALF_DUPLEX:
-            point = closedform.rate_perfect(SicMode.SUBTRACTION, cfg)
-            return 0.5 * point.dl_rate, 0.5 * point.ul_rate
-        point = closedform.rate_perfect(SicMode(mode_token), cfg)
+            point = closedform.rate_half_duplex(cfg)
+        else:
+            point = closedform.rate_perfect(SicMode(mode_token), cfg)
         return point.dl_rate, point.ul_rate
     if scenario.name in ("fig-imperfect-si", "custom"):
         if mode_token == HALF_DUPLEX:

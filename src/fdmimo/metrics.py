@@ -31,24 +31,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import closedform
-from .channel import (ChannelRealization, ConfigError, CorrelatedSampler,
-                      ArrayGeometry, RicianParams, SystemConfig, generate_iid)
-from .estimation import EstimatedChannels, EstimationModel, estimate
+from .channel import (ArrayGeometry, ConfigError, CorrelatedSampler,
+                      RicianParams, SystemConfig, generate_iid)
+from .estimation import EstimationModel, estimate
 from .numerics import RngStream
 # build is not called here, but stays importable as fdmimo.metrics.build,
 # where tracing tools look up the pipeline's stages.
-from .transceiver import (SicMode, TransceiverSet, build,  # noqa: F401
-                          build_stack)
-
-
-@dataclass(frozen=True)
-class SinrSample:
-    """Per-user SINRs and residual SI powers of a single trial."""
-
-    dl: np.ndarray
-    ul: np.ndarray
-    omega: np.ndarray
+from .transceiver import SicMode, build, build_stack  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -68,21 +57,13 @@ class RateReport:
         return self.trials > 0 and self.failures / self.trials < 1e-3
 
 
-def _dl_terms(h_dl_true: np.ndarray, g: np.ndarray):
-    p = np.abs(h_dl_true @ g) ** 2
+def _signal_and_interference(p: np.ndarray):
+    """Per-user signal powers (the diagonal of the power matrices p) and
+    interference powers (the off-diagonal row sums); p is overwritten."""
     users = np.arange(p.shape[-1])
     sig = p[..., users, users]
     p[..., users, users] = 0.0
     return sig, p.sum(axis=-1)
-
-
-def _ul_terms(h_ul_true: np.ndarray, w: np.ndarray):
-    p = np.abs(w @ h_ul_true) ** 2
-    users = np.arange(p.shape[-1])
-    sig = p[..., users, users]
-    p[..., users, users] = 0.0
-    noise = np.sum(np.abs(w) ** 2, axis=-1)
-    return sig, p.sum(axis=-1), noise
 
 
 def dl_sinr(h_dl_true: np.ndarray, g: np.ndarray, rho_dl) -> np.ndarray:
@@ -91,7 +72,7 @@ def dl_sinr(h_dl_true: np.ndarray, g: np.ndarray, rho_dl) -> np.ndarray:
     Leading axes of h_dl_true and g broadcast as in a matrix product, and
     rho_dl may be an array broadcasting against them; users stay last.
     """
-    sig, intf = _dl_terms(h_dl_true, g)
+    sig, intf = _signal_and_interference(np.abs(h_dl_true @ g) ** 2)
     rho = np.expand_dims(rho_dl, -1)
     return rho * sig / (rho * intf + 1.0)
 
@@ -117,7 +98,8 @@ def ul_sinr(h_ul_true: np.ndarray, w: np.ndarray, omega: np.ndarray,
     are already folded into the SI channel.  Leading axes broadcast as in
     dl_sinr, with omega carrying the users last.
     """
-    sig, intf, noise = _ul_terms(h_ul_true, w)
+    sig, intf = _signal_and_interference(np.abs(w @ h_ul_true) ** 2)
+    noise = np.sum(np.abs(w) ** 2, axis=-1)
     rho = np.expand_dims(rho_ul, -1)
     pref = np.expand_dims(si_level, -1)
     return rho * sig / (rho * intf + pref * omega + noise)
@@ -126,20 +108,6 @@ def ul_sinr(h_ul_true: np.ndarray, w: np.ndarray, omega: np.ndarray,
 def sum_rate(sinrs: np.ndarray):
     """Sum of log2(1 + sinr) over users (the last axis), in bps/Hz."""
     return np.sum(np.log2(1.0 + np.asarray(sinrs)), axis=-1)
-
-
-def trial_sample(config: SystemConfig, mode: SicMode,
-                 channels: ChannelRealization, est: EstimatedChannels,
-                 ts: TransceiverSet,
-                 si_snr: float | None = None) -> SinrSample:
-    """Evaluate all SINRs of one already-drawn trial."""
-    omega = residual_si(mode, ts.w, channels.h_si, est.h_si_hat, ts.g)
-    si = config.rho_si if si_snr is None else si_snr
-    return SinrSample(
-        dl=dl_sinr(channels.h_dl, ts.g, config.rho_dl),
-        ul=ul_sinr(channels.h_ul, ts.w, omega, config.rho_ul,
-                   si / config.alpha_anc),
-        omega=omega)
 
 
 class _Welford:
@@ -197,34 +165,50 @@ def _chunk_trials(m: int, n: int, k: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * entries))
 
 
-def _trial_chunks(draw, model: EstimationModel, si_scale, master_seed: int,
-                  trials: int, m: int, n: int, k: int):
-    """Draw and estimate trials 0 .. trials - 1 in chunks.
+def _trial_chunks(config: SystemConfig, model: EstimationModel,
+                  master_seed: int, trials: range,
+                  geometry: ArrayGeometry | None = None,
+                  rician: RicianParams | None = None):
+    """Draw and estimate the given trials in chunks.
 
-    Trial t draws its channels with draw(RngStream(master_seed, 2t)) and
-    its estimation errors from substream 2t+1.  Yields, per chunk of at
-    most _chunk_trials(m, n, k) trials, the stacked true channels h_dl,
-    h_ul, h_si and estimates h_ext_hat (each downlink estimate over its SI
-    estimate) and h_ul_hat.  They are views of buffers that the next
-    chunk overwrites.
+    Trial t draws its channels from substream 2t of master_seed, i.i.d.
+    or, with geometry and rician, correlated Rician, and its estimation
+    errors from substream 2t+1.  Yields, per chunk of at most
+    _chunk_trials(M, N, K) trials, the chunk's trial indices, the stacked
+    true channels h_dl, h_ul, h_si and estimates h_ext_hat (each downlink
+    estimate over its SI estimate) and h_ul_hat.  The arrays are views of
+    buffers that the next chunk overwrites.
     """
-    size = min(trials, _chunk_trials(m, n, k))
+    m, n, k = config.M, config.N, config.K
+    si_scale = None
+    if geometry is not None:
+        sampler = CorrelatedSampler(config, geometry, rician)
+        draw = sampler.sample
+        # Path gains replace the flat beta_si, and the estimation error
+        # follows the local channel power to keep the NMSE meaningful per
+        # element.
+        si_scale = sampler.si_gains
+    else:
+        def draw(stream: RngStream):
+            return generate_iid(config, stream)
+    size = max(1, min(len(trials), _chunk_trials(m, n, k)))
     h_dl = np.empty((size, k, m), dtype=complex)
     h_ul = np.empty((size, n, k), dtype=complex)
     h_si = np.empty((size, n, m), dtype=complex)
     h_ext_hat = np.empty((size, k + n, m), dtype=complex)
     h_ul_hat = np.empty((size, n, k), dtype=complex)
-    for start in range(0, trials, size):
-        c = min(size, trials - start)
-        for i in range(c):
-            t = start + i
+    for start in range(0, len(trials), size):
+        chunk = trials[start:start + size]
+        for i, t in enumerate(chunk):
             ch = draw(RngStream(master_seed, 2 * t))
             est = estimate(ch, model, RngStream(master_seed, 2 * t + 1),
                            si_error_scale=si_scale)
             h_dl[i], h_ul[i], h_si[i] = ch.h_dl, ch.h_ul, ch.h_si
             h_ext_hat[i, :k], h_ext_hat[i, k:] = est.h_dl_hat, est.h_si_hat
             h_ul_hat[i] = est.h_ul_hat
-        yield h_dl[:c], h_ul[:c], h_si[:c], h_ext_hat[:c], h_ul_hat[:c]
+        c = len(chunk)
+        yield (chunk, h_dl[:c], h_ul[:c], h_si[:c], h_ext_hat[:c],
+               h_ul_hat[:c])
 
 
 def monte_carlo_curves(configs: Sequence[SystemConfig],
@@ -252,6 +236,8 @@ def monte_carlo_curves(configs: Sequence[SystemConfig],
         raise ConfigError("trials must be positive")
     if not configs:
         raise ConfigError("at least one config is required")
+    if not curves:
+        raise ConfigError("at least one curve is required")
     base = configs[0]
     for cfg in configs:
         if (cfg.M, cfg.N, cfg.K) != (base.M, base.N, base.K):
@@ -260,18 +246,11 @@ def monte_carlo_curves(configs: Sequence[SystemConfig],
         raise ConfigError("geometry and rician must be given together")
     model = estimation if estimation is not None else EstimationModel()
 
-    si_scale = None
     if geometry is not None:
-        sampler = CorrelatedSampler(base, geometry, rician)
-        draw = sampler.sample
         # Path gains replace the flat beta_si, so the SI term scales with
-        # the raw transmit SNR; estimation error follows the local channel
-        # power to keep the NMSE meaningful per element.
-        si_scale = sampler.si_gains
+        # the raw transmit SNR.
         defaults = [cfg.rho_t for cfg in configs]
     else:
-        def draw(stream: RngStream) -> ChannelRealization:
-            return generate_iid(base, stream)
         defaults = [cfg.rho_si for cfg in configs]
     pref = []
     for curve in curves:
@@ -291,8 +270,8 @@ def monte_carlo_curves(configs: Sequence[SystemConfig],
     k = base.K
     acc = [_Welford((2, len(configs))) for _ in curves]
     failures = [0] * len(curves)
-    for h_dl, h_ul, h_si, h_ext_hat, h_ul_hat in _trial_chunks(
-            draw, model, si_scale, master_seed, trials, base.M, base.N, k):
+    for _, h_dl, h_ul, h_si, h_ext_hat, h_ul_hat in _trial_chunks(
+            base, model, master_seed, range(trials), geometry, rician):
         w, built = build_stack(modes, h_ext_hat, h_ul_hat)
         # Axes: trial, [curve,] point, user.  The downlink rates depend on
         # the precoder only, so each distinct one is evaluated once.
@@ -365,15 +344,3 @@ def monte_carlo(config: SystemConfig, mode: SicMode, *, trials: int,
         [config], mode, trials=trials, master_seed=master_seed,
         estimation=estimation, geometry=geometry, rician=rician,
         si_snrs=None if si_snr is None else [si_snr])[0]
-
-
-def half_duplex_rate(config: SystemConfig,
-                     rho_dl_linear: float | None = None) -> float:
-    """Half-duplex baseline: half the perfect-CSI SI-subtraction rate.
-
-    A half-duplex BS splits the resources between the two directions, and
-    each direction then runs the same zero-forcing link with no SI at all.
-    """
-    point = closedform.rate_perfect(SicMode.SUBTRACTION, config,
-                                    rho_dl=rho_dl_linear)
-    return 0.5 * point.total

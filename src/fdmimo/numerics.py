@@ -59,20 +59,6 @@ def _complex_gaussian(gen: np.random.Generator, rows: int, cols: int,
     return scale * (real + 1j * imag)
 
 
-def sample_complex_gaussian(rows: int, cols: int, variance: float,
-                            rng: RngStream) -> np.ndarray:
-    """Circularly symmetric complex Gaussian matrix from a stream.
-
-    The stream is consumed from its start, so calling twice with an equal
-    (master_seed, stream_index) pair returns bit-identical matrices.
-    """
-    if rows < 0 or cols < 0:
-        raise ValueError("matrix dimensions must be nonnegative")
-    if not np.isfinite(variance) or variance < 0.0:
-        raise ValueError("variance must be finite and nonnegative")
-    return _complex_gaussian(rng.generator(), rows, cols, variance)
-
-
 def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian positive semidefinite matrix.
 

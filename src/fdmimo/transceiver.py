@@ -39,10 +39,9 @@ class DegeneratePrecoderError(ValueError):
 
 @dataclass(frozen=True)
 class TransceiverSet:
-    """Normalized precoder g, raw precoder f_raw, combiner w, and mode."""
+    """Normalized precoder g, combiner w, and mode."""
 
     g: np.ndarray        # (M, K) unit-total-power precoder
-    f_raw: np.ndarray    # (M, K) unnormalized zero-forcing solution
     w: np.ndarray        # (K, N) receive combiner, row k serves user k
     mode: SicMode
 
@@ -109,7 +108,7 @@ def build(mode: SicMode, est: EstimatedChannels) -> TransceiverSet:
         f_raw = zf_precoder(est.h_dl_hat)
     g = normalize_vector(f_raw)
     w = zf_combiner(est.h_ul_hat)
-    return TransceiverSet(g=g, f_raw=f_raw, w=w, mode=mode)
+    return TransceiverSet(g=g, w=w, mode=mode)
 
 
 def build_stack(modes, h_ext_hat: np.ndarray, h_ul_hat: np.ndarray):

@@ -12,14 +12,15 @@ import math
 import numpy as np
 import pytest
 
-from fdmimo import numerics
+from fdmimo import acceptance, experiments, numerics
 from fdmimo.acceptance import (_Z99, criterion_paired_residual_si,
-                               run_all)
-from fdmimo.channel import SystemConfig, generate_iid
+                               criterion_zero_forcing_residuals, run_all)
+from fdmimo.channel import (CorrelatedSampler, RicianParams, SystemConfig,
+                            default_geometry, generate_iid)
 from fdmimo.estimation import estimate, model_from_config
 from fdmimo.metrics import residual_si
 from fdmimo.numerics import RngStream
-from fdmimo.transceiver import SicMode, build
+from fdmimo.transceiver import SicMode, build, build_stack
 
 BASE_TRIALS = 10_000
 SEED = 1
@@ -76,6 +77,65 @@ def test_criterion_9_csv_determinism(results, capsys):
 # ------------------------------------------------- criterion internals
 
 SMALL = SystemConfig(M=12, N=4, K=2)
+
+
+def test_criterion_4_matches_a_per_trial_build_loop(monkeypatch):
+    # chunks of 3: both the 50 i.i.d. and the 20 correlated trials end in
+    # a partial chunk; the loop is the reference
+    monkeypatch.setattr("fdmimo.metrics._chunk_trials", lambda m, n, k: 3)
+    built = []
+
+    def recording_build_stack(modes, h_ext_hat, h_ul_hat):
+        built.extend(zip(h_ext_hat.copy(), h_ul_hat.copy()))
+        return build_stack(modes, h_ext_hat, h_ul_hat)
+
+    monkeypatch.setattr(acceptance, "build_stack", recording_build_stack)
+    base_trials, seed = 100, 3001
+    model = model_from_config(SMALL, perfect=False)
+    sampler = CorrelatedSampler(
+        SMALL, default_geometry(SMALL, experiments.CORRELATED_CARRIER_HZ),
+        RicianParams(1.0, 1.0))
+    iid_trials, corr_trials = 50, 20
+    worst_null = 0.0
+    worst_comb = 0.0
+    ests = []
+    for i in range(iid_trials + corr_trials):
+        correlated = i >= iid_trials
+        if correlated:
+            ch = sampler.sample(RngStream(seed, 2 * i))
+            scale = sampler.si_gains
+        else:
+            ch = generate_iid(SMALL, RngStream(seed, 2 * i))
+            scale = None
+        est = estimate(ch, model, RngStream(seed, 2 * i + 1),
+                       si_error_scale=scale)
+        ests.append(est)
+        ts = build(SicMode.SPATIAL_SUPPRESSION, est)
+        null = np.linalg.norm(est.h_si_hat @ ts.g)
+        null_rel = null / (np.linalg.norm(est.h_si_hat)
+                           * np.linalg.norm(ts.g))
+        comb = np.linalg.norm(ts.w @ est.h_ul_hat - np.eye(SMALL.K))
+        worst_null = max(worst_null, null_rel)
+        worst_comb = max(worst_comb, comb)
+    got = criterion_zero_forcing_residuals(SMALL, base_trials, seed)
+    assert got.detail == (
+        f"max null-space residual {worst_null:.2e}, max combiner residual "
+        f"{worst_comb:.2e} over {iid_trials} i.i.d. + {corr_trials} "
+        f"correlated trials, tolerance 1e-9")
+    assert got.passed
+    # every trial was built from its own draw, in trial order
+    assert len(built) == len(ests)
+    for (h_ext_hat, h_ul_hat), est in zip(built, ests):
+        assert np.array_equal(h_ext_hat,
+                              np.vstack([est.h_dl_hat, est.h_si_hat]))
+        assert np.array_equal(h_ul_hat, est.h_ul_hat)
+
+
+def test_criterion_4_fails_on_a_failed_transceiver(monkeypatch):
+    monkeypatch.setattr(numerics, "GRAM_CONDITION_LIMIT", 1.0)
+    got = criterion_zero_forcing_residuals(SMALL, 100, 1)
+    assert not got.passed
+    assert got.detail == "sps transceiver failed at trial 0"
 
 
 def test_criterion_5_matches_a_per_trial_build_loop(monkeypatch):

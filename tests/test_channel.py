@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from fdmimo.channel import (ArrayGeometry, ConfigError, CorrelatedSampler,
                             RicianParams, SPEED_OF_LIGHT, SystemConfig,
                             db_to_linear, default_geometry, free_space_gains,
-                            generate_correlated, generate_iid,
-                            jakes_correlation, si_pathloss_gains)
+                            generate_iid, jakes_correlation,
+                            si_pathloss_gains)
 from fdmimo.numerics import RngStream
 
 CARRIER_HZ = 2.1e9
@@ -231,8 +231,8 @@ def test_generate_correlated_shapes_and_determinism():
     cfg = small_config()
     geo = default_geometry(cfg, CARRIER_HZ)
     ric = RicianParams(kappa=1.0, sigma_si=1.0)
-    a = generate_correlated(cfg, geo, ric, RngStream(7, 3))
-    b = generate_correlated(cfg, geo, ric, RngStream(7, 3))
+    a = CorrelatedSampler(cfg, geo, ric).sample(RngStream(7, 3))
+    b = CorrelatedSampler(cfg, geo, ric).sample(RngStream(7, 3))
     assert a.h_dl.shape == (3, 16)
     assert a.h_ul.shape == (6, 3)
     assert a.h_si.shape == (6, 16)

@@ -49,6 +49,12 @@ def test_check_rejects_nonpositive_trials(capsys):
     assert "must be positive" in capsys.readouterr().err
 
 
+def test_check_rejects_a_negative_seed(capsys):
+    assert cli.main(["check", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error: --seed must be nonnegative" in err
+
+
 def test_help_exits_0():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])

@@ -10,12 +10,11 @@ import fdmimo.metrics as metrics
 import fdmimo.numerics as numerics
 from fdmimo.channel import (ConfigError, RicianParams, SystemConfig,
                             default_geometry, generate_iid)
-from fdmimo.closedform import rate_perfect
+from fdmimo.closedform import rate_half_duplex, rate_perfect
 from fdmimo.estimation import EstimationModel, estimate, model_from_config
-from fdmimo.metrics import (Curve, RateReport, dl_sinr, half_duplex_rate,
-                            monte_carlo, monte_carlo_curves,
-                            monte_carlo_sweep, residual_si, sum_rate,
-                            trial_sample, ul_sinr)
+from fdmimo.metrics import (Curve, RateReport, dl_sinr, monte_carlo,
+                            monte_carlo_curves, monte_carlo_sweep,
+                            residual_si, sum_rate, ul_sinr)
 from fdmimo.numerics import RngStream
 from fdmimo.transceiver import SicMode, build
 
@@ -131,14 +130,6 @@ def test_sinrs_broadcast_over_trials_and_points():
 def test_sum_rate_frozen():
     assert sum_rate(np.array([1.0, 3.0])) == 3.0
     assert sum_rate(np.array([0.0])) == 0.0
-
-
-def test_trial_sample_bundles_everything():
-    ch, est = _trial(8)
-    ts = build(SicMode.SUBTRACTION, est)
-    s = trial_sample(CFG_SMALL, SicMode.SUBTRACTION, ch, est, ts)
-    assert s.dl.shape == s.ul.shape == s.omega.shape == (3,)
-    assert np.array_equal(s.dl, dl_sinr(ch.h_dl, ts.g, CFG_SMALL.rho_dl))
 
 
 # ----------------------------------------------------------- accumulator
@@ -347,17 +338,29 @@ def test_sweep_validation_errors():
                           master_seed=0, si_snrs=[1.0, 2.0])
 
 
+def test_curves_are_required_before_any_draw(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("trials drawn before the curves were checked")
+
+    monkeypatch.setattr(metrics, "_trial_chunks", no_draws)
+    with pytest.raises(ConfigError, match="at least one curve"):
+        monte_carlo_curves([CFG_SMALL], [], trials=5, master_seed=0)
+
+
 # ----------------------------------------------------------- half duplex
 
 def test_half_duplex_is_half_the_subtraction_rate():
     cfg = dataclasses.replace(SystemConfig(), rho_t_db=80.0)
-    got = half_duplex_rate(cfg)
-    assert got == 0.5 * rate_perfect(SicMode.SUBTRACTION, cfg).total
-    assert got == pytest.approx(47.47427792245599, rel=1e-14)
+    got = rate_half_duplex(cfg)
+    full = rate_perfect(SicMode.SUBTRACTION, cfg)
+    assert (got.dl_rate, got.ul_rate) == (0.5 * full.dl_rate,
+                                          0.5 * full.ul_rate)
+    assert got.total == 0.5 * full.total
+    assert got.total == pytest.approx(47.47427792245599, rel=1e-14)
 
 
 def test_half_duplex_rho_dl_override():
     cfg = SystemConfig()
-    got = half_duplex_rate(cfg, rho_dl_linear=1.0)
+    got = rate_half_duplex(cfg, rho_dl=1.0)
     want = 0.5 * rate_perfect(SicMode.SUBTRACTION, cfg, rho_dl=1.0).total
-    assert got == want
+    assert got.total == want
