@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, _complex_gaussian, bessel_j0, hermitian_sqrt
+from .numerics import RngStream, _complex_gaussians, bessel_j0, hermitian_sqrt
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -80,11 +80,6 @@ class SystemConfig:
         _check_db_field("alpha_anc_db", self.alpha_anc_db, allow_neg_inf=False)
         if not np.isfinite(self.nmse) or self.nmse < 0.0:
             raise ConfigError("nmse must be finite and nonnegative")
-
-    @property
-    def L(self) -> int:
-        """Total BS antenna count M + N."""
-        return self.M + self.N
 
     @property
     def rho_t(self) -> float:
@@ -195,17 +190,34 @@ def default_geometry(config: SystemConfig, carrier_hz: float) -> ArrayGeometry:
     return ArrayGeometry(tx_positions=tx, rx_positions=rx, wavelength=lam)
 
 
+def _channel_stack(config: SystemConfig,
+                   trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uninitialised stacks (h_dl, h_ul, h_si) for the given trial count."""
+    m, n, k = config.M, config.N, config.K
+    return (np.empty((trials, k, m), dtype=complex),
+            np.empty((trials, n, k), dtype=complex),
+            np.empty((trials, n, m), dtype=complex))
+
+
+def _fill_iid(streams: list[RngStream], h_dl: np.ndarray, h_ul: np.ndarray,
+              h_si: np.ndarray) -> None:
+    """Fill stacks of i.i.d. CN(0, 1) channels, trial i from streams[i].
+
+    A trial's stream holds h_dl, h_ul and h_si in that order, in the
+    layout of numerics._complex_gaussians.
+    """
+    _complex_gaussians(streams, [h_dl, h_ul, h_si], [1.0, 1.0, 1.0])
+
+
 def generate_iid(config: SystemConfig, rng: RngStream) -> ChannelRealization:
     """Draw one i.i.d. CN(0, 1) realization of all three channels.
 
     The three matrices are drawn sequentially (h_dl, h_ul, h_si) from a
     single generator so a given stream always yields the same realization.
     """
-    gen = rng.generator()
-    h_dl = _complex_gaussian(gen, config.K, config.M, 1.0)
-    h_ul = _complex_gaussian(gen, config.N, config.K, 1.0)
-    h_si = _complex_gaussian(gen, config.N, config.M, 1.0)
-    return ChannelRealization(h_dl=h_dl, h_ul=h_ul, h_si=h_si)
+    h = _channel_stack(config, 1)
+    _fill_iid([rng], *h)
+    return ChannelRealization(*(x[0] for x in h))
 
 
 def jakes_correlation(positions: np.ndarray, wavelength: float) -> np.ndarray:
@@ -247,8 +259,9 @@ def si_pathloss_gains(geometry: ArrayGeometry) -> np.ndarray:
 class CorrelatedSampler:
     """Draws correlated Rician realizations for a fixed geometry.
 
-    The correlation square roots and path-gain matrix only depend on the
-    geometry, so they are computed once here and reused across trials.
+    The correlation square roots, the path-gain matrix and the LOS matrix
+    only depend on the geometry, so they are computed once here and reused
+    across trials.
     Keyword overrides exist so tests can substitute explicit correlation
     matrices or gains.
     """
@@ -276,7 +289,8 @@ class CorrelatedSampler:
         self.si_gains = np.asarray(si_gains, dtype=float)
         self._si_amp = np.sqrt(self.si_gains)
         k = rician.kappa
-        self._los_amp = np.sqrt(k / (k + 1.0)) * rician.sigma_si
+        self._los = (np.sqrt(k / (k + 1.0)) * rician.sigma_si
+                     * np.ones((config.N, config.M)))
         self._nlos_amp = np.sqrt(1.0 / (k + 1.0))
 
     def sample(self, rng: RngStream) -> ChannelRealization:
@@ -287,15 +301,24 @@ class CorrelatedSampler:
         scaled entrywise by the square root of the free-space path gains,
         which replace the flat beta_si of the i.i.d. model.
         """
-        cfg = self.config
-        gen = rng.generator()
-        h_dl_iid = _complex_gaussian(gen, cfg.K, cfg.M, 1.0)
-        h_ul_iid = _complex_gaussian(gen, cfg.N, cfg.K, 1.0)
-        h_si_iid = _complex_gaussian(gen, cfg.N, cfg.M, 1.0)
-        h_dl = h_dl_iid @ self.r_tx_sqrt
-        h_ul = self.r_rx_sqrt @ h_ul_iid
-        los = self._los_amp * np.ones((cfg.N, cfg.M))
-        h_si = self.r_rx_sqrt @ (los + self._nlos_amp * h_si_iid) @ self.r_tx_sqrt
-        h_si = self._si_amp * h_si
-        return ChannelRealization(h_dl=h_dl, h_ul=h_ul, h_si=h_si)
+        h = _channel_stack(self.config, 1)
+        self._fill([rng], *h)
+        return ChannelRealization(*(x[0] for x in h))
 
+    def _fill(self, streams: list[RngStream], h_dl: np.ndarray,
+              h_ul: np.ndarray, h_si: np.ndarray) -> None:
+        """Fill stacks of realizations as sample does, trial i from
+        streams[i], which holds the three i.i.d. matrices as in _fill_iid.
+
+        Each product is stacked over the trials against one 2-D factor,
+        which equals the per-trial product bit for bit; the SI expression
+        keeps its grouping, since distributing it changes the last bits.
+        """
+        x_dl, x_ul, x_si = (np.empty_like(h) for h in (h_dl, h_ul, h_si))
+        _fill_iid(streams, x_dl, x_ul, x_si)
+        np.matmul(x_dl, self.r_tx_sqrt, out=h_dl)
+        np.matmul(self.r_rx_sqrt, x_ul, out=h_ul)
+        x_si *= self._nlos_amp
+        x_si += self._los
+        np.matmul(self.r_rx_sqrt @ x_si, self.r_tx_sqrt, out=h_si)
+        h_si *= self._si_amp

@@ -26,12 +26,10 @@ from .transceiver import SicMode
 
 @dataclass(frozen=True)
 class ClosedFormPoint:
-    """One closed-form evaluation; fields are None where undefined."""
+    """One closed-form evaluation of the downlink and uplink sum rates."""
 
     dl_rate: float
     ul_rate: float
-    ul_sinr: float | None = None
-    omega_bar: float | None = None
 
     @property
     def total(self) -> float:
@@ -82,13 +80,10 @@ def rate_perfect(mode: SicMode, config: SystemConfig, *,
         dl_gain = m - k + 1
     dl_rate = k * math.log2(1.0 + rdl * dl_gain / k)
     ul_sinr = rul * (n - k + 1)
-    omega_bar = 0.0
     if mode is SicMode.NO_SIC:
         ul_sinr = ul_sinr / (config.rho_si / config.alpha_anc + 1.0)
-        omega_bar = expected_si_power(mode, config, perfect=True)
     ul_rate = k * math.log2(1.0 + ul_sinr)
-    return ClosedFormPoint(dl_rate=dl_rate, ul_rate=ul_rate,
-                           ul_sinr=ul_sinr, omega_bar=omega_bar)
+    return ClosedFormPoint(dl_rate=dl_rate, ul_rate=ul_rate)
 
 
 def rate_half_duplex(config: SystemConfig, *,

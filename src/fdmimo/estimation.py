@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, ConfigError, SystemConfig
-from .numerics import RngStream, _complex_gaussian
+from .numerics import RngStream, _complex_gaussians
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,11 @@ class EstimationModel:
 
 @dataclass(frozen=True)
 class EstimatedChannels:
-    """Estimates h_hat = h + e together with the error draws themselves."""
+    """Estimates h_hat = h + e of one channel realization."""
 
     h_dl_hat: np.ndarray
     h_ul_hat: np.ndarray
     h_si_hat: np.ndarray
-    e_dl: np.ndarray
-    e_ul: np.ndarray
-    e_si: np.ndarray
 
 
 def uldl_error_variance(beta_ue: float, rho_u: float, k: int) -> float:
@@ -72,6 +69,33 @@ def model_from_config(config: SystemConfig, perfect: bool) -> EstimationModel:
     return EstimationModel(eps2_dl=eps2, eps2_ul=eps2, eps2_si=config.nmse)
 
 
+def _add_errors(model: EstimationModel, streams: list[RngStream],
+                channels: tuple, hats: tuple,
+                si_amp: np.ndarray | None = None) -> None:
+    """Write estimates hats = channels + errors for a stack of trials.
+
+    channels and hats are (h_dl, h_ul, h_si) stacks.  The errors are
+    i.i.d. CN(0, eps2) per matrix, trial i's from streams[i], which holds
+    the errors of nonzero variance in the order dl, ul, si, in the layout
+    of numerics._complex_gaussians; a zero-variance error is exactly zero
+    and takes no draws, and a perfect model opens no stream at all.
+    si_amp optionally multiplies the SI error entrywise.
+    """
+    variances = (model.eps2_dl, model.eps2_ul, model.eps2_si)
+    if not model.perfect:
+        _complex_gaussians(streams,
+                           [hat for hat, v in zip(hats, variances) if v],
+                           [v for v in variances if v])
+    if si_amp is not None and model.eps2_si:
+        for part in (hats[2].real, hats[2].imag):
+            np.multiply(part, si_amp, out=part)
+    for h, hat, v in zip(channels, hats, variances):
+        if v:
+            hat += h
+        else:
+            hat[...] = h
+
+
 def estimate(channels: ChannelRealization, model: EstimationModel,
              rng: RngStream,
              si_error_scale: np.ndarray | None = None) -> EstimatedChannels:
@@ -79,21 +103,19 @@ def estimate(channels: ChannelRealization, model: EstimationModel,
 
     Errors are drawn i.i.d. CN(0, eps2) per matrix, sequentially
     (e_dl, e_ul, e_si) from the given stream, independent of the channel
-    draws by stream separation.  si_error_scale optionally multiplies the
-    self-interference error variance entrywise; it is used when the SI
-    channel itself carries per-element path gains, so that the error keeps
-    a fixed NMSE relative to the local channel power.
+    draws by stream separation; a zero-variance error takes no draws.
+    si_error_scale optionally multiplies the self-interference error
+    variance entrywise; it is used when the SI channel itself carries
+    per-element path gains, so that the error keeps a fixed NMSE relative
+    to the local channel power.
     """
-    gen = rng.generator()
-    e_dl = _complex_gaussian(gen, *channels.h_dl.shape, model.eps2_dl)
-    e_ul = _complex_gaussian(gen, *channels.h_ul.shape, model.eps2_ul)
-    e_si = _complex_gaussian(gen, *channels.h_si.shape, model.eps2_si)
+    si_amp = None
     if si_error_scale is not None:
         if si_error_scale.shape != channels.h_si.shape:
             raise ConfigError("si_error_scale shape must match h_si")
-        e_si = np.sqrt(si_error_scale) * e_si
-    return EstimatedChannels(
-        h_dl_hat=channels.h_dl + e_dl,
-        h_ul_hat=channels.h_ul + e_ul,
-        h_si_hat=channels.h_si + e_si,
-        e_dl=e_dl, e_ul=e_ul, e_si=e_si)
+        si_amp = np.sqrt(si_error_scale)
+    truth = tuple(h[None] for h in
+                  (channels.h_dl, channels.h_ul, channels.h_si))
+    hats = tuple(np.empty(h.shape, dtype=complex) for h in truth)
+    _add_errors(model, [rng], truth, hats, si_amp)
+    return EstimatedChannels(*(hat[0] for hat in hats))

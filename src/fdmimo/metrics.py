@@ -32,12 +32,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channel import (ArrayGeometry, ConfigError, CorrelatedSampler,
-                      RicianParams, SystemConfig, generate_iid)
-from .estimation import EstimationModel, estimate
+                      RicianParams, SystemConfig, _channel_stack, _fill_iid)
+from .estimation import EstimationModel, _add_errors
 from .numerics import RngStream
-# build is not called here, but stays importable as fdmimo.metrics.build,
-# where tracing tools look up the pipeline's stages.
-from .transceiver import SicMode, build, build_stack  # noqa: F401
+from .transceiver import SicMode, build_stack
+# Not called here, but importable from fdmimo.metrics, where tracing tools
+# look up the pipeline's one-trial stages.
+from .channel import generate_iid  # noqa: F401
+from .estimation import estimate  # noqa: F401
+from .transceiver import build  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -173,42 +176,38 @@ def _trial_chunks(config: SystemConfig, model: EstimationModel,
 
     Trial t draws its channels from substream 2t of master_seed, i.i.d.
     or, with geometry and rician, correlated Rician, and its estimation
-    errors from substream 2t+1.  Yields, per chunk of at most
-    _chunk_trials(M, N, K) trials, the chunk's trial indices, the stacked
-    true channels h_dl, h_ul, h_si and estimates h_ext_hat (each downlink
-    estimate over its SI estimate) and h_ul_hat.  The arrays are views of
-    buffers that the next chunk overwrites.
+    errors from substream 2t+1, each stream in one call.  Yields, per
+    chunk of at most _chunk_trials(M, N, K) trials, the chunk's trial
+    indices, the stacked true channels h_dl, h_ul, h_si and estimates
+    h_ext_hat (each downlink estimate over its SI estimate) and h_ul_hat.
+    Every array equals a stack of that trial's generate_iid or
+    CorrelatedSampler.sample and estimate calls bit for bit.  The arrays
+    are views of buffers that the next chunk overwrites.
     """
     m, n, k = config.M, config.N, config.K
-    si_scale = None
+    si_amp = None
     if geometry is not None:
         sampler = CorrelatedSampler(config, geometry, rician)
-        draw = sampler.sample
+        fill = sampler._fill
         # Path gains replace the flat beta_si, and the estimation error
         # follows the local channel power to keep the NMSE meaningful per
         # element.
-        si_scale = sampler.si_gains
+        si_amp = sampler._si_amp
     else:
-        def draw(stream: RngStream):
-            return generate_iid(config, stream)
+        fill = _fill_iid
     size = max(1, min(len(trials), _chunk_trials(m, n, k)))
-    h_dl = np.empty((size, k, m), dtype=complex)
-    h_ul = np.empty((size, n, k), dtype=complex)
-    h_si = np.empty((size, n, m), dtype=complex)
+    h_dl, h_ul, h_si = _channel_stack(config, size)
     h_ext_hat = np.empty((size, k + n, m), dtype=complex)
     h_ul_hat = np.empty((size, n, k), dtype=complex)
     for start in range(0, len(trials), size):
         chunk = trials[start:start + size]
-        for i, t in enumerate(chunk):
-            ch = draw(RngStream(master_seed, 2 * t))
-            est = estimate(ch, model, RngStream(master_seed, 2 * t + 1),
-                           si_error_scale=si_scale)
-            h_dl[i], h_ul[i], h_si[i] = ch.h_dl, ch.h_ul, ch.h_si
-            h_ext_hat[i, :k], h_ext_hat[i, k:] = est.h_dl_hat, est.h_si_hat
-            h_ul_hat[i] = est.h_ul_hat
         c = len(chunk)
-        yield (chunk, h_dl[:c], h_ul[:c], h_si[:c], h_ext_hat[:c],
-               h_ul_hat[:c])
+        channels = (h_dl[:c], h_ul[:c], h_si[:c])
+        fill([RngStream(master_seed, 2 * t) for t in chunk], *channels)
+        _add_errors(model, [RngStream(master_seed, 2 * t + 1) for t in chunk],
+                    channels, (h_ext_hat[:c, :k], h_ul_hat[:c],
+                               h_ext_hat[:c, k:]), si_amp)
+        yield (chunk, *channels, h_ext_hat[:c], h_ul_hat[:c])
 
 
 def monte_carlo_curves(configs: Sequence[SystemConfig],

@@ -2,9 +2,9 @@
 
 Everything downstream (channel draws, precoders, combiners) is built on the
 small set of primitives in this module: seeded counter-based RNG substreams,
-complex Gaussian sampling, a clamping Hermitian square root, rank-revealing
-one-sided pseudo-inverses, and the zero-order Bessel function J0 used by the
-spatial-correlation model.
+complex Gaussian sampling in one stream layout, a clamping Hermitian square
+root, rank-revealing one-sided pseudo-inverses, and the zero-order Bessel
+function J0 used by the spatial-correlation model.
 """
 
 from __future__ import annotations
@@ -48,15 +48,29 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def _complex_gaussian(gen: np.random.Generator, rows: int, cols: int,
-                      variance: float) -> np.ndarray:
-    """Draw a rows x cols matrix of i.i.d. CN(0, variance) entries."""
-    if variance == 0.0:
-        return np.zeros((rows, cols), dtype=complex)
-    scale = np.sqrt(variance / 2.0)
-    real = gen.standard_normal((rows, cols))
-    imag = gen.standard_normal((rows, cols))
-    return scale * (real + 1j * imag)
+def _complex_gaussians(streams: list[RngStream], outs: list[np.ndarray],
+                       variances: list[float]) -> None:
+    """Fill stacks of complex matrices with i.i.d. CN(0, variance) entries.
+
+    Each out is a complex stack (trials, rows, cols); trial i's matrices
+    come from streams[i] in one standard_normal call, which, Philox being
+    counter-based, yields the same numbers as consecutive calls whose
+    sizes sum to it.  This is the layout of every stream: the matrices in
+    the order of outs, each as its real parts and then its imaginary
+    parts, row-major.  An entry is sqrt(variance / 2) (re + 1j im),
+    written part by part, which equals the complex product bit for bit.
+    """
+    sizes = [out.shape[-2] * out.shape[-1] for out in outs]
+    normals = np.empty((len(streams), 2 * sum(sizes)))
+    for row, stream in zip(normals, streams):
+        stream.generator().standard_normal(out=row)
+    start = 0
+    for out, size, variance in zip(outs, sizes, variances):
+        scale = np.sqrt(variance / 2.0)
+        for part in (out.real, out.imag):
+            np.multiply(normals[:, start:start + size].reshape(out.shape),
+                        scale, out=part)
+            start += size
 
 
 def hermitian_sqrt(a: np.ndarray) -> np.ndarray:

@@ -37,7 +37,6 @@ def test_db_to_linear(db, linear):
 def test_default_config_matches_published_setup():
     cfg = SystemConfig()
     assert (cfg.M, cfg.N, cfg.K) == (64, 20, 10)
-    assert cfg.L == 84
     assert cfg.rho_ul_db == 10.0
     assert cfg.beta_si_db == -40.0
     assert cfg.beta_ue_db == -80.0

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fdmimo
 import fdmimo.cli as cli
 import fdmimo.numerics as numerics
 from fdmimo.acceptance import CriterionResult
@@ -86,6 +92,27 @@ def test_run_writes_file_and_keeps_stdout_clean(small_conf, tmp_path, capsys):
                      "--output", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert out_a.read_text().startswith(CSV_HEADER + "\n")
+
+
+def test_correlated_csv_ignores_the_blas_thread_count(tmp_path):
+    # the correlated draw multiplies stacks of trials by the correlation
+    # roots, so its CSV must not depend on how BLAS splits a product
+    src = str(Path(fdmimo.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdmimo", "run", "--scenario",
+             "fig-correlated", "--trials", "12", "--output", str(path)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith((CSV_HEADER + "\n").encode())
 
 
 def test_run_cli_flags_override_config_file(small_conf, capsys):

@@ -26,7 +26,7 @@ def test_perfect_subtraction_rates_frozen():
     p = rate_perfect(SicMode.SUBTRACTION, CFG, rho_dl=1.0)
     assert p.dl_rate == pytest.approx(27.004397181410923, rel=1e-14)
     assert p.ul_rate == pytest.approx(67.94415866350106, rel=1e-14)
-    assert p.omega_bar == 0.0
+    assert expected_si_power(SicMode.SUBTRACTION, CFG, perfect=True) == 0.0
 
 
 def test_perfect_sps_loses_null_space_antennas():
@@ -40,16 +40,19 @@ def test_perfect_nosic_divides_by_attenuated_si():
     # rho_t = 80 dB, beta_si = -40 dB, alpha = 40 dB -> rho_si/alpha = 1
     cfg = dataclasses.replace(CFG, rho_t_db=80.0)
     p = rate_perfect(SicMode.NO_SIC, cfg)
-    assert p.ul_sinr == pytest.approx(55.0, rel=1e-14)
+    # per-user SINR 10 * 11 / (1 + 1) = 55
+    assert p.ul_rate == pytest.approx(cfg.K * math.log2(1.0 + 55.0),
+                                      rel=1e-14)
     assert p.ul_rate == pytest.approx(58.07354922057604, rel=1e-14)
-    assert p.omega_bar == pytest.approx(0.1, rel=1e-14)
+    assert expected_si_power(SicMode.NO_SIC, cfg, perfect=True) \
+        == pytest.approx(0.1, rel=1e-14)
 
 
 def test_perfect_rate_overrides():
     p = rate_perfect(SicMode.SUBTRACTION, CFG, rho_dl=0.0, rho_ul=0.0)
     assert p.dl_rate == 0.0 and p.ul_rate == 0.0
     q = rate_perfect(SicMode.SUBTRACTION, CFG, rho_ul=1.0)
-    assert q.ul_sinr == 11.0
+    assert q.ul_rate == CFG.K * math.log2(1.0 + 11.0)
 
 
 def test_perfect_si_free_limit():
@@ -58,7 +61,8 @@ def test_perfect_si_free_limit():
     cfg = dataclasses.replace(CFG, rho_t_db=-math.inf)
     rates = {m: rate_perfect(m, cfg).ul_rate for m in SicMode}
     assert len(set(rates.values())) == 1
-    assert rate_perfect(SicMode.NO_SIC, cfg).ul_sinr == 110.0
+    assert rate_perfect(SicMode.NO_SIC, cfg).ul_rate \
+        == cfg.K * math.log2(1.0 + 110.0)
 
 
 # ------------------------------------------------------- residual power

@@ -61,18 +61,34 @@ def test_model_from_config():
 # -------------------------------------------------------------- estimate
 
 def test_estimate_is_truth_plus_error_bitwise():
+    # the error stream holds each error of nonzero variance in the order
+    # dl, ul, si, its real parts then its imaginary parts, row-major; a
+    # zero-variance error takes no draws and leaves the truth exact
     cfg, ch = _draw()
-    est = estimate(ch, EstimationModel(0.1, 0.2, 0.3), RngStream(1, 1))
-    assert np.array_equal(est.h_dl_hat, ch.h_dl + est.e_dl)
-    assert np.array_equal(est.h_ul_hat, ch.h_ul + est.e_ul)
-    assert np.array_equal(est.h_si_hat, ch.h_si + est.e_si)
+    for variances in ((0.1, 0.2, 0.3), (0.1, 0.0, 0.3), (0.0, 0.0, 0.3)):
+        est = estimate(ch, EstimationModel(*variances), RngStream(1, 1))
+        gen = RngStream(1, 1).generator()
+        for h, hat, v in zip((ch.h_dl, ch.h_ul, ch.h_si),
+                             (est.h_dl_hat, est.h_ul_hat, est.h_si_hat),
+                             variances):
+            if v:
+                re = gen.standard_normal(h.shape)
+                im = gen.standard_normal(h.shape)
+                assert np.array_equal(
+                    hat, h + np.sqrt(v / 2.0) * (re + 1j * im))
+            else:
+                assert np.array_equal(hat, h)
 
 
-def test_perfect_estimation_is_exact():
+def test_perfect_estimation_is_exact(monkeypatch):
     cfg, ch = _draw()
+
+    def no_stream(self):
+        raise AssertionError("a perfect model opened its error stream")
+    monkeypatch.setattr(RngStream, "generator", no_stream)
     est = estimate(ch, EstimationModel(), RngStream(1, 1))
-    assert np.all(est.e_dl == 0.0) and np.all(est.e_si == 0.0)
     assert np.array_equal(est.h_dl_hat, ch.h_dl)
+    assert np.array_equal(est.h_ul_hat, ch.h_ul)
     assert np.array_equal(est.h_si_hat, ch.h_si)
 
 
@@ -81,9 +97,9 @@ def test_estimate_deterministic_per_stream():
     model = EstimationModel(0.1, 0.1, 0.1)
     a = estimate(ch, model, RngStream(4, 9))
     b = estimate(ch, model, RngStream(4, 9))
-    assert np.array_equal(a.e_si, b.e_si)
+    assert np.array_equal(a.h_si_hat, b.h_si_hat)
     c = estimate(ch, model, RngStream(4, 11))
-    assert not np.array_equal(a.e_si, c.e_si)
+    assert not np.array_equal(a.h_si_hat, c.h_si_hat)
 
 
 def test_error_statistics_match_variances():
@@ -94,9 +110,9 @@ def test_error_statistics_match_variances():
     trials = 300
     for t in range(trials):
         est = estimate(ch, model, RngStream(2, t))
-        acc_dl += np.mean(np.abs(est.e_dl) ** 2)
-        acc_ul += np.mean(np.abs(est.e_ul) ** 2)
-        acc_si += np.mean(np.abs(est.e_si) ** 2)
+        acc_dl += np.mean(np.abs(est.h_dl_hat - ch.h_dl) ** 2)
+        acc_ul += np.mean(np.abs(est.h_ul_hat - ch.h_ul) ** 2)
+        acc_si += np.mean(np.abs(est.h_si_hat - ch.h_si) ** 2)
     assert acc_dl / trials == pytest.approx(0.05, rel=0.05)
     assert acc_ul / trials == pytest.approx(0.3, rel=0.05)
     assert acc_si / trials == pytest.approx(0.2, rel=0.05)
@@ -110,7 +126,7 @@ def test_si_error_scale_sets_per_element_variance():
     trials = 2000
     for t in range(trials):
         est = estimate(ch, model, RngStream(6, t), si_error_scale=scale)
-        acc += np.abs(est.e_si) ** 2
+        acc += np.abs(est.h_si_hat - ch.h_si) ** 2
     ratio = acc / trials / (0.2 * scale)
     assert abs(np.mean(ratio) - 1.0) < 0.05
 
@@ -129,6 +145,7 @@ def test_errors_uncorrelated_with_channel(seed):
     est = estimate(ch, EstimationModel(1.0, 1.0, 1.0), RngStream(seed, 1))
     # independence by stream separation; a single draw's correlation is
     # noisy, so only rule out gross coupling
-    corr = abs(np.vdot(ch.h_si, est.e_si)) / (
-        np.linalg.norm(ch.h_si) * np.linalg.norm(est.e_si))
+    e_si = est.h_si_hat - ch.h_si
+    corr = abs(np.vdot(ch.h_si, e_si)) / (
+        np.linalg.norm(ch.h_si) * np.linalg.norm(e_si))
     assert corr < 0.5

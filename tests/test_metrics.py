@@ -289,6 +289,117 @@ def test_multi_curve_call_equals_one_curve_calls(k, extra_n, extra_m, chunk,
                                             si_snrs=curve.si_snrs, **kw)
 
 
+def _complex_gaussian(gen, rows, cols, variance):
+    """One complex draw as the per-trial draw made it: zeros without
+    drawing at zero variance, else two standard normal draws, a scale and
+    a complex build."""
+    if variance == 0.0:
+        return np.zeros((rows, cols), dtype=complex)
+    scale = np.sqrt(variance / 2.0)
+    real = gen.standard_normal((rows, cols))
+    imag = gen.standard_normal((rows, cols))
+    return scale * (real + 1j * imag)
+
+
+def _reference_trial(cfg, model, seed, t, rician, sampler):
+    """Trial t drawn one trial at a time with six separate complex draws:
+    the channels from stream 2t, then the errors from stream 2t+1."""
+    m, n, k = cfg.M, cfg.N, cfg.K
+    gen = RngStream(seed, 2 * t).generator()
+    h_dl = _complex_gaussian(gen, k, m, 1.0)
+    h_ul = _complex_gaussian(gen, n, k, 1.0)
+    h_si = _complex_gaussian(gen, n, m, 1.0)
+    if rician is not None:
+        kappa = rician.kappa
+        los = (np.sqrt(kappa / (kappa + 1.0)) * rician.sigma_si
+               * np.ones((n, m)))
+        nlos = np.sqrt(1.0 / (kappa + 1.0))
+        r_tx, r_rx = sampler.r_tx_sqrt, sampler.r_rx_sqrt
+        h_dl = h_dl @ r_tx
+        h_ul = r_rx @ h_ul
+        h_si = r_rx @ (los + nlos * h_si) @ r_tx
+        h_si = np.sqrt(sampler.si_gains) * h_si
+    gen = RngStream(seed, 2 * t + 1).generator()
+    e_dl = _complex_gaussian(gen, k, m, model.eps2_dl)
+    e_ul = _complex_gaussian(gen, n, k, model.eps2_ul)
+    e_si = _complex_gaussian(gen, n, m, model.eps2_si)
+    if rician is not None:
+        e_si = np.sqrt(sampler.si_gains) * e_si
+    return (h_dl, h_ul, h_si, np.vstack([h_dl + e_dl, h_si + e_si]),
+            h_ul + e_ul)
+
+
+@pytest.mark.parametrize("dims", [(7, 4, 3), (10, 4, 2)])   # M = N + K
+@pytest.mark.parametrize("correlated", [False, True])
+@pytest.mark.parametrize("drawn", [
+    (dl, ul, si) for dl in (False, True) for ul in (False, True)
+    for si in (False, True)])
+def test_trial_chunks_equal_the_per_trial_draw_bit_for_bit(
+        monkeypatch, dims, correlated, drawn):
+    m, n, k = dims
+    cfg = SystemConfig(M=m, N=n, K=k)
+    model = EstimationModel(*(v if d else 0.0
+                              for v, d in zip((0.1, 0.2, 0.3), drawn)))
+    geometry = rician = sampler = None
+    if correlated:
+        geometry = default_geometry(cfg, 2.1e9)
+        rician = RicianParams(kappa=2.0, sigma_si=0.7)
+        sampler = metrics.CorrelatedSampler(cfg, geometry, rician)
+    _chunks_of(monkeypatch, 3)
+    seed, trials = 17, range(2, 9)
+    want = {t: _reference_trial(cfg, model, seed, t, rician, sampler)
+            for t in trials}
+    opened = []
+    generator = RngStream.generator
+
+    def counted(stream):
+        opened.append(stream.stream_index)
+        return generator(stream)
+    monkeypatch.setattr(RngStream, "generator", counted)
+    chunks = []
+    for chunk, *arrays in metrics._trial_chunks(cfg, model, seed, trials,
+                                                geometry, rician):
+        for i, t in enumerate(chunk):
+            for got, ref in zip(arrays, want[t]):
+                assert got[i].shape == ref.shape
+                assert np.array_equal(got[i], ref), t
+        chunks.append(list(chunk))
+    assert chunks == [[2, 3, 4], [5, 6, 7], [8]]    # a partial last chunk
+    # one generator per stream; a perfect model opens no error stream
+    errors = [] if model.perfect else [2 * t + 1 for t in trials]
+    assert sorted(opened) == sorted([2 * t for t in trials] + errors)
+
+
+@settings(max_examples=15, deadline=None)
+@given(k=st.integers(1, 3), extra_n=st.integers(1, 2),
+       nmse=st.sampled_from([0.0, 0.2, 1.0, 7.5]),
+       rho_t_db=st.sampled_from([-math.inf, 20.0, 60.0]),
+       perfect=st.booleans(), trials=st.integers(2, 7),
+       seed=st.integers(0, 1000))
+def test_edge_configs_give_finite_rates_and_count_failures(
+        k, extra_n, nmse, rho_t_db, perfect, trials, seed):
+    # M = N + K leaves the suppression precoder exactly K dimensions
+    n = k + extra_n
+    cfg = SystemConfig(M=n + k, N=n, K=k, rho_t_db=rho_t_db, nmse=nmse)
+    model = model_from_config(cfg, perfect=perfect)
+    curves = [Curve(mode) for mode in SicMode]
+    got = monte_carlo_curves([cfg], curves, trials=trials, master_seed=seed,
+                             estimation=model)
+    for curve, (rep,) in zip(curves, got):
+        failed = 0
+        for t in range(trials):
+            ch = generate_iid(cfg, RngStream(seed, 2 * t))
+            est = estimate(ch, model, RngStream(seed, 2 * t + 1))
+            try:
+                build(curve.mode, est)
+            except numerics.SingularMatrixError:
+                failed += 1
+        assert rep.failures == failed
+        assert rep.trials == trials
+        for rate in (rep.dl_sum_rate, rep.ul_sum_rate):
+            assert math.isfinite(rate) and rate >= 0.0
+
+
 def test_chunk_size_follows_the_array_sizes():
     assert metrics._chunk_trials(64, 20, 10) >= 4
     assert (metrics._chunk_trials(128, 40, 20)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdmimo.numerics import (GRAM_CONDITION_LIMIT, RngStream,
                              SingularMatrixError, _GRAM_FAST_LIMIT,
-                             _complex_gaussian, _pseudo_inverse,
+                             _complex_gaussians, _pseudo_inverse,
                              _svd_pseudo_inverse, bessel_j0, hermitian_sqrt,
                              left_pseudo_inverse, right_pseudo_inverse)
 
@@ -15,14 +15,14 @@ from fdmimo.numerics import (GRAM_CONDITION_LIMIT, RngStream,
 # ---------------------------------------------------------------- RngStream
 
 def test_stream_reproducible():
-    a = _complex_gaussian(RngStream(123, 5).generator(), 4, 6, 1.0)
-    b = _complex_gaussian(RngStream(123, 5).generator(), 4, 6, 1.0)
+    a = RngStream(123, 5).generator().standard_normal((4, 6))
+    b = RngStream(123, 5).generator().standard_normal((4, 6))
     assert np.array_equal(a, b)
 
 
 def test_streams_with_distinct_indices_differ():
-    a = _complex_gaussian(RngStream(123, 5).generator(), 4, 6, 1.0)
-    b = _complex_gaussian(RngStream(123, 6).generator(), 4, 6, 1.0)
+    a = RngStream(123, 5).generator().standard_normal((4, 6))
+    b = RngStream(123, 6).generator().standard_normal((4, 6))
     assert not np.array_equal(a, b)
 
 
@@ -44,20 +44,43 @@ def test_stream_defaults_to_index_zero():
 
 # ------------------------------------------------------- complex Gaussians
 
+def _complex_stack(*shape):
+    return np.full(shape, np.nan, dtype=complex)
+
+
 def test_complex_gaussian_zero_variance_is_exact_zero():
-    z = _complex_gaussian(RngStream(1).generator(), 3, 5, 0.0)
-    assert z.shape == (3, 5)
+    z = _complex_stack(1, 3, 5)
+    _complex_gaussians([RngStream(1)], [z], [0.0])
     assert np.all(z == 0.0)
-    assert z.dtype == complex
 
 
 def test_complex_gaussian_moments():
-    z = _complex_gaussian(RngStream(11).generator(), 400, 500, 2.5)
+    z = _complex_stack(1, 400, 500)
+    _complex_gaussians([RngStream(11)], [z], [2.5])
     power = np.mean(np.abs(z) ** 2)
     assert abs(power - 2.5) < 0.02
     # circular symmetry: real and imaginary parts carry half the power each
     assert abs(np.mean(z.real ** 2) - 1.25) < 0.02
     assert abs(np.mean(z.real * z.imag)) < 0.01
+
+
+def test_complex_gaussians_follow_the_stream_layout():
+    # one draw per stream, one row per stream: matrix after matrix, each
+    # its real parts then its imaginary parts, row-major; equal bit for bit
+    # to separate draws of each part and the complex product
+    streams = [RngStream(5, 2), RngStream(5, 9)]
+    a, b = _complex_stack(2, 2, 3), _complex_stack(2, 4, 1)
+    _complex_gaussians(streams, [a, b], [1.0, 0.3])
+    for i, stream in enumerate(streams):
+        gen = stream.generator()
+        for out, variance in ((a, 1.0), (b, 0.3)):
+            rows, cols = out.shape[1:]
+            re = gen.standard_normal((rows, cols))
+            im = gen.standard_normal((rows, cols))
+            want = np.sqrt(variance / 2.0) * (re + 1j * im)
+            assert np.array_equal(out[i], want)
+            assert np.array_equal(np.signbit(out[i].real),
+                                  np.signbit(want.real))
 
 
 # --------------------------------------------------------- hermitian_sqrt
