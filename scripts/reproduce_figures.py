@@ -13,8 +13,8 @@ import os
 import sys
 import time
 
-from fdmimo.experiments import (default_config, default_scenario, emit_csv,
-                                run_scenario)
+from fdmimo.channel import SystemConfig
+from fdmimo.experiments import default_scenario, emit_csv, run_scenario
 
 FIGURES = ("fig-perfect", "fig-imperfect-si", "fig-correlated")
 
@@ -27,7 +27,7 @@ def main() -> int:
     args = ap.parse_args()
 
     os.makedirs(args.outdir, exist_ok=True)
-    config = default_config()
+    config = SystemConfig()
     for name in FIGURES:
         scenario = default_scenario(name)
         if args.trials is not None:

@@ -13,21 +13,18 @@ from .channel import (ArrayGeometry, ChannelRealization, ConfigError,
                       CorrelatedSampler, RicianParams, SystemConfig,
                       db_to_linear, default_geometry, free_space_gains,
                       generate_iid, jakes_correlation, si_pathloss_gains)
-from .closedform import (ClosedFormPoint, expected_si_power, rate_half_duplex,
-                         rate_perfect, ul_rate_imperfect, ul_sinr_imperfect)
+from .closedform import (ClosedFormPoint, rate_half_duplex, rate_perfect,
+                         ul_rate_imperfect, ul_sinr_imperfect)
 from .estimation import (EstimatedChannels, EstimationModel, estimate,
                          model_from_config, uldl_error_variance)
-from .experiments import (Scenario, SweepRow, default_config,
-                          default_scenario, emit_csv, format_config,
-                          load_config, parse_config, render_csv, run_scenario,
-                          save_config)
+from .experiments import (Scenario, SweepRow, default_scenario, emit_csv,
+                          format_config, load_config, parse_config,
+                          render_csv, run_scenario, save_config)
 from .metrics import (RateReport, dl_sinr, monte_carlo, monte_carlo_sweep,
                       residual_si, sum_rate, ul_sinr)
 from .numerics import (RngStream, SingularMatrixError, bessel_j0,
                        hermitian_sqrt, left_pseudo_inverse,
                        right_pseudo_inverse)
-from .transceiver import (DegeneratePrecoderError, SicMode, TransceiverSet,
-                          build, normalize_vector, sps_precoder, zf_combiner,
-                          zf_precoder)
+from .transceiver import SicMode, TransceiverSet, build
 
 __version__ = "0.1.0"

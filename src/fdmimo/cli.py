@@ -6,7 +6,8 @@ Subcommands:
     fdmimo check         run the release acceptance suite
     fdmimo print-config  show the resolved configuration document
 
-Exit codes: 0 success, 1 configuration/usage error, 2 runtime error.
+Exit codes: 0 success, 1 configuration/usage error, 2 runtime error or a
+failed check criterion.
 Progress and warnings go to standard error; data goes only to the file
 named by --output (or to standard output with ``--output -``).
 """
@@ -20,10 +21,12 @@ import sys
 from typing import Sequence
 
 from . import acceptance, experiments
-from .channel import ConfigError
+from .channel import ConfigError, SystemConfig
 
 #: Published CSVs are not trustworthy below this many trials.
 _TRIALS_WARN_FLOOR = 100
+#: The base trial count the acceptance criteria's tolerances assume.
+_CHECK_DESIGN_TRIALS = 10_000
 
 
 class _UsageError(Exception):
@@ -57,9 +60,11 @@ def _build_parser() -> _Parser:
                      help="CSV destination, '-' for standard output (default)")
 
     check = sub.add_parser("check", help="run the acceptance suite")
-    check.add_argument("--trials", type=int, default=10_000,
+    check.add_argument("--trials", type=int, default=_CHECK_DESIGN_TRIALS,
                        help="base trial count the criteria scale from "
-                            "(default 10000)")
+                            f"(default {_CHECK_DESIGN_TRIALS}); the "
+                            "tolerances assume the default, and below it "
+                            "a criterion can fail by chance")
     check.add_argument("--seed", type=int, default=1, help="master seed")
 
     prt = sub.add_parser("print-config",
@@ -78,7 +83,7 @@ def _resolve(args: argparse.Namespace):
         config, scenario = experiments.load_config(args.config, args.scenario)
     else:
         name = args.scenario if args.scenario is not None else "fig-perfect"
-        config = experiments.default_config()
+        config = SystemConfig()
         scenario = experiments.default_scenario(name)
     overrides = {}
     if getattr(args, "trials", None) is not None:
@@ -99,32 +104,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"warning: {scenario.trials} trials is below the "
               f"{_TRIALS_WARN_FLOOR}-trial floor for publishable CSVs",
               file=sys.stderr)
-    rows: list[experiments.SweepRow] = []
-    try:
-        experiments.run_scenario(config, scenario,
-                                 progress=lambda msg: print(msg,
-                                                            file=sys.stderr),
-                                 sink=rows)
-    except Exception as exc:
-        if rows:
-            _emit(rows, args.output)
-            print(f"error: aborted after {len(rows)} rows: {exc}",
-                  file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = experiments.run_scenario(
+        config, scenario, progress=lambda msg: print(msg, file=sys.stderr))
     for mode in dict.fromkeys(r.mode for r in rows if math.isnan(r.dl_sim)):
         print(f"warning: mode {mode}: every trial failed, so its simulated "
               f"rates are left empty", file=sys.stderr)
-    _emit(rows, args.output)
+    experiments.emit_csv(rows, sys.stdout if args.output == "-"
+                         else args.output)
     return 0
-
-
-def _emit(rows, output: str) -> None:
-    if output == "-":
-        experiments.emit_csv(rows, sys.stdout)
-    else:
-        experiments.emit_csv(rows, output)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -132,6 +119,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise ConfigError("--trials must be positive")
     if args.seed < 0:
         raise ConfigError("--seed must be nonnegative")
+    if args.trials < _CHECK_DESIGN_TRIALS:
+        print(f"warning: the criteria's tolerances assume "
+              f"{_CHECK_DESIGN_TRIALS} base trials; at {args.trials} a "
+              f"criterion can fail by chance", file=sys.stderr)
     results = acceptance.run_all(base_trials=args.trials, seed=args.seed,
                                  report=lambda line: print(line,
                                                            file=sys.stderr))
@@ -163,7 +154,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,40 +46,24 @@ def _chi(mode: SicMode, eps2_si: float) -> float:
     return 1.0 / (1.0 / eps2_si + 1.0)
 
 
-def expected_si_power(mode: SicMode, config: SystemConfig,
-                      perfect: bool) -> float:
-    """Expected residual SI power E{Omega} per user.
-
-    All modes share the combiner-norm factor E{||w_k||^2} = 1/(N-K); the
-    mode determines what fraction of the SI channel power survives.
-    """
-    base = 1.0 / (config.N - config.K)
-    if mode is SicMode.NO_SIC:
-        return base
-    eps2 = 0.0 if perfect else config.nmse
-    return _chi(mode, eps2) * base
-
-
 def rate_perfect(mode: SicMode, config: SystemConfig, *,
-                 rho_dl: float | None = None,
-                 rho_ul: float | None = None) -> ClosedFormPoint:
+                 rho_dl: float | None = None) -> ClosedFormPoint:
     """Perfect-CSI downlink and uplink sum rates for one mode.
 
     Downlink: K log2(1 + rho_dl (M-K+1)/K), with M-N-K+1 replacing M-K+1
     under spatial suppression (the null-space constraint costs N antennas).
     Uplink: K log2(1 + rho_ul (N-K+1)); without SIC the SNR is divided by
     rho_si / alpha_anc + 1, the residual SI power after analog attenuation.
-    rho_dl / rho_ul override the config-derived values when given (linear).
+    rho_dl overrides the config-derived downlink SNR when given (linear).
     """
     m, n, k = config.M, config.N, config.K
     rdl = config.rho_dl if rho_dl is None else rho_dl
-    rul = config.rho_ul if rho_ul is None else rho_ul
     if mode is SicMode.SPATIAL_SUPPRESSION:
         dl_gain = m - n - k + 1
     else:
         dl_gain = m - k + 1
     dl_rate = k * math.log2(1.0 + rdl * dl_gain / k)
-    ul_sinr = rul * (n - k + 1)
+    ul_sinr = config.rho_ul * (n - k + 1)
     if mode is SicMode.NO_SIC:
         ul_sinr = ul_sinr / (config.rho_si / config.alpha_anc + 1.0)
     ul_rate = k * math.log2(1.0 + ul_sinr)

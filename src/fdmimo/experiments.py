@@ -44,6 +44,9 @@ SCENARIO_NAMES = ("fig-perfect", "fig-imperfect-si", "fig-correlated",
 CSV_HEADER = ("scenario,mode,x_db,dl_sim,dl_sim_ci,ul_sim,ul_sim_ci,"
               "dl_cf,ul_cf,trials,failures")
 
+#: Most points a sweep may have; more is taken for a mistyped step.
+MAX_SWEEP_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -64,10 +67,16 @@ class Scenario:
                               f"of {', '.join(SCENARIO_NAMES)}")
         if self.sweep_variable not in ("rho_dl_db", "rho_si_db"):
             raise ConfigError("sweep_variable must be rho_dl_db or rho_si_db")
+        for key in _SCENARIO_FLOAT_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite")
         if not self.sweep_step > 0.0:
             raise ConfigError("sweep_step must be positive")
         if self.sweep_start > self.sweep_stop:
             raise ConfigError("sweep_start must not exceed sweep_stop")
+        if self._steps() >= MAX_SWEEP_POINTS:
+            raise ConfigError(f"the sweep has more than {MAX_SWEEP_POINTS} "
+                              f"points")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         if self.master_seed < 0:
@@ -79,11 +88,14 @@ class Scenario:
                 raise ConfigError(f"unknown mode '{token}'; expected one of "
                                   f"{', '.join(MODE_TOKENS)}")
 
+    def _steps(self) -> float:
+        """Steps from start to stop, with slack for float rounding; may be
+        inf, and the sweep has int(_steps()) + 1 points."""
+        return (self.sweep_stop - self.sweep_start) / self.sweep_step + 1e-9
+
     def sweep_values(self) -> list[float]:
-        count = int((self.sweep_stop - self.sweep_start) / self.sweep_step
-                    + 1e-9)
         return [self.sweep_start + i * self.sweep_step
-                for i in range(count + 1)]
+                for i in range(int(self._steps()) + 1)]
 
 
 @dataclass(frozen=True)
@@ -101,10 +113,6 @@ class SweepRow:
     ul_cf: float | None
     trials: int
     failures: int
-
-
-def default_config() -> SystemConfig:
-    return SystemConfig()
 
 
 _SCENARIO_DEFAULTS = {
@@ -265,16 +273,14 @@ def _closed_forms(scenario: Scenario, mode_token: str,
 
 
 def run_scenario(config: SystemConfig, scenario: Scenario,
-                 progress: Callable[[str], None] | None = None,
-                 sink: list[SweepRow] | None = None) -> list[SweepRow]:
+                 progress: Callable[[str], None] | None = None
+                 ) -> list[SweepRow]:
     """Run every (mode, sweep point) pair and return rows in CSV order.
 
     Rows are mode-major in the scenario's mode order, sweep value
     ascending within a mode.  One engine call draws every trial once for
     all modes and points (common random numbers keyed by master_seed).
-    If a sink list is supplied, rows land there as each mode's rows are
-    built, so a caller can still flush partial results when a later mode
-    raises.  A mode with no successful trial gets NaN simulated rates.
+    A mode with no successful trial gets NaN simulated rates.
     """
     xs = scenario.sweep_values()
     configs = [_point_config(config, scenario, x) for x in xs]
@@ -299,7 +305,7 @@ def run_scenario(config: SystemConfig, scenario: Scenario,
         master_seed=scenario.master_seed, estimation=model,
         geometry=geometry, rician=rician)
 
-    rows: list[SweepRow] = sink if sink is not None else []
+    rows: list[SweepRow] = []
     for token, curve_reports in zip(scenario.modes, reports):
         rows.extend(_mode_rows(scenario, token, xs, configs, curve_reports))
     return rows

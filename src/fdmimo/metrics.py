@@ -139,10 +139,12 @@ class _Welford:
 class Curve(NamedTuple):
     """One simulated curve of a sweep: a mode and its SI levels.
 
-    si_snrs=None takes every point's default SI level (see
-    monte_carlo_sweep); otherwise it holds one level per point, None for
-    that point's default.  The half-duplex reference is SUBTRACTION at
-    zero SI.
+    An SI level is the linear received SI SNR of a point.  si_snrs=None
+    takes every point's default level: rho_si, or under the correlated
+    model, whose path gains are folded into the SI channel, the raw
+    transmit SNR rho_t.  Otherwise si_snrs holds one level per point,
+    None for that point's default.  The half-duplex reference is
+    SUBTRACTION at zero SI.
     """
 
     mode: SicMode
@@ -310,20 +312,16 @@ def monte_carlo_sweep(configs: Sequence[SystemConfig], mode: SicMode, *,
                       trials: int, master_seed: int,
                       estimation: EstimationModel | None = None,
                       geometry: ArrayGeometry | None = None,
-                      rician: RicianParams | None = None,
-                      si_snrs: Sequence[float | None] | None = None
+                      rician: RicianParams | None = None
                       ) -> list[RateReport]:
     """Monte Carlo rates of one mode at several operating points.
 
-    The one-curve case of monte_carlo_curves.  si_snrs overrides the
-    linear received SI SNR per point (None entries keep the default): by
-    default rho_si, or the raw transmit SNR rho_t under the correlated
-    model, whose path gains are folded into the SI channel.  Each point's
-    report is bit-identical to running monte_carlo on it alone with the
-    same seed.
+    The one-curve case of monte_carlo_curves, at every point's default SI
+    level.  Each point's report is bit-identical to running monte_carlo
+    on it alone with the same seed.
     """
     return monte_carlo_curves(
-        configs, [Curve(mode, si_snrs)], trials=trials,
+        configs, [Curve(mode)], trials=trials,
         master_seed=master_seed, estimation=estimation, geometry=geometry,
         rician=rician)[0]
 
@@ -332,8 +330,7 @@ def monte_carlo(config: SystemConfig, mode: SicMode, *, trials: int,
                 master_seed: int,
                 estimation: EstimationModel | None = None,
                 geometry: ArrayGeometry | None = None,
-                rician: RicianParams | None = None,
-                si_snr: float | None = None) -> RateReport:
+                rician: RicianParams | None = None) -> RateReport:
     """Monte Carlo ergodic sum rates for a single operating point.
 
     estimation=None means perfect CSI.  geometry together with rician
@@ -341,5 +338,4 @@ def monte_carlo(config: SystemConfig, mode: SicMode, *, trials: int,
     """
     return monte_carlo_sweep(
         [config], mode, trials=trials, master_seed=master_seed,
-        estimation=estimation, geometry=geometry, rician=rician,
-        si_snrs=None if si_snr is None else [si_snr])[0]
+        estimation=estimation, geometry=geometry, rician=rician)[0]

@@ -105,20 +105,12 @@ def _svd_pseudo_inverse(a: np.ndarray,
     a is one matrix or a stack of matrices along leading axes.  Returns the
     inverses and a boolean mask over the leading axes that marks every
     matrix whose Gram matrix is singular or has a condition number at or
-    above GRAM_CONDITION_LIMIT; the inverses of those are meaningless.  A
-    single matrix that fails the guard raises SingularMatrixError instead.
+    above GRAM_CONDITION_LIMIT; the inverses of those are meaningless.
     """
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond_gram = (s[..., 0] / s[..., -1]) ** 2
     failed = ~(cond_gram < GRAM_CONDITION_LIMIT)
-    if a.ndim == 2 and failed:
-        if s[-1] <= 0.0:
-            raise SingularMatrixError(
-                f"Gram matrix {gram_name} is singular (zero singular value)")
-        raise SingularMatrixError(
-            f"Gram matrix {gram_name} is ill-conditioned: condition number "
-            f"{cond_gram:.3e} exceeds {GRAM_CONDITION_LIMIT:.1e}")
     # x = (V / s) U^H, with the conjugates and the scaling done in place.
     np.conjugate(vh, out=vh)
     vh /= np.where(failed[..., None], 1.0, s)[..., None]
@@ -165,10 +157,10 @@ def _pseudo_inverse(a: np.ndarray,
     in A's row (column) space.  Every other matrix goes through
     _svd_pseudo_inverse, and so does the guard: since kappa_2 <= kappa_F,
     a matrix on the fast route always passes it (the factor 1/2 absorbs
-    the rounding of kappa_F), and the returned failure mask and the
-    SingularMatrixError of a single matrix are exactly the SVD's.  Each
-    matrix's route and result depend on that matrix alone, so a stack's
-    members equal their one-matrix calls bit for bit.
+    the rounding of kappa_F), and the returned failure mask is exactly
+    the SVD's.  a is one matrix or a stack; each matrix's route and result
+    depend on that matrix alone, so a stack's members equal their
+    one-matrix calls bit for bit.
     """
     ah = a.conj().swapaxes(-1, -2)
     wide = gram_name == "A·Aᴴ"
@@ -178,8 +170,6 @@ def _pseudo_inverse(a: np.ndarray,
         kappa = (np.linalg.norm(gram, axis=(-2, -1))
                  * np.linalg.norm(gram_inv, axis=(-2, -1)))
     fast = kappa < min(_GRAM_FAST_LIMIT, 0.5 * GRAM_CONDITION_LIMIT)
-    if a.ndim == 2 and not fast:
-        return _svd_pseudo_inverse(a, gram_name)
     eye = np.eye(gram.shape[-1])
     if wide:
         x = ah @ gram_inv
@@ -194,18 +184,28 @@ def _pseudo_inverse(a: np.ndarray,
     return x, failed
 
 
+def _one_pseudo_inverse(a: np.ndarray, gram_name: str) -> np.ndarray:
+    x, failed = _pseudo_inverse(a, gram_name)
+    if failed:
+        raise SingularMatrixError(
+            f"Gram matrix {gram_name} is singular or has a condition number "
+            f"at or above {GRAM_CONDITION_LIMIT:.1e}")
+    return x
+
+
 def right_pseudo_inverse(a: np.ndarray) -> np.ndarray:
     """Right inverse A^H (A A^H)^{-1} of a full-row-rank wide matrix.
 
     Taken from the inverse of the Gram matrix plus one refinement step
     where that Gram is well conditioned, and from a rank-revealing SVD
     otherwise, so the residual ||A X - I|| stays near machine precision
-    even for moderately ill-conditioned inputs.
+    even for moderately ill-conditioned inputs.  A Gram matrix that fails
+    the condition guard raises SingularMatrixError.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] > a.shape[1]:
         raise ValueError("right inverse needs rows <= cols")
-    return _pseudo_inverse(a, "A·Aᴴ")[0]
+    return _one_pseudo_inverse(a, "A·Aᴴ")
 
 
 def left_pseudo_inverse(a: np.ndarray) -> np.ndarray:
@@ -213,7 +213,7 @@ def left_pseudo_inverse(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise ValueError("left inverse needs rows >= cols")
-    return _pseudo_inverse(a, "Aᴴ·A")[0]
+    return _one_pseudo_inverse(a, "Aᴴ·A")
 
 
 # J0 evaluation: power series on |x| <= _J0_SERIES_CUTOFF, Hankel asymptotic

@@ -7,11 +7,13 @@ Three self-interference-cancellation modes are modeled:
     SPATIAL_SUPPRESSION   precoding into the null space of the estimated
                           SI channel
 
-The downlink precoder is zero-forcing against the estimated downlink
-channel; spatial suppression extends the zero-forcing constraint with the
-estimated SI rows, which costs N degrees of freedom.  Both are normalized
-per user so the total transmit power is one.  The uplink uses a
-zero-forcing combiner.
+The downlink precoder is zero-forcing: the right inverse of the estimated
+downlink rows h_dl_hat.  Spatial suppression takes the right inverse of
+[h_dl_hat; h_si_hat] and keeps its first K columns F, so h_dl_hat F = I
+and h_si_hat F = 0; the null-space constraint costs N degrees of freedom
+and needs M >= N + K.  Both are normalized per user so the total transmit
+power is one.  The uplink uses a zero-forcing combiner, the left inverse
+of h_ul_hat.
 """
 
 from __future__ import annotations
@@ -23,18 +25,16 @@ import numpy as np
 
 from . import numerics
 from .estimation import EstimatedChannels
-from .numerics import (SingularMatrixError, left_pseudo_inverse,
-                       right_pseudo_inverse)
+from .numerics import SingularMatrixError
+# Not called here, but importable from fdmimo.transceiver, where tracing
+# tools look up the one-matrix pseudo-inverses.
+from .numerics import left_pseudo_inverse, right_pseudo_inverse  # noqa: F401
 
 
 class SicMode(enum.Enum):
     NO_SIC = "nosic"
     SUBTRACTION = "stt"
     SPATIAL_SUPPRESSION = "sps"
-
-
-class DegeneratePrecoderError(ValueError):
-    """A precoder column collapsed to zero and cannot be normalized."""
 
 
 @dataclass(frozen=True)
@@ -46,35 +46,9 @@ class TransceiverSet:
     mode: SicMode
 
 
-def _named(op, a: np.ndarray, context: str) -> np.ndarray:
-    try:
-        return op(a)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(f"{context}: {exc}") from exc
-
-
-def zf_precoder(h_dl_hat: np.ndarray) -> np.ndarray:
-    """Zero-forcing precoder F = H^H (H H^H)^{-1}, shape (M, K)."""
-    return _named(right_pseudo_inverse, h_dl_hat, "downlink zero-forcing")
-
-
-def sps_precoder(h_dl_hat: np.ndarray, h_si_hat: np.ndarray) -> np.ndarray:
-    """Null-space precoder: right inverse of [h_dl_hat; h_si_hat], first K
-    columns.
-
-    The retained columns satisfy h_dl_hat @ F = I and h_si_hat @ F = 0, so
-    transmissions are invisible to the estimated SI channel.  Requires
-    M >= N + K.  With an empty h_si_hat (zero rows) this is exactly the
-    plain zero-forcing precoder.
-    """
-    k = h_dl_hat.shape[0]
-    stacked = np.vstack([h_dl_hat, h_si_hat])
-    full = _named(right_pseudo_inverse, stacked, "extended zero-forcing")
-    return full[:, :k]
-
-
 def _normalize(f_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user normalization over leading axes, plus a mask of the
+    """Per-user normalization g_k = f_k / (sqrt(K) ||f_k||) over leading
+    axes, so that every precoder has unit total power, plus a mask of the
     matrices with a zero column (whose normalization is meaningless)."""
     norms = np.linalg.norm(f_raw, axis=-2)
     degenerate = np.any(norms == 0.0, axis=-1)
@@ -83,32 +57,22 @@ def _normalize(f_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f_raw / (np.sqrt(k) * norms[..., None, :]), degenerate
 
 
-def normalize_vector(f_raw: np.ndarray) -> np.ndarray:
-    """Per-user normalization g_k = f_k / (sqrt(K) ||f_k||).
-
-    Every column then has norm 1/sqrt(K) and the precoder's total power
-    ||G||_F^2 is one.
-    """
-    g, degenerate = _normalize(f_raw)
-    if degenerate:
-        raise DegeneratePrecoderError("precoder has a zero column")
-    return g
-
-
-def zf_combiner(h_ul_hat: np.ndarray) -> np.ndarray:
-    """Zero-forcing combiner W = (H^H H)^{-1} H^H, shape (K, N)."""
-    return _named(left_pseudo_inverse, h_ul_hat, "uplink combining")
-
-
 def build(mode: SicMode, est: EstimatedChannels) -> TransceiverSet:
-    """Assemble the precoder/combiner pair for one mode and CSI draw."""
-    if mode is SicMode.SPATIAL_SUPPRESSION:
-        f_raw = sps_precoder(est.h_dl_hat, est.h_si_hat)
-    else:
-        f_raw = zf_precoder(est.h_dl_hat)
-    g = normalize_vector(f_raw)
-    w = zf_combiner(est.h_ul_hat)
-    return TransceiverSet(g=g, w=w, mode=mode)
+    """Assemble the precoder/combiner pair for one mode and CSI draw.
+
+    The one-draw call of build_stack.  Raises SingularMatrixError naming
+    the mode where build_stack flags the draw.
+    """
+    ext = np.vstack([est.h_dl_hat, est.h_si_hat])
+    w, built = build_stack((mode,), ext[None], est.h_ul_hat[None])
+    g, failed = built[mode]
+    if failed[0]:
+        raise SingularMatrixError(
+            f"{mode.value} transceiver: a Gram matrix is singular or has a "
+            f"condition number at or above "
+            f"{numerics.GRAM_CONDITION_LIMIT:.1e}, or a precoder column is "
+            f"zero")
+    return TransceiverSet(g=g[0], w=w[0], mode=mode)
 
 
 def build_stack(modes, h_ext_hat: np.ndarray, h_ul_hat: np.ndarray):
@@ -117,9 +81,10 @@ def build_stack(modes, h_ext_hat: np.ndarray, h_ul_hat: np.ndarray):
     h_ext_hat is (T, K + N, M): every downlink estimate stacked over its SI
     estimate; h_ul_hat is (T, N, K).  Returns the combiners (T, K, N) and
     a dict giving each mode its normalized precoders (T, M, K) and a (T,)
-    mask of the draws for which build(mode, ...) would raise.  NO_SIC and
-    SUBTRACTION share one zero-forcing precoder.  Every matrix equals its
-    build() counterpart bit for bit.
+    mask of the failed draws: a Gram matrix of the precoder or the
+    combiner is singular or fails the condition guard, or a precoder
+    column is zero.  NO_SIC and SUBTRACTION share one zero-forcing
+    precoder.  Each draw's matrices depend on that draw alone.
     """
     k = h_ul_hat.shape[-1]
     w, w_failed = numerics._pseudo_inverse(h_ul_hat, "Aᴴ·A")

@@ -136,27 +136,6 @@ def test_run_scenario_flag_beats_config_scenario(tmp_path, capsys):
     assert out.splitlines()[1].startswith("custom,")
 
 
-def test_run_flushes_partial_rows_on_abort(small_conf, tmp_path, capsys,
-                                           monkeypatch):
-    real = cli.experiments.run_scenario
-
-    def die_after_first_mode(config, scenario, progress=None, sink=None):
-        import dataclasses
-        one_mode = dataclasses.replace(scenario, modes=scenario.modes[:1])
-        real(config, one_mode, progress=progress, sink=sink)
-        raise RuntimeError("synthetic abort")
-
-    monkeypatch.setattr(cli.experiments, "run_scenario", die_after_first_mode)
-    out_path = tmp_path / "partial.csv"
-    rc = cli.main(["run", "--config", small_conf, "--output", str(out_path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "aborted after 1 rows" in err
-    lines = out_path.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 2  # header plus the flushed first-mode row
-
-
 def test_run_warns_when_every_trial_of_a_mode_fails(small_conf, capsys,
                                                    monkeypatch):
     monkeypatch.setattr(numerics, "GRAM_CONDITION_LIMIT", 1.0)
@@ -170,15 +149,32 @@ def test_run_warns_when_every_trial_of_a_mode_fails(small_conf, capsys,
         assert fields[9:] == ["5", "5"]
 
 
-def test_run_abort_with_no_rows_reports_plain_error(monkeypatch, capsys):
-    def die(config, scenario, progress=None, sink=None):
+def test_run_abort_with_no_rows_reports_plain_error(monkeypatch, capsys,
+                                                    tmp_path):
+    def die(config, scenario, progress=None):
         raise RuntimeError("nothing happened")
 
     monkeypatch.setattr(cli.experiments, "run_scenario", die)
-    assert cli.main(["run", "--scenario", "fig-perfect"]) == 2
-    err = capsys.readouterr().err
+    out_path = tmp_path / "none.csv"
+    assert cli.main(["run", "--scenario", "fig-perfect",
+                     "--output", str(out_path)]) == 2
+    out, err = capsys.readouterr()
     assert "error: nothing happened" in err
-    assert "aborted" not in err
+    assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("line, msg", [
+    ("sweep_stop = nan", "sweep_stop must be finite"),
+    ("sweep_start = -inf", "sweep_start must be finite"),
+    ("sweep_step = 1e-300", "more than 10000 points"),
+])
+def test_bad_sweep_bounds_exit_1(line, tmp_path, capsys, msg):
+    path = tmp_path / "sweep.conf"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert cli.main(["run", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: ") and msg in err
+    assert out == ""
 
 
 # ---------------------------------------------------------- print-config
@@ -229,6 +225,21 @@ def test_check_all_pass_exits_0(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "9/9 criteria passed" in err
     assert err.count("PASS") == 9
+
+
+def test_check_warns_below_its_design_trial_count(monkeypatch, capsys):
+    monkeypatch.setattr(cli.acceptance, "run_all",
+                        lambda base_trials, seed, config=None, report=None:
+                        [])
+    assert cli.main(["check", "--trials", "500"]) == 0
+    assert ("warning: the criteria's tolerances assume 10000 base trials; "
+            "at 500 a criterion can fail by chance"
+            in capsys.readouterr().err)
+    assert cli.main(["check", "--trials", "10000"]) == 0
+    assert "warning" not in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.main(["check", "--help"])
+    assert "the tolerances assume the default" in capsys.readouterr().out
 
 
 def test_check_failure_exits_2(monkeypatch, capsys):

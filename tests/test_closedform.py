@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdmimo.channel import SystemConfig
-from fdmimo.closedform import (ClosedFormPoint, expected_si_power,
-                               rate_perfect, ul_rate_imperfect,
-                               ul_sinr_imperfect)
+from fdmimo.closedform import (ClosedFormPoint, rate_perfect,
+                               ul_rate_imperfect, ul_sinr_imperfect)
 from fdmimo.transceiver import SicMode
 
 CFG = SystemConfig()  # M=64, N=20, K=10, defaults throughout
@@ -26,7 +25,6 @@ def test_perfect_subtraction_rates_frozen():
     p = rate_perfect(SicMode.SUBTRACTION, CFG, rho_dl=1.0)
     assert p.dl_rate == pytest.approx(27.004397181410923, rel=1e-14)
     assert p.ul_rate == pytest.approx(67.94415866350106, rel=1e-14)
-    assert expected_si_power(SicMode.SUBTRACTION, CFG, perfect=True) == 0.0
 
 
 def test_perfect_sps_loses_null_space_antennas():
@@ -44,14 +42,15 @@ def test_perfect_nosic_divides_by_attenuated_si():
     assert p.ul_rate == pytest.approx(cfg.K * math.log2(1.0 + 55.0),
                                       rel=1e-14)
     assert p.ul_rate == pytest.approx(58.07354922057604, rel=1e-14)
-    assert expected_si_power(SicMode.NO_SIC, cfg, perfect=True) \
-        == pytest.approx(0.1, rel=1e-14)
 
 
 def test_perfect_rate_overrides():
-    p = rate_perfect(SicMode.SUBTRACTION, CFG, rho_dl=0.0, rho_ul=0.0)
-    assert p.dl_rate == 0.0 and p.ul_rate == 0.0
-    q = rate_perfect(SicMode.SUBTRACTION, CFG, rho_ul=1.0)
+    p = rate_perfect(SicMode.SUBTRACTION, CFG, rho_dl=0.0)
+    assert p.dl_rate == 0.0
+    assert p.ul_rate == rate_perfect(SicMode.SUBTRACTION, CFG).ul_rate
+    q = rate_perfect(SicMode.SUBTRACTION,
+                     dataclasses.replace(CFG, rho_ul_db=0.0), rho_dl=1.0)
+    assert q.dl_rate == CFG.K * math.log2(1.0 + 55.0 / 10.0)
     assert q.ul_rate == CFG.K * math.log2(1.0 + 11.0)
 
 
@@ -63,30 +62,6 @@ def test_perfect_si_free_limit():
     assert len(set(rates.values())) == 1
     assert rate_perfect(SicMode.NO_SIC, cfg).ul_rate \
         == cfg.K * math.log2(1.0 + 110.0)
-
-
-# ------------------------------------------------------- residual power
-
-def test_expected_si_power_frozen():
-    assert expected_si_power(SicMode.NO_SIC, CFG, perfect=True) == 0.1
-    assert expected_si_power(SicMode.SUBTRACTION, CFG, perfect=False) \
-        == pytest.approx(0.02, rel=1e-14)
-    assert expected_si_power(SicMode.SPATIAL_SUPPRESSION, CFG, perfect=False) \
-        == pytest.approx(0.2 / 1.2 / 10.0, rel=1e-14)
-
-
-def test_expected_si_power_perfect_est_vanishes():
-    for mode in (SicMode.SUBTRACTION, SicMode.SPATIAL_SUPPRESSION):
-        assert expected_si_power(mode, CFG, perfect=True) == 0.0
-
-
-def test_expected_si_power_saturates_at_nosic():
-    cfg = dataclasses.replace(CFG, nmse=1e9)
-    top = expected_si_power(SicMode.NO_SIC, cfg, perfect=False)
-    sub = expected_si_power(SicMode.SUBTRACTION, cfg, perfect=False)
-    assert sub / top == pytest.approx(1e9, rel=1e-12)
-    sps = expected_si_power(SicMode.SPATIAL_SUPPRESSION, cfg, perfect=False)
-    assert sps == pytest.approx(top, rel=1e-6)
 
 
 # ------------------------------------------------- imperfect CSI uplink
@@ -113,6 +88,24 @@ def test_imperfect_sinr_ordering_strict():
 def test_imperfect_rate_frozen():
     assert ul_rate_imperfect(SicMode.SUBTRACTION, CFG) == pytest.approx(
         10.0 * math.log2(1.0 + 10000.0 / (201.0 + 0.101 * 0.2)), rel=1e-14)
+
+
+def test_imperfect_sps_saturates_at_nosic():
+    # chi, the share of the SI power that survives, read back from the
+    # SINR's denominator: subtraction scales it by the NMSE, and
+    # suppression saturates at no SIC as the estimate becomes useless
+    cfg = dataclasses.replace(CFG, nmse=1e9)
+    k, rho = cfg.K, cfg.rho_ul
+
+    def si_term(mode):
+        return (k * rho * rho * (cfg.N - k) / ul_sinr_imperfect(mode, cfg)
+                - 2.0 * k * rho - 1.0)
+
+    top = si_term(SicMode.NO_SIC)
+    assert si_term(SicMode.SUBTRACTION) / top == pytest.approx(1e9,
+                                                                rel=1e-12)
+    assert si_term(SicMode.SPATIAL_SUPPRESSION) == pytest.approx(top,
+                                                                 rel=1e-6)
 
 
 def test_imperfect_perfect_si_estimate_removes_chi():

@@ -4,15 +4,15 @@ import math
 
 import pytest
 
-import fdmimo.experiments as experiments
 import fdmimo.numerics as numerics
 from fdmimo.channel import ConfigError, SystemConfig
 from fdmimo.closedform import rate_perfect, ul_rate_imperfect
-from fdmimo.experiments import (CSV_HEADER, HALF_DUPLEX, Scenario, SweepRow,
-                                default_config, default_scenario, emit_csv,
-                                format_config, load_config, parse_config,
-                                render_csv, run_scenario, save_config)
-from fdmimo.metrics import monte_carlo
+from fdmimo.experiments import (CSV_HEADER, HALF_DUPLEX, MAX_SWEEP_POINTS,
+                                Scenario, SweepRow, default_scenario,
+                                emit_csv, format_config, load_config,
+                                parse_config, render_csv, run_scenario,
+                                save_config)
+from fdmimo.metrics import Curve, monte_carlo_curves
 from fdmimo.transceiver import SicMode
 
 SMALL = SystemConfig(M=9, N=5, K=3)
@@ -38,6 +38,37 @@ def test_sweep_values_fractional_step_count():
     vals = scn.sweep_values()
     assert len(vals) == 11
     assert vals[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("start, stop, step, count", [
+    (0.0, 0.3, 0.1, 4),         # 0.3 / 0.1 = 2.9999999999999996
+    (0.0, 0.7, 0.1, 8),         # 0.7 / 0.1 = 6.999999999999999
+    (-1.0, 1.0, 0.2, 11),
+    (0.0, 0.25, 0.1, 3),        # stop off the grid is not reached
+    (5.0, 5.0, 1.0, 1),
+    (0.0, MAX_SWEEP_POINTS - 1.0, 1.0, MAX_SWEEP_POINTS),
+])
+def test_sweep_values_round_float_steps(start, stop, step, count):
+    scn = _small_scenario(sweep_start=start, sweep_stop=stop,
+                          sweep_step=step)
+    vals = scn.sweep_values()
+    assert len(vals) == count
+    assert vals[0] == start
+    assert vals[-1] <= stop + 1e-9 * step
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("sweep_stop = nan", "sweep_stop must be finite"),
+    ("sweep_start = -inf", "sweep_start must be finite"),
+    ("sweep_step = inf", "sweep_step must be finite"),
+    ("sweep_step = 1e-300", "more than 10000 points"),
+    ("sweep_start = -1e308\nsweep_stop = 1e308", "more than 10000 points"),
+    ("sweep_start = 0\nsweep_stop = 10000\nsweep_step = 1",
+     "more than 10000 points"),
+])
+def test_bad_sweep_bounds_are_config_errors(text, msg):
+    with pytest.raises(ConfigError, match=msg):
+        parse_config(text)
 
 
 def test_default_scenarios_published_shapes():
@@ -67,11 +98,6 @@ def test_default_scenarios_published_shapes():
 def test_scenario_validation(overrides, msg):
     with pytest.raises(ConfigError, match=msg):
         _small_scenario(**overrides)
-
-
-def test_default_config_is_published_system():
-    cfg = default_config()
-    assert (cfg.M, cfg.N, cfg.K) == (64, 20, 10)
 
 
 # ---------------------------------------------------------- config files
@@ -195,8 +221,9 @@ def test_fig_perfect_rows_fill_both_closed_forms():
             assert r.ul_cf == 0.5 * point.ul_rate
             # the baseline reuses the subtraction engine with the SI
             # turned off and halves every simulated statistic
-            ref = monte_carlo(cfg_pt, SicMode.SUBTRACTION, trials=25,
-                              master_seed=scn.master_seed, si_snr=0.0)
+            (ref,), = monte_carlo_curves(
+                [cfg_pt], [Curve(SicMode.SUBTRACTION, [0.0])], trials=25,
+                master_seed=scn.master_seed)
             assert r.ul_sim == 0.5 * ref.ul_sum_rate
             assert r.dl_sim == 0.5 * ref.dl_sum_rate
         else:
@@ -227,23 +254,6 @@ def test_correlated_scenario_is_simulation_only():
     for r in rows:
         assert r.dl_cf is None and r.ul_cf is None
         assert r.failures == 0
-
-
-def test_partial_rows_reach_the_sink(monkeypatch):
-    real = experiments._mode_rows
-    calls = {"n": 0}
-
-    def explode_on_second(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise RuntimeError("synthetic row-building blowup")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "_mode_rows", explode_on_second)
-    sink: list[SweepRow] = []
-    with pytest.raises(RuntimeError):
-        run_scenario(SMALL, _small_scenario(), sink=sink)
-    assert [r.mode for r in sink] == ["nosic"] * 3
 
 
 def test_every_trial_failing_gives_nan_rates_and_empty_fields(monkeypatch):

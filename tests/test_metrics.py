@@ -238,9 +238,8 @@ def test_failed_suppression_trial_still_counts_for_other_modes(monkeypatch):
     assert [reports[0].failures for reports in got] == [0, 0, 3, 0]
     for curve, reports in zip(curves, got):
         if curve.mode is not SicMode.SPATIAL_SUPPRESSION:
-            assert reports == monte_carlo_sweep(
-                [cfg], curve.mode, si_snrs=curve.si_snrs, trials=trials,
-                master_seed=seed)
+            assert reports == monte_carlo_curves(
+                [cfg], [curve], trials=trials, master_seed=seed)[0]
     # the suppression curve averages exactly the trials that survived
     dl = []
     for t in sorted(set(range(trials)) - {0, 5, 9}):
@@ -285,8 +284,7 @@ def test_multi_curve_call_equals_one_curve_calls(k, extra_n, extra_m, chunk,
         together = monte_carlo_curves(configs, curves, **kw)
     for curve, reports in zip(curves, together):
         # one-curve calls at the default chunk size, one chunk here
-        assert reports == monte_carlo_sweep(configs, curve.mode,
-                                            si_snrs=curve.si_snrs, **kw)
+        assert reports == monte_carlo_curves(configs, [curve], **kw)[0]
 
 
 def _complex_gaussian(gen, rows, cols, variance):
@@ -445,8 +443,8 @@ def test_sweep_validation_errors():
         monte_carlo_sweep([CFG_SMALL], SicMode.NO_SIC, trials=5,
                           master_seed=0, geometry=default_geometry(CFG_SMALL, 2.1e9))
     with pytest.raises(ConfigError, match="si_snrs"):
-        monte_carlo_sweep([CFG_SMALL], SicMode.NO_SIC, trials=5,
-                          master_seed=0, si_snrs=[1.0, 2.0])
+        monte_carlo_curves([CFG_SMALL], [Curve(SicMode.NO_SIC, [1.0, 2.0])],
+                           trials=5, master_seed=0)
 
 
 def test_curves_are_required_before_any_draw(monkeypatch):
