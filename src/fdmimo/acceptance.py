@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import closedform, experiments, metrics
-from .channel import RicianParams, SystemConfig, default_geometry
+from .channel import SystemConfig, default_geometry
 from .estimation import model_from_config
 from .metrics import Curve, monte_carlo_curves, residual_si
 from .numerics import RngStream
@@ -182,7 +182,7 @@ def criterion_zero_forcing_residuals(config: SystemConfig, base_trials: int,
     corr_trials = max(20, min(200, base_trials // 50))
     segments = ((range(iid_trials), None, None),
                 (range(iid_trials, iid_trials + corr_trials), geometry,
-                 RicianParams(1.0, 1.0)))
+                 experiments.CORRELATED_RICIAN))
     for trials, geo, rician in segments:
         for chunk, _, _, _, h_ext_hat, h_ul_hat in metrics._trial_chunks(
                 config, model, seed, trials, geo, rician):
@@ -295,7 +295,7 @@ def criterion_rate_orderings(config: SystemConfig, base_trials: int,
 def criterion_half_duplex_identity(config: SystemConfig, base_trials: int,
                                    seed: int) -> CriterionResult:
     """7: half-duplex rate is exactly half the subtraction closed form."""
-    del base_trials
+    del config, base_trials
     gen = RngStream(seed, 0).generator()
     worst = 0.0
     for _ in range(10):

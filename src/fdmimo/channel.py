@@ -140,12 +140,10 @@ class ArrayGeometry:
     wavelength: float
 
     def __post_init__(self) -> None:
-        tx = np.asarray(self.tx_positions, dtype=float)
-        rx = np.asarray(self.rx_positions, dtype=float)
+        tx = _positions(self.tx_positions)
+        rx = _positions(self.rx_positions)
         object.__setattr__(self, "tx_positions", tx)
         object.__setattr__(self, "rx_positions", rx)
-        if tx.ndim != 2 or tx.shape[1] != 3 or rx.ndim != 2 or rx.shape[1] != 3:
-            raise ConfigError("positions must be arrays of 3-vectors")
         if not np.isfinite(self.wavelength) or self.wavelength <= 0.0:
             raise ConfigError("wavelength must be positive")
         for name, pos in (("tx", tx), ("rx", rx)):
@@ -166,6 +164,17 @@ class ArrayGeometry:
     def cross_distances(self) -> np.ndarray:
         """(N, M) matrix of tx/rx element distances."""
         return _pairwise_distances(self.rx_positions, self.tx_positions)
+
+
+def _positions(positions) -> np.ndarray:
+    """Element positions as a float array of finite 3-vectors (a NaN
+    would pass every distance check and give NaN correlations)."""
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 2 or pos.shape[1] != 3:
+        raise ConfigError("positions must be arrays of 3-vectors")
+    if not np.isfinite(pos).all():
+        raise ConfigError("positions must be finite")
+    return pos
 
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -227,9 +236,7 @@ def jakes_correlation(positions: np.ndarray, wavelength: float) -> np.ndarray:
     positions are mathematically permitted but usually a mistake, so they
     trigger a warning.
     """
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise ConfigError("positions must be an array of 3-vectors")
+    pos = _positions(positions)
     if not np.isfinite(wavelength) or wavelength <= 0.0:
         raise ConfigError("wavelength must be positive")
     d = _pairwise_distances(pos, pos)

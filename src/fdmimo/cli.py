@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from typing import Sequence
 
@@ -27,6 +26,8 @@ from .channel import ConfigError, SystemConfig
 _TRIALS_WARN_FLOOR = 100
 #: The base trial count the acceptance criteria's tolerances assume.
 _CHECK_DESIGN_TRIALS = 10_000
+#: Share of failed trials from which a mode's rates are flagged on stderr.
+_FAILURE_WARN_SHARE = 1e-3
 
 
 class _UsageError(Exception):
@@ -91,8 +92,7 @@ def _resolve(args: argparse.Namespace):
     if getattr(args, "seed", None) is not None:
         overrides["master_seed"] = args.seed
     if getattr(args, "modes", None) is not None:
-        tokens = tuple(t.strip() for t in args.modes.split(",") if t.strip())
-        overrides["modes"] = tokens
+        overrides["modes"] = experiments.split_modes(args.modes)
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
     return config, scenario
@@ -106,9 +106,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
               file=sys.stderr)
     rows = experiments.run_scenario(
         config, scenario, progress=lambda msg: print(msg, file=sys.stderr))
-    for mode in dict.fromkeys(r.mode for r in rows if math.isnan(r.dl_sim)):
-        print(f"warning: mode {mode}: every trial failed, so its simulated "
-              f"rates are left empty", file=sys.stderr)
+    # A mode's failures are counted over all its points, so one row each.
+    for row in {r.mode: r for r in rows}.values():
+        if row.failures == row.trials:
+            print(f"warning: mode {row.mode}: every trial failed, so its "
+                  f"simulated rates are left empty", file=sys.stderr)
+        elif row.failures / row.trials >= _FAILURE_WARN_SHARE:
+            print(f"warning: mode {row.mode}: {row.failures} of {row.trials} "
+                  f"trials failed; its rates average the other "
+                  f"{row.trials - row.failures}, the well-conditioned draws "
+                  f"only", file=sys.stderr)
     experiments.emit_csv(rows, sys.stdout if args.output == "-"
                          else args.output)
     return 0

@@ -67,7 +67,7 @@ class Scenario:
                               f"of {', '.join(SCENARIO_NAMES)}")
         if self.sweep_variable not in ("rho_dl_db", "rho_si_db"):
             raise ConfigError("sweep_variable must be rho_dl_db or rho_si_db")
-        for key in _SCENARIO_FLOAT_KEYS:
+        for key in ("sweep_start", "sweep_stop", "sweep_step"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite")
         if not self.sweep_step > 0.0:
@@ -115,19 +115,14 @@ class SweepRow:
     failures: int
 
 
+_DL_SWEEP = dict(sweep_variable="rho_dl_db", sweep_start=0.0, sweep_stop=30.0,
+                 sweep_step=2.0, modes=("nosic", "stt", "sps"), trials=10_000)
 _SCENARIO_DEFAULTS = {
-    "fig-perfect": dict(sweep_variable="rho_dl_db", sweep_start=0.0,
-                        sweep_stop=30.0, sweep_step=2.0,
-                        modes=("nosic", "stt", "sps"), trials=10_000),
-    "fig-imperfect-si": dict(sweep_variable="rho_si_db", sweep_start=-10.0,
-                             sweep_stop=30.0, sweep_step=2.0,
-                             modes=("nosic", "stt", "sps"), trials=10_000),
-    "fig-correlated": dict(sweep_variable="rho_dl_db", sweep_start=0.0,
-                           sweep_stop=30.0, sweep_step=2.0,
-                           modes=("stt", "sps"), trials=5_000),
-    "custom": dict(sweep_variable="rho_dl_db", sweep_start=0.0,
-                   sweep_stop=30.0, sweep_step=2.0,
-                   modes=("nosic", "stt", "sps"), trials=10_000),
+    "fig-perfect": _DL_SWEEP,
+    "fig-imperfect-si": dict(_DL_SWEEP, sweep_variable="rho_si_db",
+                             sweep_start=-10.0),
+    "fig-correlated": dict(_DL_SWEEP, modes=("stt", "sps"), trials=5_000),
+    "custom": _DL_SWEEP,
 }
 
 
@@ -138,14 +133,20 @@ def default_scenario(name: str) -> Scenario:
     return Scenario(name=name, master_seed=1, **_SCENARIO_DEFAULTS[name])
 
 
+def split_modes(text: str) -> tuple[str, ...]:
+    """Mode tokens of a comma-separated list, blanks dropped."""
+    return tuple(token.strip() for token in text.split(",") if token.strip())
+
+
 #: Each SystemConfig field with the type its value is parsed as.
 _CONFIG_KEYS = {f.name: type(f.default)
                 for f in dataclasses.fields(SystemConfig)}
-_SCENARIO_FLOAT_KEYS = ("sweep_start", "sweep_stop", "sweep_step")
-_SCENARIO_INT_KEYS = ("trials", "master_seed")
-_ALL_KEYS = (set(_CONFIG_KEYS)
-             | set(_SCENARIO_FLOAT_KEYS) | set(_SCENARIO_INT_KEYS)
-             | {"scenario", "sweep_variable", "modes"})
+#: Each Scenario field a config file sets, after the scenario key, with
+#: its parser, in print order.
+_SCENARIO_KEYS: dict[str, Callable[[str], object]] = {
+    "sweep_variable": str, "sweep_start": float, "sweep_stop": float,
+    "sweep_step": float, "modes": split_modes, "trials": int,
+    "master_seed": int}
 
 
 def _parse_lines(text: str) -> dict[str, tuple[int, str]]:
@@ -157,7 +158,7 @@ def _parse_lines(text: str) -> dict[str, tuple[int, str]]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in ("scenario", *_CONFIG_KEYS, *_SCENARIO_KEYS):
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
@@ -165,13 +166,20 @@ def _parse_lines(text: str) -> dict[str, tuple[int, str]]:
     return entries
 
 
-def _convert(key: str, lineno: int, value: str, kind: type):
-    try:
-        return kind(value)
-    except ValueError as exc:
-        raise ConfigError(
-            f"line {lineno}: invalid {kind.__name__} for '{key}': "
-            f"'{value}'") from exc
+def _converted(entries: dict[str, tuple[int, str]],
+               keys: dict[str, Callable[[str], object]]) -> dict:
+    """The values of the given keys that entries holds, parsed."""
+    out = {}
+    for key, kind in keys.items():
+        if key in entries:
+            lineno, value = entries[key]
+            try:
+                out[key] = kind(value)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"line {lineno}: invalid {kind.__name__} for '{key}': "
+                    f"'{value}'") from exc
+    return out
 
 
 def parse_config(text: str,
@@ -180,37 +188,11 @@ def parse_config(text: str,
     """Parse config text; see load_config."""
     entries = _parse_lines(text)
     if scenario_name is None:
-        if "scenario" in entries:
-            scenario_name = entries["scenario"][1]
-        else:
-            scenario_name = "custom"
-    entries.pop("scenario", None)
-
-    cfg_kwargs = {}
-    for key, kind in _CONFIG_KEYS.items():
-        if key in entries:
-            lineno, value = entries.pop(key)
-            cfg_kwargs[key] = _convert(key, lineno, value, kind)
-
+        scenario_name = entries.get("scenario", (0, "custom"))[1]
+    cfg_kwargs = _converted(entries, _CONFIG_KEYS)
     scn = default_scenario(scenario_name)
-    scn_kwargs: dict = {}
-    if "sweep_variable" in entries:
-        scn_kwargs["sweep_variable"] = entries.pop("sweep_variable")[1]
-    if "modes" in entries:
-        _, value = entries.pop("modes")
-        scn_kwargs["modes"] = tuple(
-            token.strip() for token in value.split(",") if token.strip())
-    for key in _SCENARIO_FLOAT_KEYS:
-        if key in entries:
-            lineno, value = entries.pop(key)
-            scn_kwargs[key] = _convert(key, lineno, value, float)
-    for key in _SCENARIO_INT_KEYS:
-        if key in entries:
-            lineno, value = entries.pop(key)
-            scn_kwargs[key] = _convert(key, lineno, value, int)
-    config = SystemConfig(**cfg_kwargs)
-    scenario = dataclasses.replace(scn, **scn_kwargs)
-    return config, scenario
+    scn_kwargs = _converted(entries, _SCENARIO_KEYS)
+    return SystemConfig(**cfg_kwargs), dataclasses.replace(scn, **scn_kwargs)
 
 
 def load_config(path: str,
@@ -226,20 +208,21 @@ def load_config(path: str,
     return parse_config(text, scenario_name)
 
 
+def _show(value) -> str:
+    """A field's value as a config file writes it and parse_config reads
+    it back: floats as repr(), so a round trip is bit-exact."""
+    if isinstance(value, tuple):
+        return ",".join(value)
+    return value if isinstance(value, str) else repr(value)
+
+
 def format_config(config: SystemConfig, scenario: Scenario) -> str:
     """Render a config + scenario as a loadable key = value document."""
     lines = ["# system"]
-    for key in _CONFIG_KEYS:
-        lines.append(f"{key} = {getattr(config, key)!r}")
-    lines.append("")
-    lines.append("# sweep")
-    lines.append(f"scenario = {scenario.name}")
-    lines.append(f"sweep_variable = {scenario.sweep_variable}")
-    for key in _SCENARIO_FLOAT_KEYS:
-        lines.append(f"{key} = {getattr(scenario, key)!r}")
-    lines.append(f"modes = {','.join(scenario.modes)}")
-    for key in _SCENARIO_INT_KEYS:
-        lines.append(f"{key} = {getattr(scenario, key)}")
+    lines += [f"{key} = {_show(getattr(config, key))}" for key in _CONFIG_KEYS]
+    lines += ["", "# sweep", f"scenario = {scenario.name}"]
+    lines += [f"{key} = {_show(getattr(scenario, key))}"
+              for key in _SCENARIO_KEYS]
     return "\n".join(lines) + "\n"
 
 
@@ -293,7 +276,7 @@ def run_scenario(config: SystemConfig, scenario: Scenario,
         rician = CORRELATED_RICIAN
     model = model_from_config(config, perfect=(scenario.name == "fig-perfect"))
 
-    curves = [metrics.Curve(SicMode.SUBTRACTION, [0.0] * len(configs))
+    curves = [metrics.Curve(SicMode.SUBTRACTION, si_free=True)
               if token == HALF_DUPLEX else metrics.Curve(SicMode(token))
               for token in scenario.modes]
     if progress is not None:

@@ -54,11 +54,6 @@ class RateReport:
     trials: int
     failures: int
 
-    @property
-    def valid(self) -> bool:
-        """False when 0.1 percent of trials or more failed."""
-        return self.trials > 0 and self.failures / self.trials < 1e-3
-
 
 def _signal_and_interference(p: np.ndarray):
     """Per-user signal powers (the diagonal of the power matrices p) and
@@ -137,18 +132,16 @@ class _Welford:
 
 
 class Curve(NamedTuple):
-    """One simulated curve of a sweep: a mode and its SI levels.
+    """One simulated curve of a sweep: a mode and its SI level.
 
-    An SI level is the linear received SI SNR of a point.  si_snrs=None
-    takes every point's default level: rho_si, or under the correlated
-    model, whose path gains are folded into the SI channel, the raw
-    transmit SNR rho_t.  Otherwise si_snrs holds one level per point,
-    None for that point's default.  The half-duplex reference is
-    SUBTRACTION at zero SI.
+    The SI level is the linear received SI SNR of each point: rho_si, or
+    under the correlated model, whose path gains are folded into the SI
+    channel, the raw transmit SNR rho_t.  si_free=True sets it to zero at
+    every point; the half-duplex reference is SUBTRACTION with si_free.
     """
 
     mode: SicMode
-    si_snrs: Sequence[float | None] | None = None
+    si_free: bool = False
 
 
 #: Working-set budget of one chunk of trials.  A chunk's channels,
@@ -250,20 +243,12 @@ def monte_carlo_curves(configs: Sequence[SystemConfig],
     if geometry is not None:
         # Path gains replace the flat beta_si, so the SI term scales with
         # the raw transmit SNR.
-        defaults = [cfg.rho_t for cfg in configs]
+        levels = [cfg.rho_t for cfg in configs]
     else:
-        defaults = [cfg.rho_si for cfg in configs]
-    pref = []
-    for curve in curves:
-        if curve.si_snrs is None:
-            levels = defaults
-        elif len(curve.si_snrs) != len(configs):
-            raise ConfigError("si_snrs must match configs")
-        else:
-            levels = [d if s is None else s
-                      for s, d in zip(curve.si_snrs, defaults)]
-        pref.append([s / cfg.alpha_anc for s, cfg in zip(levels, configs)])
-    pref = np.array(pref)
+        levels = [cfg.rho_si for cfg in configs]
+    pref = np.array([[0.0 if curve.si_free else s / cfg.alpha_anc
+                      for s, cfg in zip(levels, configs)]
+                     for curve in curves])
     rho_dl = np.array([cfg.rho_dl for cfg in configs])
     rho_ul = np.array([cfg.rho_ul for cfg in configs])
     modes = {curve.mode for curve in curves}

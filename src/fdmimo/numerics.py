@@ -98,8 +98,7 @@ def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
     return root
 
 
-def _svd_pseudo_inverse(a: np.ndarray,
-                        gram_name: str) -> tuple[np.ndarray, np.ndarray]:
+def _svd_pseudo_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Moore-Penrose inverse via SVD with a condition guard on the Gram.
 
     a is one matrix or a stack of matrices along leading axes.  Returns the
@@ -180,7 +179,7 @@ def _pseudo_inverse(a: np.ndarray,
     failed = np.zeros(fast.shape, dtype=bool)
     if not fast.all():
         slow = ~fast
-        x[slow], failed[slow] = _svd_pseudo_inverse(a[slow], gram_name)
+        x[slow], failed[slow] = _svd_pseudo_inverse(a[slow])
     return x, failed
 
 
@@ -216,60 +215,23 @@ def left_pseudo_inverse(a: np.ndarray) -> np.ndarray:
     return _one_pseudo_inverse(a, "Aᴴ·A")
 
 
-# J0 evaluation: power series on |x| <= _J0_SERIES_CUTOFF, Hankel asymptotic
-# expansion beyond.  The cutoff balances series cancellation (grows with x)
-# against the asymptotic error floor (shrinks with x); 13 keeps the absolute
-# error under 1e-10 across |x| <= 100.
-_J0_SERIES_CUTOFF = 13.0
-
-
-def _j0_series(x: np.ndarray) -> np.ndarray:
-    q = -0.25 * x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, 80):
-        term = term * q / (k * k)
-        total = total + term
-        if np.all(np.abs(term) < 1e-18):
-            break
-    return total
-
-
-def _j0_asymptotic(x: np.ndarray) -> np.ndarray:
-    # J0(x) = sqrt(2/(pi x)) [P(x) cos(x - pi/4) - Q(x) sin(x - pi/4)]
-    # with P = 1 - |a2|/x^2 + |a4|/x^4 - ... and
-    #      Q = -|a1|/x + |a3|/x^3 - ..., |a_m| = |a_{m-1}| (2m-1)^2 / (8m).
-    inv = 1.0 / x
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    coeff = 1.0
-    power = np.ones_like(x)
-    for m in range(1, 25):
-        coeff *= (2 * m - 1) ** 2 / (8.0 * m)
-        power = power * inv
-        sign = -1.0 if ((m + 1) // 2) % 2 else 1.0
-        if m % 2:
-            q = q + sign * coeff * power
-        else:
-            p = p + sign * coeff * power
-    chi = x - np.pi / 4.0
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
-
-
 def bessel_j0(x):
     """Bessel function of the first kind of order zero.
 
-    Accepts scalars or arrays; absolute error is below 1e-10 on |x| <= 100.
+    The midpoint rule on J0(x) = (1/pi) int_0^pi cos(x cos t) dt, which
+    converges geometrically for this periodic integrand (Trefethen and
+    Weideman, SIAM Review 2014); max|x| + 40 nodes keep the absolute error
+    below 1e-14 on |x| <= 1000.  Each distinct |x| is evaluated once, node
+    by node.  Accepts scalars or arrays; NaN and +-inf give NaN.
     """
     arr = np.asarray(x, dtype=float)
-    ax = np.abs(arr)
-    out = np.empty_like(ax)
-    small = ax <= _J0_SERIES_CUTOFF
-    if np.any(small):
-        out[small] = _j0_series(ax[small])
-    large = ~small
-    if np.any(large):
-        out[large] = _j0_asymptotic(ax[large])
+    ax, inverse = np.unique(np.abs(arr).ravel(), return_inverse=True)
+    nodes = int(ax[np.isfinite(ax)].max(initial=0.0)) + 40
+    total = np.zeros_like(ax)
+    with np.errstate(invalid="ignore"):
+        for c in np.cos((np.arange(nodes) + 0.5) * (np.pi / nodes)):
+            total += np.cos(c * ax)
+    out = (total / nodes)[inverse].reshape(arr.shape)
     if np.ndim(x) == 0:
         return float(out)
     return out

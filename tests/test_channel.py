@@ -191,6 +191,24 @@ def test_geometry_rejects_bad_shapes():
         ArrayGeometry(np.zeros((2, 2)), np.zeros((1, 3)), wavelength=1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_positions_are_rejected(bad):
+    # NaN compares False with every distance floor, so without the check
+    # these pass the geometry and give a NaN correlation matrix
+    tx = np.zeros((3, 3))
+    tx[:, 0] = [0.0, 1.0, 2.0]
+    rx = np.array([[10.0, 0.0, 0.0], [11.0, 0.0, 0.0]])
+    for pos in (tx, rx):
+        saved = pos[1, 1]
+        pos[1, 1] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            ArrayGeometry(tx, rx, wavelength=1.0)
+        with pytest.raises(ConfigError, match="finite"):
+            jakes_correlation(pos, 1.0)
+        pos[1, 1] = saved
+    ArrayGeometry(tx, rx, wavelength=1.0)
+
+
 # --------------------------------------------------------- path-loss gains
 
 def test_free_space_unit_gain_at_reference_distance():

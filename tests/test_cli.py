@@ -9,7 +9,7 @@ import fdmimo
 import fdmimo.cli as cli
 import fdmimo.numerics as numerics
 from fdmimo.acceptance import CriterionResult
-from fdmimo.experiments import CSV_HEADER, parse_config
+from fdmimo.experiments import CSV_HEADER, SweepRow, parse_config
 
 
 @pytest.fixture
@@ -147,6 +147,30 @@ def test_run_warns_when_every_trial_of_a_mode_fails(small_conf, capsys,
         fields = line.split(",")
         assert fields[3:7] == [""] * 4       # rates and their CIs
         assert fields[9:] == ["5", "5"]
+
+
+def test_run_warns_when_a_tenth_of_a_percent_of_trials_fail(monkeypatch,
+                                                            capsys):
+    def rows(config, scenario, progress=None):
+        # failures are counted per mode, so each mode's rows agree
+        return [SweepRow("custom", mode, x, 1.0, 0.1, 1.0, 0.1, None, None,
+                         trials, failures)
+                for mode, trials, failures in (("nosic", 1000, 0),
+                                               ("stt", 1000, 1),
+                                               ("sps", 1001, 1),
+                                               ("hd", 1000, 999))
+                for x in (0.0, 2.0)]
+
+    monkeypatch.setattr(cli.experiments, "run_scenario", rows)
+    assert cli.main(["run", "--scenario", "custom"]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning: mode")]
+    # exactly 0.1 percent is flagged, just below it is not
+    assert warnings == [
+        "warning: mode stt: 1 of 1000 trials failed; its rates average the "
+        "other 999, the well-conditioned draws only",
+        "warning: mode hd: 999 of 1000 trials failed; its rates average the "
+        "other 1, the well-conditioned draws only"]
 
 
 def test_run_abort_with_no_rows_reports_plain_error(monkeypatch, capsys,

@@ -222,8 +222,8 @@ def test_fig_perfect_rows_fill_both_closed_forms():
             # the baseline reuses the subtraction engine with the SI
             # turned off and halves every simulated statistic
             (ref,), = monte_carlo_curves(
-                [cfg_pt], [Curve(SicMode.SUBTRACTION, [0.0])], trials=25,
-                master_seed=scn.master_seed)
+                [cfg_pt], [Curve(SicMode.SUBTRACTION, si_free=True)],
+                trials=25, master_seed=scn.master_seed)
             assert r.ul_sim == 0.5 * ref.ul_sum_rate
             assert r.dl_sim == 0.5 * ref.dl_sum_rate
         else:

@@ -199,8 +199,8 @@ def test_stacked_pseudo_inverse_flags_only_the_failing_matrix():
     a[4] = np.diag([1.0, 1.0, 1e-5]) @ _unitary(3, 7, seed=9)
     x, failed = _pseudo_inverse(a, "A·Aᴴ")
     assert failed.tolist() == [False, False, True, False, False]
-    assert np.array_equal(x[4], _svd_pseudo_inverse(a[4], "A·Aᴴ")[0])
-    assert not np.array_equal(x[0], _svd_pseudo_inverse(a[0], "A·Aᴴ")[0])
+    assert np.array_equal(x[4], _svd_pseudo_inverse(a[4])[0])
+    assert not np.array_equal(x[0], _svd_pseudo_inverse(a[0])[0])
     for i in (0, 1, 3, 4):
         assert np.array_equal(x[i], right_pseudo_inverse(a[i]))
 
@@ -244,7 +244,7 @@ def test_pseudo_inverse_routes_agree_with_the_svd(rows, extra, tall, spreads,
         a = a.conj().swapaxes(-1, -2).copy()
     name = "Aᴴ·A" if tall else "A·Aᴴ"
     x, failed = _pseudo_inverse(a, name)
-    ref, ref_failed = _svd_pseudo_inverse(a, name)
+    ref, ref_failed = _svd_pseudo_inverse(a)
     assert np.array_equal(failed, ref_failed)
     eye = np.eye(rows)
     for i, (_, s) in enumerate(members):
@@ -299,9 +299,17 @@ def test_j0_matches_reference_series_on_small_arguments():
 
 
 def test_j0_matches_scipy_across_working_range():
-    x = np.linspace(0.0, 100.0, 200_001)
+    x = np.linspace(0.0, 1000.0, 20_001)
     err = np.abs(bessel_j0(x) - scipy.special.j0(x))
-    assert err.max() < 1e-10
+    assert err.max() < 1e-14
+
+
+def test_j0_non_finite_gives_nan():
+    x = np.array([np.nan, 1.0, np.inf, -np.inf])
+    out = bessel_j0(x)
+    assert np.isnan(out[[0, 2, 3]]).all()
+    assert out[1] == bessel_j0(1.0)
+    assert math.isnan(bessel_j0(math.inf))
 
 
 def test_j0_even_symmetry():
