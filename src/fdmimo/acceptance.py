@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import closedform, experiments, metrics
-from .channel import SystemConfig, default_geometry
+from .channel import SystemConfig
 from .estimation import model_from_config
 from .metrics import Curve, monte_carlo_curves, residual_si
 from .numerics import RngStream
@@ -47,6 +47,15 @@ class CriterionResult:
 def _si_configs(config: SystemConfig, rho_si_dbs: Sequence[float]):
     return [dataclasses.replace(config, rho_t_db=x - config.beta_si_db)
             for x in rho_si_dbs]
+
+
+def _build_failure(number: int, name: str, mode: SicMode, chunk: range,
+                   failed: np.ndarray) -> CriterionResult:
+    """Criterion number's failure at the chunk's first trial whose mode
+    transceiver could not be built."""
+    return CriterionResult(
+        number, name, False, f"{mode.value} transceiver failed at trial "
+        f"{chunk[int(np.argmax(failed))]}")
 
 
 def criterion_perfect_csi_match(config: SystemConfig, base_trials: int,
@@ -173,26 +182,23 @@ def criterion_zero_forcing_residuals(config: SystemConfig, base_trials: int,
                                      seed: int) -> CriterionResult:
     """4: per-trial null-space and combiner residuals below 1e-9."""
     model = model_from_config(config, perfect=False)
-    geometry = default_geometry(config, experiments.CORRELATED_CARRIER_HZ)
     sps = SicMode.SPATIAL_SUPPRESSION
     k = config.K
     worst_null = 0.0
     worst_comb = 0.0
     iid_trials = max(50, min(300, base_trials // 20))
     corr_trials = max(20, min(200, base_trials // 50))
-    segments = ((range(iid_trials), None, None),
-                (range(iid_trials, iid_trials + corr_trials), geometry,
-                 experiments.CORRELATED_RICIAN))
-    for trials, geo, rician in segments:
+    segments = ((range(iid_trials), None),
+                (range(iid_trials, iid_trials + corr_trials),
+                 experiments.correlated_sampler(config)))
+    for trials, sampler in segments:
         for chunk, _, _, _, h_ext_hat, h_ul_hat in metrics._trial_chunks(
-                config, model, seed, trials, geo, rician):
+                config, model, seed, trials, sampler):
             w, built = build_stack((sps,), h_ext_hat, h_ul_hat)
             g, failed = built[sps]
             if failed.any():
-                return CriterionResult(
-                    4, "zero-forcing residuals", False,
-                    f"{sps.value} transceiver failed at trial "
-                    f"{chunk[int(np.argmax(failed))]}")
+                return _build_failure(4, "zero-forcing residuals", sps, chunk,
+                                      failed)
             for i in range(len(chunk)):
                 h_si_hat = h_ext_hat[i, k:]
                 null = np.linalg.norm(h_si_hat @ g[i])
@@ -228,10 +234,8 @@ def criterion_paired_residual_si(config: SystemConfig, base_trials: int,
         means = {}
         for mode, (g, failed) in built.items():
             if failed.any():
-                return CriterionResult(
-                    5, "paired residual-SI ordering", False,
-                    f"{mode.value} transceiver failed at trial "
-                    f"{chunk[int(np.argmax(failed))]}")
+                return _build_failure(5, "paired residual-SI ordering", mode,
+                                      chunk, failed)
             omega = residual_si(mode, w, h_si, h_ext_hat[:, k:], g)
             means[mode] = np.mean(omega, axis=-1)
         diffs.append(means[sps] - means[stt])

@@ -266,35 +266,24 @@ def si_pathloss_gains(geometry: ArrayGeometry) -> np.ndarray:
 class CorrelatedSampler:
     """Draws correlated Rician realizations for a fixed geometry.
 
-    The correlation square roots, the path-gain matrix and the LOS matrix
-    only depend on the geometry, so they are computed once here and reused
+    The correlation square roots, the SI amplitude and the LOS matrix only
+    depend on the geometry, so they are computed once here and reused
     across trials.
-    Keyword overrides exist so tests can substitute explicit correlation
-    matrices or gains.
     """
 
     def __init__(self, config: SystemConfig, geometry: ArrayGeometry,
-                 rician: RicianParams, *, r_tx: np.ndarray | None = None,
-                 r_rx: np.ndarray | None = None,
-                 si_gains: np.ndarray | None = None) -> None:
+                 rician: RicianParams) -> None:
+        m, n = len(geometry.tx_positions), len(geometry.rx_positions)
+        if (m, n) != (config.M, config.N):
+            raise ConfigError(
+                f"geometry has {m} transmit and {n} receive elements; the "
+                f"config has M={config.M}, N={config.N}")
         self.config = config
-        lam = geometry.wavelength
-        if r_tx is None:
-            r_tx = jakes_correlation(geometry.tx_positions, lam)
-        if r_rx is None:
-            r_rx = jakes_correlation(geometry.rx_positions, lam)
-        if si_gains is None:
-            si_gains = si_pathloss_gains(geometry)
-        if r_tx.shape != (config.M, config.M):
-            raise ConfigError("transmit correlation matrix shape mismatch")
-        if r_rx.shape != (config.N, config.N):
-            raise ConfigError("receive correlation matrix shape mismatch")
-        if si_gains.shape != (config.N, config.M):
-            raise ConfigError("path-gain matrix shape mismatch")
-        self.r_tx_sqrt = hermitian_sqrt(r_tx)
-        self.r_rx_sqrt = hermitian_sqrt(r_rx)
-        self.si_gains = np.asarray(si_gains, dtype=float)
-        self._si_amp = np.sqrt(self.si_gains)
+        self.r_tx_sqrt, self.r_rx_sqrt = (
+            hermitian_sqrt(jakes_correlation(pos, geometry.wavelength))
+            for pos in (geometry.tx_positions, geometry.rx_positions))
+        # Path gains replace the flat beta_si of the i.i.d. model.
+        self._si_amp = np.sqrt(si_pathloss_gains(geometry))
         k = rician.kappa
         self._los = (np.sqrt(k / (k + 1.0)) * rician.sigma_si
                      * np.ones((config.N, config.M)))

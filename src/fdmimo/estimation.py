@@ -97,25 +97,15 @@ def _add_errors(model: EstimationModel, streams: list[RngStream],
 
 
 def estimate(channels: ChannelRealization, model: EstimationModel,
-             rng: RngStream,
-             si_error_scale: np.ndarray | None = None) -> EstimatedChannels:
+             rng: RngStream) -> EstimatedChannels:
     """Apply additive estimation errors to one channel realization.
 
     Errors are drawn i.i.d. CN(0, eps2) per matrix, sequentially
     (e_dl, e_ul, e_si) from the given stream, independent of the channel
     draws by stream separation; a zero-variance error takes no draws.
-    si_error_scale optionally multiplies the self-interference error
-    variance entrywise; it is used when the SI channel itself carries
-    per-element path gains, so that the error keeps a fixed NMSE relative
-    to the local channel power.
     """
-    si_amp = None
-    if si_error_scale is not None:
-        if si_error_scale.shape != channels.h_si.shape:
-            raise ConfigError("si_error_scale shape must match h_si")
-        si_amp = np.sqrt(si_error_scale)
     truth = tuple(h[None] for h in
                   (channels.h_dl, channels.h_ul, channels.h_si))
     hats = tuple(np.empty(h.shape, dtype=complex) for h in truth)
-    _add_errors(model, [rng], truth, hats, si_amp)
+    _add_errors(model, [rng], truth, hats)
     return EstimatedChannels(*(hat[0] for hat in hats))

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
 from . import closedform, metrics
-from .channel import (ArrayGeometry, ConfigError, RicianParams, SystemConfig,
-                      default_geometry)
+from .channel import (ConfigError, CorrelatedSampler, RicianParams,
+                      SystemConfig, default_geometry)
 from .estimation import model_from_config
 from .transceiver import SicMode
 
@@ -67,6 +67,9 @@ class Scenario:
                               f"of {', '.join(SCENARIO_NAMES)}")
         if self.sweep_variable not in ("rho_dl_db", "rho_si_db"):
             raise ConfigError("sweep_variable must be rho_dl_db or rho_si_db")
+        if self.name == "fig-correlated" and self.sweep_variable == "rho_si_db":
+            raise ConfigError("fig-correlated cannot sweep rho_si_db: its "
+                              "per-element SI path gains replace beta_si_db")
         for key in ("sweep_start", "sweep_stop", "sweep_step"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite")
@@ -240,6 +243,14 @@ def _point_config(config: SystemConfig, scenario: Scenario,
     return dataclasses.replace(config, rho_t_db=rho_t_db)
 
 
+def correlated_sampler(config: SystemConfig) -> CorrelatedSampler:
+    """fig-correlated's channel model: the default arrays at
+    CORRELATED_CARRIER_HZ with CORRELATED_RICIAN."""
+    return CorrelatedSampler(
+        config, default_geometry(config, CORRELATED_CARRIER_HZ),
+        CORRELATED_RICIAN)
+
+
 def _closed_forms(scenario: Scenario, mode_token: str,
                   cfg: SystemConfig) -> tuple[float | None, float | None]:
     if scenario.name == "fig-perfect":
@@ -268,12 +279,8 @@ def run_scenario(config: SystemConfig, scenario: Scenario,
     xs = scenario.sweep_values()
     configs = [_point_config(config, scenario, x) for x in xs]
 
-    correlated = scenario.name == "fig-correlated"
-    geometry: ArrayGeometry | None = None
-    rician = None
-    if correlated:
-        geometry = default_geometry(config, CORRELATED_CARRIER_HZ)
-        rician = CORRELATED_RICIAN
+    sampler = (correlated_sampler(config)
+               if scenario.name == "fig-correlated" else None)
     model = model_from_config(config, perfect=(scenario.name == "fig-perfect"))
 
     curves = [metrics.Curve(SicMode.SUBTRACTION, si_free=True)
@@ -285,8 +292,7 @@ def run_scenario(config: SystemConfig, scenario: Scenario,
                      f"{scenario.trials} trials")
     reports = metrics.monte_carlo_curves(
         configs, curves, trials=scenario.trials,
-        master_seed=scenario.master_seed, estimation=model,
-        geometry=geometry, rician=rician)
+        master_seed=scenario.master_seed, estimation=model, sampler=sampler)
 
     rows: list[SweepRow] = []
     for token, curve_reports in zip(scenario.modes, reports):

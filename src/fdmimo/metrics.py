@@ -31,8 +31,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import (ArrayGeometry, ConfigError, CorrelatedSampler,
-                      RicianParams, SystemConfig, _channel_stack, _fill_iid)
+from .channel import (ConfigError, CorrelatedSampler, SystemConfig,
+                      _channel_stack, _fill_iid)
 from .estimation import EstimationModel, _add_errors
 from .numerics import RngStream
 from .transceiver import SicMode, build_stack
@@ -165,31 +165,27 @@ def _chunk_trials(m: int, n: int, k: int) -> int:
 
 def _trial_chunks(config: SystemConfig, model: EstimationModel,
                   master_seed: int, trials: range,
-                  geometry: ArrayGeometry | None = None,
-                  rician: RicianParams | None = None):
+                  sampler: CorrelatedSampler | None = None):
     """Draw and estimate the given trials in chunks.
 
     Trial t draws its channels from substream 2t of master_seed, i.i.d.
-    or, with geometry and rician, correlated Rician, and its estimation
-    errors from substream 2t+1, each stream in one call.  Yields, per
-    chunk of at most _chunk_trials(M, N, K) trials, the chunk's trial
-    indices, the stacked true channels h_dl, h_ul, h_si and estimates
-    h_ext_hat (each downlink estimate over its SI estimate) and h_ul_hat.
+    or, with a sampler, correlated Rician, and its estimation errors from
+    substream 2t+1, each stream in one call.  Yields, per chunk of at most
+    _chunk_trials(M, N, K) trials, the chunk's trial indices, the stacked
+    true channels h_dl, h_ul, h_si and estimates h_ext_hat (each downlink
+    estimate over its SI estimate) and h_ul_hat.
     Every array equals a stack of that trial's generate_iid or
-    CorrelatedSampler.sample and estimate calls bit for bit.  The arrays
+    CorrelatedSampler.sample and estimate calls bit for bit, where a
+    sampler's SI error is scaled by its path-gain amplitude.  The arrays
     are views of buffers that the next chunk overwrites.
     """
     m, n, k = config.M, config.N, config.K
-    si_amp = None
-    if geometry is not None:
-        sampler = CorrelatedSampler(config, geometry, rician)
-        fill = sampler._fill
-        # Path gains replace the flat beta_si, and the estimation error
-        # follows the local channel power to keep the NMSE meaningful per
-        # element.
-        si_amp = sampler._si_amp
+    if sampler is None:
+        fill, si_amp = _fill_iid, None
     else:
-        fill = _fill_iid
+        # The SI estimation error follows the local channel power, to keep
+        # the NMSE meaningful per element.
+        fill, si_amp = sampler._fill, sampler._si_amp
     size = max(1, min(len(trials), _chunk_trials(m, n, k)))
     h_dl, h_ul, h_si = _channel_stack(config, size)
     h_ext_hat = np.empty((size, k + n, m), dtype=complex)
@@ -209,22 +205,21 @@ def monte_carlo_curves(configs: Sequence[SystemConfig],
                        curves: Sequence[Curve], *, trials: int,
                        master_seed: int,
                        estimation: EstimationModel | None = None,
-                       geometry: ArrayGeometry | None = None,
-                       rician: RicianParams | None = None
+                       sampler: CorrelatedSampler | None = None
                        ) -> list[list[RateReport]]:
     """Monte Carlo rates of several curves over shared operating points.
 
-    The configs must agree on (M, N, K); they may differ in the SNR
-    scalars.  Trial t draws its channels from substream 2t and its
-    estimation errors from substream 2t+1 of master_seed, once for every
-    curve and point (paired sampling / common random numbers).  Trials
-    run in chunks: each chunk's transceivers are built once per distinct
-    precoder, and its SINRs are evaluated for every curve and point in
-    stacked arrays.  Returns one report per point for each curve; each is
-    bit-identical to a one-curve call, to a one-point call, and for any
-    chunk size.  A trial whose transceiver for a curve's mode cannot be
-    built counts as a failure of that curve only; a curve with no
-    successful trial reports NaN rates.
+    The configs, and a correlated sampler's config, must agree on
+    (M, N, K); they may differ in the SNR scalars.  Trial t draws its
+    channels from substream 2t and its estimation errors from substream
+    2t+1 of master_seed, once for every curve and point (paired sampling /
+    common random numbers).  Trials run in chunks: each chunk's
+    transceivers are built once per distinct precoder, and its SINRs are
+    evaluated for every curve and point in stacked arrays.  Returns one
+    report per point for each curve; each is bit-identical to a one-curve
+    call, to a one-point call, and for any chunk size.  A trial whose
+    transceiver for a curve's mode cannot be built counts as a failure of
+    that curve only; a curve with no successful trial reports NaN rates.
     """
     if trials < 1:
         raise ConfigError("trials must be positive")
@@ -233,14 +228,12 @@ def monte_carlo_curves(configs: Sequence[SystemConfig],
     if not curves:
         raise ConfigError("at least one curve is required")
     base = configs[0]
-    for cfg in configs:
+    for cfg in [*configs, *([] if sampler is None else [sampler.config])]:
         if (cfg.M, cfg.N, cfg.K) != (base.M, base.N, base.K):
             raise ConfigError("sweep configs must share M, N, K")
-    if (geometry is None) != (rician is None):
-        raise ConfigError("geometry and rician must be given together")
     model = estimation if estimation is not None else EstimationModel()
 
-    if geometry is not None:
+    if sampler is not None:
         # Path gains replace the flat beta_si, so the SI term scales with
         # the raw transmit SNR.
         levels = [cfg.rho_t for cfg in configs]
@@ -257,7 +250,7 @@ def monte_carlo_curves(configs: Sequence[SystemConfig],
     acc = [_Welford((2, len(configs))) for _ in curves]
     failures = [0] * len(curves)
     for _, h_dl, h_ul, h_si, h_ext_hat, h_ul_hat in _trial_chunks(
-            base, model, master_seed, range(trials), geometry, rician):
+            base, model, master_seed, range(trials), sampler):
         w, built = build_stack(modes, h_ext_hat, h_ul_hat)
         # Axes: trial, [curve,] point, user.  The downlink rates depend on
         # the precoder only, so each distinct one is evaluated once.
@@ -296,8 +289,7 @@ def monte_carlo_curves(configs: Sequence[SystemConfig],
 def monte_carlo_sweep(configs: Sequence[SystemConfig], mode: SicMode, *,
                       trials: int, master_seed: int,
                       estimation: EstimationModel | None = None,
-                      geometry: ArrayGeometry | None = None,
-                      rician: RicianParams | None = None
+                      sampler: CorrelatedSampler | None = None
                       ) -> list[RateReport]:
     """Monte Carlo rates of one mode at several operating points.
 
@@ -307,20 +299,18 @@ def monte_carlo_sweep(configs: Sequence[SystemConfig], mode: SicMode, *,
     """
     return monte_carlo_curves(
         configs, [Curve(mode)], trials=trials,
-        master_seed=master_seed, estimation=estimation, geometry=geometry,
-        rician=rician)[0]
+        master_seed=master_seed, estimation=estimation, sampler=sampler)[0]
 
 
 def monte_carlo(config: SystemConfig, mode: SicMode, *, trials: int,
                 master_seed: int,
                 estimation: EstimationModel | None = None,
-                geometry: ArrayGeometry | None = None,
-                rician: RicianParams | None = None) -> RateReport:
+                sampler: CorrelatedSampler | None = None) -> RateReport:
     """Monte Carlo ergodic sum rates for a single operating point.
 
-    estimation=None means perfect CSI.  geometry together with rician
-    switches on the correlated Rician channel model.
+    estimation=None means perfect CSI; a sampler switches on its
+    correlated Rician channel model.
     """
     return monte_carlo_sweep(
         [config], mode, trials=trials, master_seed=master_seed,
-        estimation=estimation, geometry=geometry, rician=rician)[0]
+        estimation=estimation, sampler=sampler)[0]

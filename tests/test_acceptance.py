@@ -17,7 +17,8 @@ from fdmimo.acceptance import (_Z99, criterion_paired_residual_si,
                                criterion_zero_forcing_residuals, run_all)
 from fdmimo.channel import (CorrelatedSampler, RicianParams, SystemConfig,
                             default_geometry, generate_iid)
-from fdmimo.estimation import estimate, model_from_config
+from fdmimo.estimation import (EstimatedChannels, _add_errors, estimate,
+                               model_from_config)
 from fdmimo.metrics import residual_si
 from fdmimo.numerics import RngStream
 from fdmimo.transceiver import SicMode, build, build_stack
@@ -100,15 +101,17 @@ def test_criterion_4_matches_a_per_trial_build_loop(monkeypatch):
     worst_comb = 0.0
     ests = []
     for i in range(iid_trials + corr_trials):
-        correlated = i >= iid_trials
-        if correlated:
+        error_stream = RngStream(seed, 2 * i + 1)
+        if i >= iid_trials:
+            # the correlated engine scales the SI error by the path gains
             ch = sampler.sample(RngStream(seed, 2 * i))
-            scale = sampler.si_gains
+            truth = tuple(h[None] for h in (ch.h_dl, ch.h_ul, ch.h_si))
+            hats = tuple(np.empty_like(h) for h in truth)
+            _add_errors(model, [error_stream], truth, hats, sampler._si_amp)
+            est = EstimatedChannels(*(hat[0] for hat in hats))
         else:
             ch = generate_iid(SMALL, RngStream(seed, 2 * i))
-            scale = None
-        est = estimate(ch, model, RngStream(seed, 2 * i + 1),
-                       si_error_scale=scale)
+            est = estimate(ch, model, error_stream)
         ests.append(est)
         ts = build(SicMode.SPATIAL_SUPPRESSION, est)
         null = np.linalg.norm(est.h_si_hat @ ts.g)

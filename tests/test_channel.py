@@ -256,15 +256,24 @@ def test_generate_correlated_shapes_and_determinism():
     assert np.array_equal(a.h_si, b.h_si)
 
 
+def _uncorrelated(sampler, si_amp=None):
+    """The sampler with identity correlation roots and, if given, the SI
+    amplitude si_amp, set after construction."""
+    cfg = sampler.config
+    sampler.r_tx_sqrt, sampler.r_rx_sqrt = np.eye(cfg.M), np.eye(cfg.N)
+    if si_amp is not None:
+        sampler._si_amp = si_amp
+    return sampler
+
+
 def test_identity_overrides_reduce_to_iid_draw():
     """With identity correlation, unit gains and kappa = 0 the correlated
     sampler must reproduce the i.i.d. generator bit for bit (same stream)."""
     cfg = small_config()
     geo = default_geometry(cfg, CARRIER_HZ)
-    sampler = CorrelatedSampler(
-        cfg, geo, RicianParams(kappa=0.0, sigma_si=1.0),
-        r_tx=np.eye(cfg.M), r_rx=np.eye(cfg.N),
-        si_gains=np.ones((cfg.N, cfg.M)))
+    sampler = _uncorrelated(
+        CorrelatedSampler(cfg, geo, RicianParams(kappa=0.0, sigma_si=1.0)),
+        np.ones((cfg.N, cfg.M)))
     a = sampler.sample(RngStream(99, 2))
     b = generate_iid(cfg, RngStream(99, 2))
     assert np.array_equal(a.h_dl, b.h_dl)
@@ -275,10 +284,9 @@ def test_identity_overrides_reduce_to_iid_draw():
 def test_pure_los_limit():
     cfg = small_config()
     geo = default_geometry(cfg, CARRIER_HZ)
-    sampler = CorrelatedSampler(
-        cfg, geo, RicianParams(kappa=1e12, sigma_si=2.0),
-        r_tx=np.eye(cfg.M), r_rx=np.eye(cfg.N),
-        si_gains=np.ones((cfg.N, cfg.M)))
+    sampler = _uncorrelated(
+        CorrelatedSampler(cfg, geo, RicianParams(kappa=1e12, sigma_si=2.0)),
+        np.ones((cfg.N, cfg.M)))
     ch = sampler.sample(RngStream(0, 0))
     assert np.max(np.abs(ch.h_si - 2.0)) < 1e-4
 
@@ -288,13 +296,13 @@ def test_si_channel_power_tracks_path_gains():
     # to the free-space gain, whatever kappa is
     cfg = small_config()
     geo = default_geometry(cfg, CARRIER_HZ)
-    sampler = CorrelatedSampler(cfg, geo, RicianParams(kappa=3.0, sigma_si=1.0),
-                                r_tx=np.eye(cfg.M), r_rx=np.eye(cfg.N))
+    sampler = _uncorrelated(
+        CorrelatedSampler(cfg, geo, RicianParams(kappa=3.0, sigma_si=1.0)))
     acc = np.zeros((cfg.N, cfg.M))
     trials = 4000
     for t in range(trials):
         acc += np.abs(sampler.sample(RngStream(3, t)).h_si) ** 2
-    ratio = acc / trials / sampler.si_gains
+    ratio = acc / trials / si_pathloss_gains(geo)
     assert abs(np.mean(ratio) - 1.0) < 0.05
 
 
@@ -324,14 +332,18 @@ def test_correlated_marginals_stay_standard_normal():
     assert stat.pvalue > 1e-4
 
 
-def test_sampler_override_shape_validation():
+def test_sampler_rejects_a_geometry_of_other_size(monkeypatch):
+    def no_j0(x):
+        raise AssertionError("J0 evaluated before the sizes were checked")
+
+    monkeypatch.setattr("fdmimo.channel.bessel_j0", no_j0)
     cfg = small_config()
-    geo = default_geometry(cfg, CARRIER_HZ)
-    with pytest.raises(ConfigError, match="correlation matrix"):
-        CorrelatedSampler(cfg, geo, RicianParams(), r_tx=np.eye(3))
-    with pytest.raises(ConfigError, match="path-gain"):
-        CorrelatedSampler(cfg, geo, RicianParams(),
-                          si_gains=np.ones((1, 1)))
+    for other in (small_config(M=17), small_config(N=7)):
+        geo = default_geometry(other, CARRIER_HZ)
+        with pytest.raises(ConfigError, match=(
+                f"{other.M} transmit and {other.N} receive elements; the "
+                f"config has M={cfg.M}, N={cfg.N}")):
+            CorrelatedSampler(cfg, geo, RicianParams())
 
 
 def test_rician_params_validation():

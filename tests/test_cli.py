@@ -201,6 +201,21 @@ def test_bad_sweep_bounds_exit_1(line, tmp_path, capsys, msg):
     assert out == ""
 
 
+
+@pytest.mark.parametrize("text, flags", [
+    ("scenario = fig-correlated\nsweep_variable = rho_si_db\n", []),
+    ("sweep_variable = rho_si_db\n", ["--scenario", "fig-correlated"]),
+])
+def test_correlated_si_sweep_exits_1(text, flags, tmp_path, capsys):
+    path = tmp_path / "corr.conf"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["run", "--config", str(path), *flags]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: ")
+    assert "fig-correlated cannot sweep rho_si_db" in err
+    assert out == ""
+
+
 # ---------------------------------------------------------- print-config
 
 def test_print_config_round_trips(capsys):

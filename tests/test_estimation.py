@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdmimo.channel import ConfigError, SystemConfig, generate_iid
+from fdmimo.channel import (ConfigError, SystemConfig, default_geometry,
+                            generate_iid, si_pathloss_gains)
 from fdmimo.estimation import (EstimationModel, estimate, model_from_config,
                                uldl_error_variance)
+from fdmimo.experiments import CORRELATED_CARRIER_HZ, correlated_sampler
+from fdmimo.metrics import _trial_chunks
 from fdmimo.numerics import RngStream
 
 
@@ -118,24 +121,20 @@ def test_error_statistics_match_variances():
     assert acc_si / trials == pytest.approx(0.2, rel=0.05)
 
 
-def test_si_error_scale_sets_per_element_variance():
-    cfg, ch = _draw()
-    scale = np.linspace(0.1, 2.0, ch.h_si.size).reshape(ch.h_si.shape)
+def test_correlated_si_error_variance_follows_the_path_gains():
+    # the correlated model's SI error keeps the NMSE per element: its
+    # variance is eps2_si times that element's free-space path gain
+    cfg = SystemConfig(M=16, N=6, K=3)
+    gains = si_pathloss_gains(default_geometry(cfg, CORRELATED_CARRIER_HZ))
     model = EstimationModel(eps2_si=0.2)
-    acc = np.zeros_like(scale)
+    acc = np.zeros_like(gains)
     trials = 2000
-    for t in range(trials):
-        est = estimate(ch, model, RngStream(6, t), si_error_scale=scale)
-        acc += np.abs(est.h_si_hat - ch.h_si) ** 2
-    ratio = acc / trials / (0.2 * scale)
+    for _, _, _, h_si, h_ext_hat, _ in _trial_chunks(
+            cfg, model, 6, range(trials), correlated_sampler(cfg)):
+        acc += np.sum(np.abs(h_ext_hat[:, cfg.K:] - h_si) ** 2, axis=0)
+    ratio = acc / trials / (0.2 * gains)
     assert abs(np.mean(ratio) - 1.0) < 0.05
-
-
-def test_si_error_scale_shape_checked():
-    cfg, ch = _draw()
-    with pytest.raises(ConfigError, match="shape"):
-        estimate(ch, EstimationModel(eps2_si=0.2), RngStream(0),
-                 si_error_scale=np.ones((2, 2)))
+    assert np.max(np.abs(ratio - 1.0)) < 0.15
 
 
 @settings(max_examples=20, deadline=None)

@@ -100,6 +100,20 @@ def test_scenario_validation(overrides, msg):
         _small_scenario(**overrides)
 
 
+
+def test_correlated_scenario_rejects_an_si_sweep():
+    # per-element path gains replace beta_si_db, so x_db = rho_t_db +
+    # beta_si_db would label the rows with no SI level at all
+    msg = "fig-correlated cannot sweep rho_si_db"
+    with pytest.raises(ConfigError, match=msg):
+        parse_config("scenario = fig-correlated\nsweep_variable = rho_si_db\n")
+    with pytest.raises(ConfigError, match=msg):
+        parse_config("sweep_variable = rho_si_db\n", "fig-correlated")
+    for name in ("fig-perfect", "fig-imperfect-si", "custom"):
+        _, scn = parse_config("sweep_variable = rho_si_db\n", name)
+        assert scn.sweep_variable == "rho_si_db"
+
+
 # ---------------------------------------------------------- config files
 
 def test_parse_empty_text_is_custom_defaults():

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 import fdmimo.metrics as metrics
 import fdmimo.numerics as numerics
-from fdmimo.channel import (ConfigError, RicianParams, SystemConfig,
-                            default_geometry, generate_iid)
+from fdmimo.channel import (ConfigError, CorrelatedSampler, RicianParams,
+                            SystemConfig, default_geometry, generate_iid)
 from fdmimo.closedform import rate_half_duplex, rate_perfect
-from fdmimo.estimation import EstimationModel, estimate, model_from_config
-from fdmimo.experiments import CORRELATED_CARRIER_HZ, CORRELATED_RICIAN
+from fdmimo.estimation import (EstimatedChannels, EstimationModel,
+                               _add_errors, estimate, model_from_config)
+from fdmimo.experiments import correlated_sampler
 from fdmimo.metrics import (Curve, dl_sinr, monte_carlo,
                             monte_carlo_curves, monte_carlo_sweep,
                             residual_si, sum_rate, ul_sinr)
@@ -264,8 +265,7 @@ def test_multi_curve_call_equals_one_curve_calls(k, extra_n, extra_m, chunk,
     kw = dict(trials=trials, master_seed=seed,
               estimation=model_from_config(cfg, perfect=False))
     if correlated:
-        kw.update(geometry=default_geometry(cfg, 2.1e9),
-                  rician=RicianParams(kappa=1.0, sigma_si=1.0))
+        kw.update(sampler=correlated_sampler(cfg))
     with pytest.MonkeyPatch.context() as mp:
         _chunks_of(mp, chunk)
         together = monte_carlo_curves(configs, curves, **kw)
@@ -303,13 +303,13 @@ def _reference_trial(cfg, model, seed, t, rician, sampler):
         h_dl = h_dl @ r_tx
         h_ul = r_rx @ h_ul
         h_si = r_rx @ (los + nlos * h_si) @ r_tx
-        h_si = np.sqrt(sampler.si_gains) * h_si
+        h_si = sampler._si_amp * h_si
     gen = RngStream(seed, 2 * t + 1).generator()
     e_dl = _complex_gaussian(gen, k, m, model.eps2_dl)
     e_ul = _complex_gaussian(gen, n, k, model.eps2_ul)
     e_si = _complex_gaussian(gen, n, m, model.eps2_si)
     if rician is not None:
-        e_si = np.sqrt(sampler.si_gains) * e_si
+        e_si = sampler._si_amp * e_si
     return (h_dl, h_ul, h_si, np.vstack([h_dl + e_dl, h_si + e_si]),
             h_ul + e_ul)
 
@@ -325,11 +325,10 @@ def test_trial_chunks_equal_the_per_trial_draw_bit_for_bit(
     cfg = SystemConfig(M=m, N=n, K=k)
     model = EstimationModel(*(v if d else 0.0
                               for v, d in zip((0.1, 0.2, 0.3), drawn)))
-    geometry = rician = sampler = None
+    rician = sampler = None
     if correlated:
-        geometry = default_geometry(cfg, 2.1e9)
         rician = RicianParams(kappa=2.0, sigma_si=0.7)
-        sampler = metrics.CorrelatedSampler(cfg, geometry, rician)
+        sampler = CorrelatedSampler(cfg, default_geometry(cfg, 2.1e9), rician)
     _chunks_of(monkeypatch, 3)
     seed, trials = 17, range(2, 9)
     want = {t: _reference_trial(cfg, model, seed, t, rician, sampler)
@@ -343,7 +342,7 @@ def test_trial_chunks_equal_the_per_trial_draw_bit_for_bit(
     monkeypatch.setattr(RngStream, "generator", counted)
     chunks = []
     for chunk, *arrays in metrics._trial_chunks(cfg, model, seed, trials,
-                                                geometry, rician):
+                                                sampler):
         for i, t in enumerate(chunk):
             for got, ref in zip(arrays, want[t]):
                 assert got[i].shape == ref.shape
@@ -355,54 +354,65 @@ def test_trial_chunks_equal_the_per_trial_draw_bit_for_bit(
     assert sorted(opened) == sorted([2 * t for t in trials] + errors)
 
 
+def _estimate(ch, model, rng, si_amp=None):
+    """estimate, with the SI error scaled entrywise by si_amp as the
+    correlated engine scales it."""
+    truth = tuple(h[None] for h in (ch.h_dl, ch.h_ul, ch.h_si))
+    hats = tuple(np.empty_like(h) for h in truth)
+    _add_errors(model, [rng], truth, hats, si_amp)
+    return EstimatedChannels(*(hat[0] for hat in hats))
+
+
 @settings(max_examples=15, deadline=None)
-@given(k=st.integers(1, 3), extra_n=st.integers(1, 2),
+@given(k=st.integers(1, 3), extra_n=st.integers(1, 2), extra_m=st.just(0),
        nmse=st.sampled_from([0.0, 0.2, 1.0, 7.5]),
        rho_t_db=st.sampled_from([-math.inf, 20.0, 60.0]),
        perfect=st.booleans(), correlated=st.booleans(),
        trials=st.integers(2, 7), seed=st.integers(0, 1000))
 # the correlated model under perfect CSI at the default N and K, and at
 # the smallest N + K where suppression fails in every trial
-@example(k=10, extra_n=10, nmse=0.2, rho_t_db=60.0, perfect=True,
+@example(k=10, extra_n=10, extra_m=0, nmse=0.2, rho_t_db=60.0, perfect=True,
          correlated=True, trials=3, seed=1)
-@example(k=4, extra_n=4, nmse=0.2, rho_t_db=20.0, perfect=True,
+@example(k=4, extra_n=4, extra_m=0, nmse=0.2, rho_t_db=20.0, perfect=True,
          correlated=True, trials=4, seed=7)
+# arrays longer than the default, M = 128 and M = 256, the second with an
+# exact SI estimate under imperfect user-link CSI
+@example(k=10, extra_n=30, extra_m=78, nmse=0.2, rho_t_db=50.0,
+         perfect=False, correlated=True, trials=10, seed=1)
+@example(k=10, extra_n=50, extra_m=186, nmse=0.0, rho_t_db=50.0,
+         perfect=False, correlated=True, trials=10, seed=1)
 def test_edge_configs_give_finite_rates_and_count_failures(
-        k, extra_n, nmse, rho_t_db, perfect, correlated, trials, seed):
-    # M = N + K leaves the suppression precoder exactly K dimensions
+        k, extra_n, extra_m, nmse, rho_t_db, perfect, correlated, trials,
+        seed):
+    # M = N + K (extra_m = 0) leaves the suppression precoder exactly K
+    # dimensions
     n = k + extra_n
-    cfg = SystemConfig(M=n + k, N=n, K=k, rho_t_db=rho_t_db, nmse=nmse)
+    cfg = SystemConfig(M=n + k + extra_m, N=n, K=k, rho_t_db=rho_t_db,
+                       nmse=nmse)
     model = model_from_config(cfg, perfect=perfect)
-    kw = {}
-    sampler = None
-    if correlated:
-        kw = dict(geometry=default_geometry(cfg, CORRELATED_CARRIER_HZ),
-                  rician=CORRELATED_RICIAN)
-        sampler = metrics.CorrelatedSampler(cfg, **kw)
+    sampler = correlated_sampler(cfg) if correlated else None
     curves = [Curve(mode) for mode in SicMode]
     got = monte_carlo_curves([cfg], curves, trials=trials, master_seed=seed,
-                             estimation=model, **kw)
+                             estimation=model, sampler=sampler)
     for curve, (rep,) in zip(curves, got):
         failed = 0
         for t in range(trials):
             if sampler is None:
-                ch = generate_iid(cfg, RngStream(seed, 2 * t))
-                scale = None
+                ch, si_amp = generate_iid(cfg, RngStream(seed, 2 * t)), None
             else:
                 ch = sampler.sample(RngStream(seed, 2 * t))
-                scale = sampler.si_gains
-            est = estimate(ch, model, RngStream(seed, 2 * t + 1),
-                           si_error_scale=scale)
+                si_amp = sampler._si_amp
+            est = _estimate(ch, model, RngStream(seed, 2 * t + 1), si_amp)
             try:
                 build(curve.mode, est)
             except numerics.SingularMatrixError:
                 failed += 1
         assert rep.failures == failed
         assert rep.trials == trials
-        if correlated and perfect and n + k >= 10:
+        if correlated and model.eps2_si == 0.0 and n + k >= 10:
             # A lambda/6 Jakes correlation leaves the suppression input
             # [h_dl; h_si] numerically rank-deficient once N + K reaches
-            # 10, and only an estimation error would lift it; the
+            # 10, and only an SI estimation error would lift it; the
             # zero-forcing modes are untouched.
             spatial = curve.mode is SicMode.SPATIAL_SUPPRESSION
             assert rep.failures == (trials if spatial else 0)
@@ -436,9 +446,10 @@ def test_monte_carlo_tracks_closed_form():
 
 def test_correlated_model_smoke():
     cfg = SystemConfig(M=12, N=6, K=3)
+    sampler = CorrelatedSampler(cfg, default_geometry(cfg, 2.1e9),
+                                RicianParams(kappa=3.0, sigma_si=1.0))
     rep = monte_carlo(cfg, SicMode.SUBTRACTION, trials=20, master_seed=4,
-                      geometry=default_geometry(cfg, 2.1e9),
-                      rician=RicianParams(kappa=3.0, sigma_si=1.0))
+                      sampler=sampler)
     assert rep.failures == 0
     assert rep.dl_sum_rate > 0.0 and rep.ul_sum_rate > 0.0
 
@@ -454,9 +465,10 @@ def test_sweep_validation_errors():
     with pytest.raises(ConfigError, match="share M, N, K"):
         monte_carlo_sweep([CFG_SMALL, SystemConfig(M=10, N=5, K=3)],
                           SicMode.NO_SIC, trials=5, master_seed=0)
-    with pytest.raises(ConfigError, match="together"):
+    with pytest.raises(ConfigError, match="share M, N, K"):
         monte_carlo_sweep([CFG_SMALL], SicMode.NO_SIC, trials=5,
-                          master_seed=0, geometry=default_geometry(CFG_SMALL, 2.1e9))
+                          master_seed=0, sampler=correlated_sampler(
+                              SystemConfig(M=10, N=5, K=3)))
 
 
 def test_curves_are_required_before_any_draw(monkeypatch):
