@@ -31,6 +31,9 @@ _MODES = (SicMode.NO_SIC, SicMode.SUBTRACTION, SicMode.SPATIAL_SUPPRESSION)
 #: One-sided 99th-percentile normal quantile.
 _Z99 = 2.3263478740408408
 
+#: Bytes of imaginary parts that criterion 3 draws and reduces at a time.
+_SLICE_BYTES = 1 << 21
+
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -124,26 +127,44 @@ def criterion_imperfect_ul_match(config: SystemConfig, base_trials: int,
 
 def _mean_inv_gram_diag(gen: np.random.Generator, rows: int, cols: int,
                         draws: int, keep: int, right: bool) -> float:
-    """Mean of 1 / [(A A^H)^{-1}]_kk (right) or 1 / [(A^H A)^{-1}]_kk."""
+    """Mean of 1 / [(A A^H)^{-1}]_kk (right) or 1 / [(A^H A)^{-1}]_kk over
+    the first keep diagonals, for draws matrices A = (X + iY) / sqrt(2)
+    with standard normal X and Y of shape (rows, cols).
+
+    With C = X Y^T, G = 2 A A^H has real part X X^T + Y Y^T and imaginary
+    part C^T - C, so no complex copy of A is made.  The left Gram is the
+    right one of the transposes, conjugated, which leaves the real diagonal
+    of its inverse unchanged.  Only the kept columns of G^{-1} are solved
+    for, and 1 / [(A A^H)^{-1}]_kk = 1 / (2 [G^{-1}]_kk).
+    """
+    # A batch draws all its real parts, then all its imaginary parts, so
+    # the batch size of 2000 fixes which normals are real and which are
+    # imaginary parts; slicing the imaginary draw leaves the stream as is.
+    batch = max(1, min(2000, draws))
+    step = max(1, _SLICE_BYTES // (8 * rows * cols))
+    n = rows if right else cols
+    # 3-D, so that NumPy < 2.0 also reads it as a stack of matrices
+    unit = np.eye(n, keep)[None]
+    im = np.empty((min(step, batch), rows, cols))
     total = 0.0
-    count = 0
-    chunk = max(1, min(2000, draws))
     left = draws
     while left > 0:
-        b = min(chunk, left)
+        b = min(batch, left)
         left -= b
         re = gen.standard_normal((b, rows, cols))
-        im = gen.standard_normal((b, rows, cols))
-        a = (re + 1j * im) / np.sqrt(2.0)
-        if right:
-            gram = a @ a.conj().transpose(0, 2, 1)
-        else:
-            gram = a.conj().transpose(0, 2, 1) @ a
-        inv = np.linalg.inv(gram)
-        diag = np.real(np.diagonal(inv, axis1=1, axis2=2))[:, :keep]
-        total += float(np.sum(1.0 / diag))
-        count += b * keep
-    return total / count
+        for start in range(0, b, step):
+            x = re[start:start + step]
+            y = gen.standard_normal(out=im[:len(x)])
+            if not right:
+                x, y = x.transpose(0, 2, 1), y.transpose(0, 2, 1)
+            c = x @ y.transpose(0, 2, 1)
+            gram = np.empty((len(x), n, n), dtype=complex)
+            gram.real = x @ x.transpose(0, 2, 1) + y @ y.transpose(0, 2, 1)
+            gram.imag = c.transpose(0, 2, 1) - c
+            sol = np.linalg.solve(gram, unit)
+            diag = np.diagonal(sol, axis1=1, axis2=2).real
+            total += float(np.sum(1.0 / diag))
+    return total / (2 * draws * keep)
 
 
 def criterion_expected_inverse_norms(config: SystemConfig, base_trials: int,
@@ -224,6 +245,10 @@ def criterion_paired_residual_si(config: SystemConfig, base_trials: int,
     modes' transceivers come from one build_stack call per chunk of
     trials, so each trial's combiner is built once.
     """
+    if base_trials < 2:
+        # the sample standard deviation needs two trials
+        return CriterionResult(5, "paired residual-SI ordering", False,
+                               "needs at least 2 base trials")
     model = model_from_config(config, perfect=False)
     stt, sps = SicMode.SUBTRACTION, SicMode.SPATIAL_SUPPRESSION
     k = config.K

@@ -8,6 +8,8 @@ the end check criterion internals on small configs.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -169,3 +171,67 @@ def test_criterion_5_fails_on_a_failed_transceiver(monkeypatch):
     got = criterion_paired_residual_si(SMALL, 4, 1)
     assert not got.passed
     assert got.detail == "stt transceiver failed at trial 0"
+
+
+def test_criterion_5_needs_two_base_trials():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = criterion_paired_residual_si(SMALL, 1, 1)
+    assert not got.passed
+    assert got.detail == "needs at least 2 base trials"
+
+
+def _mean_inv_gram_diag_reference(gen, rows, cols, draws, keep, right):
+    # complex matrices, a complex Gram and its full inverse, per batch of
+    # 2000 draws: real parts, then imaginary parts
+    total = 0.0
+    count = 0
+    chunk = max(1, min(2000, draws))
+    left = draws
+    while left > 0:
+        b = min(chunk, left)
+        left -= b
+        re = gen.standard_normal((b, rows, cols))
+        im = gen.standard_normal((b, rows, cols))
+        a = (re + 1j * im) / np.sqrt(2.0)
+        if right:
+            gram = a @ a.conj().transpose(0, 2, 1)
+        else:
+            gram = a.conj().transpose(0, 2, 1) @ a
+        inv = np.linalg.inv(gram)
+        diag = np.real(np.diagonal(inv, axis1=1, axis2=2))[:, :keep]
+        total += float(np.sum(1.0 / diag))
+        count += b * keep
+    return total / count
+
+
+@pytest.mark.parametrize("draws", [1, 7, 2000, 2003, 4500])
+@pytest.mark.parametrize("right", [True, False])
+@pytest.mark.parametrize("keep", [2, 5])
+def test_criterion_3_kernel_matches_the_complex_inverse(monkeypatch, draws,
+                                                        right, keep):
+    rows, cols = (5, 9) if right else (9, 5)
+    # slices of 300 draws: a batch of 2000 ends in a partial slice
+    monkeypatch.setattr(acceptance, "_SLICE_BYTES", 300 * 8 * rows * cols)
+    want_gen = RngStream(7, 3).generator()
+    got_gen = RngStream(7, 3).generator()
+    want = _mean_inv_gram_diag_reference(want_gen, rows, cols, draws, keep,
+                                         right)
+    got = acceptance._mean_inv_gram_diag(got_gen, rows, cols, draws, keep,
+                                         right)
+    assert got == pytest.approx(want, rel=1e-12)
+    # both drew the same normals
+    assert got_gen.standard_normal() == want_gen.standard_normal()
+
+
+def test_criterion_3_kernel_peak_memory():
+    # one batch of the SPS target at the default sizes; complex copies and
+    # full inverses of a whole 2000-draw batch would peak near 200 MiB
+    gen = RngStream(1, 1).generator()
+    tracemalloc.start()
+    try:
+        acceptance._mean_inv_gram_diag(gen, 30, 64, 2000, 10, right=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
