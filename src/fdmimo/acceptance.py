@@ -22,17 +22,17 @@ import numpy as np
 from . import closedform, experiments, metrics
 from .channel import SystemConfig
 from .estimation import model_from_config
-from .metrics import Curve, monte_carlo_curves, residual_si
+from .metrics import Curve, residual_si
 from .numerics import RngStream
-from .transceiver import SicMode, build_stack
+from .transceiver import SicMode, build
 
 _MODES = (SicMode.NO_SIC, SicMode.SUBTRACTION, SicMode.SPATIAL_SUPPRESSION)
 
 #: One-sided 99th-percentile normal quantile.
 _Z99 = 2.3263478740408408
 
-#: Bytes of imaginary parts that criterion 3 draws and reduces at a time.
-_SLICE_BYTES = 1 << 21
+#: Matrices that criterion 3 draws and reduces at a time.
+_GROUP_DRAWS = 64
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,9 @@ def criterion_perfect_csi_match(config: SystemConfig, base_trials: int,
                for x in points]
     worst = 0.0
     worst_at = ""
-    curves = monte_carlo_curves(configs, [Curve(mode) for mode in _MODES],
-                                trials=base_trials, master_seed=seed)
+    curves = metrics.monte_carlo_sweep(
+        configs, [Curve(mode) for mode in _MODES], trials=base_trials,
+        master_seed=seed)
     for mode, reports in zip(_MODES, curves):
         for x, cfg, rep in zip(points, configs, reports):
             cf = closedform.rate_perfect(mode, cfg)
@@ -107,9 +108,9 @@ def criterion_imperfect_ul_match(config: SystemConfig, base_trials: int,
     ok = True
     worst_desc = ""
     worst_margin = -math.inf
-    curves = monte_carlo_curves(configs, [Curve(mode) for mode in _MODES],
-                                trials=base_trials, master_seed=seed,
-                                estimation=model)
+    curves = metrics.monte_carlo_sweep(
+        configs, [Curve(mode) for mode in _MODES], trials=base_trials,
+        master_seed=seed, estimation=model)
     for mode, reports in zip(_MODES, curves):
         for off, cfg, rep in zip(offsets, configs, reports):
             ref = closedform.ul_rate_imperfect(mode, cfg)
@@ -126,44 +127,29 @@ def criterion_imperfect_ul_match(config: SystemConfig, base_trials: int,
 
 
 def _mean_inv_gram_diag(gen: np.random.Generator, rows: int, cols: int,
-                        draws: int, keep: int, right: bool) -> float:
-    """Mean of 1 / [(A A^H)^{-1}]_kk (right) or 1 / [(A^H A)^{-1}]_kk over
-    the first keep diagonals, for draws matrices A = (X + iY) / sqrt(2)
-    with standard normal X and Y of shape (rows, cols).
+                        draws: int, keep: int) -> float:
+    """Mean of 1 / [(A A^H)^{-1}]_kk over the first keep diagonals, for
+    draws matrices A = (X + iY) / sqrt(2) with standard normal X and Y of
+    shape (rows, cols).  Each group of _GROUP_DRAWS matrices is one draw:
+    all its real parts, then all its imaginary parts.
 
     With C = X Y^T, G = 2 A A^H has real part X X^T + Y Y^T and imaginary
-    part C^T - C, so no complex copy of A is made.  The left Gram is the
-    right one of the transposes, conjugated, which leaves the real diagonal
-    of its inverse unchanged.  Only the kept columns of G^{-1} are solved
-    for, and 1 / [(A A^H)^{-1}]_kk = 1 / (2 [G^{-1}]_kk).
+    part C^T - C, so no complex copy of A is made.  Only the kept columns
+    of G^{-1} are solved for, and 1 / [(A A^H)^{-1}]_kk = 1 / (2 [G^{-1}]_kk).
     """
-    # A batch draws all its real parts, then all its imaginary parts, so
-    # the batch size of 2000 fixes which normals are real and which are
-    # imaginary parts; slicing the imaginary draw leaves the stream as is.
-    batch = max(1, min(2000, draws))
-    step = max(1, _SLICE_BYTES // (8 * rows * cols))
-    n = rows if right else cols
     # 3-D, so that NumPy < 2.0 also reads it as a stack of matrices
-    unit = np.eye(n, keep)[None]
-    im = np.empty((min(step, batch), rows, cols))
+    unit = np.eye(rows, keep)[None]
     total = 0.0
-    left = draws
-    while left > 0:
-        b = min(batch, left)
-        left -= b
-        re = gen.standard_normal((b, rows, cols))
-        for start in range(0, b, step):
-            x = re[start:start + step]
-            y = gen.standard_normal(out=im[:len(x)])
-            if not right:
-                x, y = x.transpose(0, 2, 1), y.transpose(0, 2, 1)
-            c = x @ y.transpose(0, 2, 1)
-            gram = np.empty((len(x), n, n), dtype=complex)
-            gram.real = x @ x.transpose(0, 2, 1) + y @ y.transpose(0, 2, 1)
-            gram.imag = c.transpose(0, 2, 1) - c
-            sol = np.linalg.solve(gram, unit)
-            diag = np.diagonal(sol, axis1=1, axis2=2).real
-            total += float(np.sum(1.0 / diag))
+    for start in range(0, draws, _GROUP_DRAWS):
+        group = min(_GROUP_DRAWS, draws - start)
+        x, y = gen.standard_normal((2, group, rows, cols))
+        c = x @ y.transpose(0, 2, 1)
+        gram = np.empty((group, rows, rows), dtype=complex)
+        gram.real = x @ x.transpose(0, 2, 1) + y @ y.transpose(0, 2, 1)
+        gram.imag = c.transpose(0, 2, 1) - c
+        sol = np.linalg.solve(gram, unit)
+        diag = np.diagonal(sol, axis1=1, axis2=2).real
+        total += float(np.sum(1.0 / diag))
     return total / (2 * draws * keep)
 
 
@@ -177,16 +163,18 @@ def criterion_expected_inverse_norms(config: SystemConfig, base_trials: int,
     """
     draws = 10 * base_trials
     m, n, k = config.M, config.N, config.K
+    # The combiner's norms come from (H^H H)^{-1} of the N x K uplink
+    # channel H, so its K x N draw is H^H, again i.i.d. CN(0, 1).
     targets = {
         "zf": (m - k + 1,
                _mean_inv_gram_diag(RngStream(seed, 0).generator(),
-                                   k, m, draws, k, right=True)),
+                                   k, m, draws, k)),
         "sps": (m - n - k + 1,
                 _mean_inv_gram_diag(RngStream(seed, 1).generator(),
-                                    n + k, m, draws, k, right=True)),
+                                    n + k, m, draws, k)),
         "combiner": (n - k + 1,
                      _mean_inv_gram_diag(RngStream(seed, 2).generator(),
-                                         n, k, draws, k, right=False)),
+                                         k, n, draws, k)),
     }
     worst = 0.0
     parts = []
@@ -215,7 +203,7 @@ def criterion_zero_forcing_residuals(config: SystemConfig, base_trials: int,
     for trials, sampler in segments:
         for chunk, _, _, _, h_ext_hat, h_ul_hat in metrics._trial_chunks(
                 config, model, seed, trials, sampler):
-            w, built = build_stack((sps,), h_ext_hat, h_ul_hat)
+            w, built = build((sps,), h_ext_hat, h_ul_hat)
             g, failed = built[sps]
             if failed.any():
                 return _build_failure(4, "zero-forcing residuals", sps, chunk,
@@ -242,7 +230,7 @@ def criterion_paired_residual_si(config: SystemConfig, base_trials: int,
 
     Paired one-sided test at the 1 percent level on the per-trial mean
     residual SI power difference (suppression minus subtraction).  Both
-    modes' transceivers come from one build_stack call per chunk of
+    modes' transceivers come from one build call per chunk of
     trials, so each trial's combiner is built once.
     """
     if base_trials < 2:
@@ -255,7 +243,7 @@ def criterion_paired_residual_si(config: SystemConfig, base_trials: int,
     diffs = []
     for chunk, _, _, h_si, h_ext_hat, h_ul_hat in metrics._trial_chunks(
             config, model, seed, range(base_trials)):
-        w, built = build_stack((stt, sps), h_ext_hat, h_ul_hat)
+        w, built = build((stt, sps), h_ext_hat, h_ul_hat)
         means = {}
         for mode, (g, failed) in built.items():
             if failed.any():

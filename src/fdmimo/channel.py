@@ -105,15 +105,6 @@ class SystemConfig:
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
-    """One coherence block of true channels (treated as immutable)."""
-
-    h_dl: np.ndarray   # (K, M)
-    h_ul: np.ndarray   # (N, K)
-    h_si: np.ndarray   # (N, M)
-
-
-@dataclass(frozen=True)
 class RicianParams:
     """Rician factor and line-of-sight amplitude of the SI channel."""
 
@@ -208,25 +199,17 @@ def _channel_stack(config: SystemConfig,
             np.empty((trials, n, m), dtype=complex))
 
 
-def _fill_iid(streams: list[RngStream], h_dl: np.ndarray, h_ul: np.ndarray,
-              h_si: np.ndarray) -> None:
+def generate_iid(streams: list[RngStream], h_dl: np.ndarray,
+                 h_ul: np.ndarray, h_si: np.ndarray) -> None:
     """Fill stacks of i.i.d. CN(0, 1) channels, trial i from streams[i].
 
-    A trial's stream holds h_dl, h_ul and h_si in that order, in the
-    layout of numerics._complex_gaussians.
+    h_dl, h_ul and h_si are (trials, K, M), (trials, N, K) and (trials,
+    N, M) complex stacks.  A trial's stream holds h_dl, h_ul and h_si in
+    that order, in the layout of numerics._complex_gaussians, so a given
+    stream always yields the same realization, whatever else the stack
+    holds.
     """
     _complex_gaussians(streams, [h_dl, h_ul, h_si], [1.0, 1.0, 1.0])
-
-
-def generate_iid(config: SystemConfig, rng: RngStream) -> ChannelRealization:
-    """Draw one i.i.d. CN(0, 1) realization of all three channels.
-
-    The three matrices are drawn sequentially (h_dl, h_ul, h_si) from a
-    single generator so a given stream always yields the same realization.
-    """
-    h = _channel_stack(config, 1)
-    _fill_iid([rng], *h)
-    return ChannelRealization(*(x[0] for x in h))
 
 
 def jakes_correlation(positions: np.ndarray, wavelength: float) -> np.ndarray:
@@ -289,29 +272,21 @@ class CorrelatedSampler:
                      * np.ones((config.N, config.M)))
         self._nlos_amp = np.sqrt(1.0 / (k + 1.0))
 
-    def sample(self, rng: RngStream) -> ChannelRealization:
-        """One correlated Rician realization from the stream.
+    def sample(self, streams: list[RngStream], h_dl: np.ndarray,
+               h_ul: np.ndarray, h_si: np.ndarray) -> None:
+        """Fill stacks of correlated Rician realizations, trial i from
+        streams[i], which holds the three i.i.d. matrices of generate_iid.
 
         h_dl = H_iid R_tx^(1/2); h_ul = R_rx^(1/2) H_iid; the
         self-interference channel is R_rx^(1/2) (LOS + NLOS) R_tx^(1/2)
         scaled entrywise by the square root of the free-space path gains,
-        which replace the flat beta_si of the i.i.d. model.
-        """
-        h = _channel_stack(self.config, 1)
-        self._fill([rng], *h)
-        return ChannelRealization(*(x[0] for x in h))
-
-    def _fill(self, streams: list[RngStream], h_dl: np.ndarray,
-              h_ul: np.ndarray, h_si: np.ndarray) -> None:
-        """Fill stacks of realizations as sample does, trial i from
-        streams[i], which holds the three i.i.d. matrices as in _fill_iid.
-
-        Each product is stacked over the trials against one 2-D factor,
-        which equals the per-trial product bit for bit; the SI expression
-        keeps its grouping, since distributing it changes the last bits.
+        which replace the flat beta_si of the i.i.d. model.  Each product
+        is stacked over the trials against one 2-D factor, which equals
+        the per-trial product bit for bit; the SI expression keeps its
+        grouping, since distributing it changes the last bits.
         """
         x_dl, x_ul, x_si = (np.empty_like(h) for h in (h_dl, h_ul, h_si))
-        _fill_iid(streams, x_dl, x_ul, x_si)
+        generate_iid(streams, x_dl, x_ul, x_si)
         np.matmul(x_dl, self.r_tx_sqrt, out=h_dl)
         np.matmul(self.r_rx_sqrt, x_ul, out=h_ul)
         x_si *= self._nlos_amp

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from typing import Sequence
 
@@ -98,8 +99,24 @@ def _resolve(args: argparse.Namespace):
     return config, scenario
 
 
+def _check_output(path: str) -> None:
+    """Reject a CSV destination that cannot be a file, before any trial is
+    drawn; the file itself is neither created nor truncated here."""
+    if path == "-":
+        return
+    if not path:
+        raise ConfigError("--output must not be empty")
+    if os.path.isdir(path):
+        raise ConfigError(f"--output {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--output {path}: directory {parent} does not "
+                          f"exist")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config, scenario = _resolve(args)
+    _check_output(args.output)
     if scenario.trials < _TRIALS_WARN_FLOOR:
         print(f"warning: {scenario.trials} trials is below the "
               f"{_TRIALS_WARN_FLOOR}-trial floor for publishable CSVs",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, ConfigError, SystemConfig
+from .channel import ConfigError, SystemConfig
 from .numerics import RngStream, _complex_gaussians
 
 
@@ -33,15 +33,6 @@ class EstimationModel:
     @property
     def perfect(self) -> bool:
         return self.eps2_dl == 0.0 and self.eps2_ul == 0.0 and self.eps2_si == 0.0
-
-
-@dataclass(frozen=True)
-class EstimatedChannels:
-    """Estimates h_hat = h + e of one channel realization."""
-
-    h_dl_hat: np.ndarray
-    h_ul_hat: np.ndarray
-    h_si_hat: np.ndarray
 
 
 def uldl_error_variance(beta_ue: float, rho_u: float, k: int) -> float:
@@ -69,9 +60,9 @@ def model_from_config(config: SystemConfig, perfect: bool) -> EstimationModel:
     return EstimationModel(eps2_dl=eps2, eps2_ul=eps2, eps2_si=config.nmse)
 
 
-def _add_errors(model: EstimationModel, streams: list[RngStream],
-                channels: tuple, hats: tuple,
-                si_amp: np.ndarray | None = None) -> None:
+def estimate(model: EstimationModel, streams: list[RngStream],
+             channels: tuple, hats: tuple,
+             si_amp: np.ndarray | None = None) -> None:
     """Write estimates hats = channels + errors for a stack of trials.
 
     channels and hats are (h_dl, h_ul, h_si) stacks.  The errors are
@@ -94,18 +85,3 @@ def _add_errors(model: EstimationModel, streams: list[RngStream],
             hat += h
         else:
             hat[...] = h
-
-
-def estimate(channels: ChannelRealization, model: EstimationModel,
-             rng: RngStream) -> EstimatedChannels:
-    """Apply additive estimation errors to one channel realization.
-
-    Errors are drawn i.i.d. CN(0, eps2) per matrix, sequentially
-    (e_dl, e_ul, e_si) from the given stream, independent of the channel
-    draws by stream separation; a zero-variance error takes no draws.
-    """
-    truth = tuple(h[None] for h in
-                  (channels.h_dl, channels.h_ul, channels.h_si))
-    hats = tuple(np.empty(h.shape, dtype=complex) for h in truth)
-    _add_errors(model, [rng], truth, hats)
-    return EstimatedChannels(*(hat[0] for hat in hats))

@@ -86,10 +86,12 @@ class Scenario:
             raise ConfigError("master_seed must be nonnegative")
         if not self.modes:
             raise ConfigError("modes must not be empty")
-        for token in self.modes:
+        for i, token in enumerate(self.modes):
             if token not in MODE_TOKENS:
                 raise ConfigError(f"unknown mode '{token}'; expected one of "
                                   f"{', '.join(MODE_TOKENS)}")
+            if token in self.modes[:i]:
+                raise ConfigError(f"mode '{token}' is listed more than once")
 
     def _steps(self) -> float:
         """Steps from start to stop, with slack for float rounding; may be
@@ -290,7 +292,7 @@ def run_scenario(config: SystemConfig, scenario: Scenario,
         for token in scenario.modes:
             progress(f"{scenario.name}: mode {token}, {len(xs)} points, "
                      f"{scenario.trials} trials")
-    reports = metrics.monte_carlo_curves(
+    reports = metrics.monte_carlo_sweep(
         configs, curves, trials=scenario.trials,
         master_seed=scenario.master_seed, estimation=model, sampler=sampler)
 

@@ -32,15 +32,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channel import (ConfigError, CorrelatedSampler, SystemConfig,
-                      _channel_stack, _fill_iid)
-from .estimation import EstimationModel, _add_errors
+                      _channel_stack, generate_iid)
+from .estimation import EstimationModel, estimate
 from .numerics import RngStream
-from .transceiver import SicMode, build_stack
-# Not called here, but importable from fdmimo.metrics, where tracing tools
-# look up the pipeline's one-trial stages.
-from .channel import generate_iid  # noqa: F401
-from .estimation import estimate  # noqa: F401
-from .transceiver import build  # noqa: F401
+from .transceiver import SicMode, build
 
 
 @dataclass(frozen=True)
@@ -174,18 +169,18 @@ def _trial_chunks(config: SystemConfig, model: EstimationModel,
     _chunk_trials(M, N, K) trials, the chunk's trial indices, the stacked
     true channels h_dl, h_ul, h_si and estimates h_ext_hat (each downlink
     estimate over its SI estimate) and h_ul_hat.
-    Every array equals a stack of that trial's generate_iid or
-    CorrelatedSampler.sample and estimate calls bit for bit, where a
-    sampler's SI error is scaled by its path-gain amplitude.  The arrays
-    are views of buffers that the next chunk overwrites.
+    A chunk is one generate_iid or CorrelatedSampler.sample call and one
+    estimate call, whose values depend on each trial's streams alone,
+    where a sampler's SI error is scaled by its path-gain amplitude.  The
+    arrays are views of buffers that the next chunk overwrites.
     """
     m, n, k = config.M, config.N, config.K
     if sampler is None:
-        fill, si_amp = _fill_iid, None
+        fill, si_amp = generate_iid, None
     else:
         # The SI estimation error follows the local channel power, to keep
         # the NMSE meaningful per element.
-        fill, si_amp = sampler._fill, sampler._si_amp
+        fill, si_amp = sampler.sample, sampler._si_amp
     size = max(1, min(len(trials), _chunk_trials(m, n, k)))
     h_dl, h_ul, h_si = _channel_stack(config, size)
     h_ext_hat = np.empty((size, k + n, m), dtype=complex)
@@ -195,18 +190,18 @@ def _trial_chunks(config: SystemConfig, model: EstimationModel,
         c = len(chunk)
         channels = (h_dl[:c], h_ul[:c], h_si[:c])
         fill([RngStream(master_seed, 2 * t) for t in chunk], *channels)
-        _add_errors(model, [RngStream(master_seed, 2 * t + 1) for t in chunk],
-                    channels, (h_ext_hat[:c, :k], h_ul_hat[:c],
-                               h_ext_hat[:c, k:]), si_amp)
+        estimate(model, [RngStream(master_seed, 2 * t + 1) for t in chunk],
+                 channels, (h_ext_hat[:c, :k], h_ul_hat[:c],
+                            h_ext_hat[:c, k:]), si_amp)
         yield (chunk, *channels, h_ext_hat[:c], h_ul_hat[:c])
 
 
-def monte_carlo_curves(configs: Sequence[SystemConfig],
-                       curves: Sequence[Curve], *, trials: int,
-                       master_seed: int,
-                       estimation: EstimationModel | None = None,
-                       sampler: CorrelatedSampler | None = None
-                       ) -> list[list[RateReport]]:
+def monte_carlo_sweep(configs: Sequence[SystemConfig],
+                      curves: Sequence[Curve], *, trials: int,
+                      master_seed: int,
+                      estimation: EstimationModel | None = None,
+                      sampler: CorrelatedSampler | None = None
+                      ) -> list[list[RateReport]]:
     """Monte Carlo rates of several curves over shared operating points.
 
     The configs, and a correlated sampler's config, must agree on
@@ -251,7 +246,7 @@ def monte_carlo_curves(configs: Sequence[SystemConfig],
     failures = [0] * len(curves)
     for _, h_dl, h_ul, h_si, h_ext_hat, h_ul_hat in _trial_chunks(
             base, model, master_seed, range(trials), sampler):
-        w, built = build_stack(modes, h_ext_hat, h_ul_hat)
+        w, built = build(modes, h_ext_hat, h_ul_hat)
         # Axes: trial, [curve,] point, user.  The downlink rates depend on
         # the precoder only, so each distinct one is evaluated once.
         dl_rates = {}
@@ -286,31 +281,16 @@ def monte_carlo_curves(configs: Sequence[SystemConfig],
     return reports
 
 
-def monte_carlo_sweep(configs: Sequence[SystemConfig], mode: SicMode, *,
-                      trials: int, master_seed: int,
-                      estimation: EstimationModel | None = None,
-                      sampler: CorrelatedSampler | None = None
-                      ) -> list[RateReport]:
-    """Monte Carlo rates of one mode at several operating points.
-
-    The one-curve case of monte_carlo_curves, at every point's default SI
-    level.  Each point's report is bit-identical to running monte_carlo
-    on it alone with the same seed.
-    """
-    return monte_carlo_curves(
-        configs, [Curve(mode)], trials=trials,
-        master_seed=master_seed, estimation=estimation, sampler=sampler)[0]
-
-
 def monte_carlo(config: SystemConfig, mode: SicMode, *, trials: int,
                 master_seed: int,
                 estimation: EstimationModel | None = None,
                 sampler: CorrelatedSampler | None = None) -> RateReport:
     """Monte Carlo ergodic sum rates for a single operating point.
 
-    estimation=None means perfect CSI; a sampler switches on its
-    correlated Rician channel model.
+    The one-point, one-curve call of monte_carlo_sweep, at the point's
+    SI level.  estimation=None means perfect CSI; a sampler switches on
+    its correlated Rician channel model.
     """
     return monte_carlo_sweep(
-        [config], mode, trials=trials, master_seed=master_seed,
-        estimation=estimation, sampler=sampler)[0]
+        [config], [Curve(mode)], trials=trials, master_seed=master_seed,
+        estimation=estimation, sampler=sampler)[0][0]

@@ -20,10 +20,6 @@ GRAM_CONDITION_LIMIT = 1e12
 _J0_BLOCK = 1 << 15
 
 
-class SingularMatrixError(np.linalg.LinAlgError):
-    """Raised when a Gram matrix is rank deficient or too ill-conditioned."""
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Independent substream of a master seed.
@@ -147,12 +143,12 @@ def _gram_inverse(gram: np.ndarray) -> np.ndarray:
 
 
 def _pseudo_inverse(a: np.ndarray,
-                    gram_name: str) -> tuple[np.ndarray, np.ndarray]:
+                    wide: bool) -> tuple[np.ndarray, np.ndarray]:
     """Guarded Moore-Penrose inverse of a full-rank matrix or stack.
 
-    gram_name names the Gram matrix G to form, and so the side: "A·Aᴴ"
-    gives the right inverse A^H (A A^H)^{-1} of a wide matrix, "Aᴴ·A" the
-    left inverse (A^H A)^{-1} A^H of a tall one.  Where G has a Frobenius
+    wide picks the Gram matrix G to form, and so the side: A A^H gives the
+    right inverse A^H (A A^H)^{-1} of a wide matrix, A^H A the left
+    inverse (A^H A)^{-1} A^H of a tall one.  Where G has a Frobenius
     condition number ||G||_F ||G^{-1}||_F below _GRAM_FAST_LIMIT, the
     inverse X0 from G^{-1} is refined once, X = X0 + X0 (I - A X0) (wide)
     or X0 + (I - X0 A) X0 (tall), which squares its residual and keeps X
@@ -160,12 +156,10 @@ def _pseudo_inverse(a: np.ndarray,
     _svd_pseudo_inverse, and so does the guard: since kappa_2 <= kappa_F,
     a matrix on the fast route always passes it (the factor 1/2 absorbs
     the rounding of kappa_F), and the returned failure mask is exactly
-    the SVD's.  a is one matrix or a stack; each matrix's route and result
-    depend on that matrix alone, so a stack's members equal their
-    one-matrix calls bit for bit.
+    the SVD's.  Each matrix's route and result depend on that matrix
+    alone, so a stack's members equal their one-matrix calls bit for bit.
     """
     ah = a.conj().swapaxes(-1, -2)
-    wide = gram_name == "A·Aᴴ"
     gram = a @ ah if wide else ah @ a
     gram_inv = _gram_inverse(gram)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -186,36 +180,31 @@ def _pseudo_inverse(a: np.ndarray,
     return x, failed
 
 
-def _one_pseudo_inverse(a: np.ndarray, gram_name: str) -> np.ndarray:
-    x, failed = _pseudo_inverse(a, gram_name)
-    if failed:
-        raise SingularMatrixError(
-            f"Gram matrix {gram_name} is singular or has a condition number "
-            f"at or above {GRAM_CONDITION_LIMIT:.1e}")
-    return x
-
-
-def right_pseudo_inverse(a: np.ndarray) -> np.ndarray:
+def right_pseudo_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Right inverse A^H (A A^H)^{-1} of a full-row-rank wide matrix.
 
-    Taken from the inverse of the Gram matrix plus one refinement step
-    where that Gram is well conditioned, and from a rank-revealing SVD
+    a is one matrix or a stack of matrices along leading axes.  Taken
+    from the inverse of the Gram matrix plus one refinement step where
+    that Gram is well conditioned, and from a rank-revealing SVD
     otherwise, so the residual ||A X - I|| stays near machine precision
-    even for moderately ill-conditioned inputs.  A Gram matrix that fails
-    the condition guard raises SingularMatrixError.
+    even for moderately ill-conditioned inputs.  Returns the inverses and
+    a boolean mask over the leading axes of the matrices whose Gram is
+    singular or has a condition number at or above GRAM_CONDITION_LIMIT;
+    the inverses of those are meaningless.
     """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] > a.shape[1]:
-        raise ValueError("right inverse needs rows <= cols")
-    return _one_pseudo_inverse(a, "A·Aᴴ")
+    if a.ndim < 2 or a.shape[-2] > a.shape[-1]:
+        raise ValueError("right inverse needs matrices with rows <= cols")
+    return _pseudo_inverse(a, wide=True)
 
 
-def left_pseudo_inverse(a: np.ndarray) -> np.ndarray:
-    """Left inverse (A^H A)^{-1} A^H of a full-column-rank tall matrix."""
+def left_pseudo_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left inverse (A^H A)^{-1} A^H of a full-column-rank tall matrix or
+    stack, with the failure mask of right_pseudo_inverse."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] < a.shape[1]:
-        raise ValueError("left inverse needs rows >= cols")
-    return _one_pseudo_inverse(a, "Aᴴ·A")
+    if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
+        raise ValueError("left inverse needs matrices with rows >= cols")
+    return _pseudo_inverse(a, wide=False)
 
 
 def bessel_j0(x):

@@ -19,31 +19,16 @@ of h_ul_hat.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
-from .estimation import EstimatedChannels
-from .numerics import SingularMatrixError
-# Not called here, but importable from fdmimo.transceiver, where tracing
-# tools look up the one-matrix pseudo-inverses.
-from .numerics import left_pseudo_inverse, right_pseudo_inverse  # noqa: F401
+from .numerics import left_pseudo_inverse, right_pseudo_inverse
 
 
 class SicMode(enum.Enum):
     NO_SIC = "nosic"
     SUBTRACTION = "stt"
     SPATIAL_SUPPRESSION = "sps"
-
-
-@dataclass(frozen=True)
-class TransceiverSet:
-    """Normalized precoder g, combiner w, and mode."""
-
-    g: np.ndarray        # (M, K) unit-total-power precoder
-    w: np.ndarray        # (K, N) receive combiner, row k serves user k
-    mode: SicMode
 
 
 def _normalize(f_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -57,25 +42,7 @@ def _normalize(f_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f_raw / (np.sqrt(k) * norms[..., None, :]), degenerate
 
 
-def build(mode: SicMode, est: EstimatedChannels) -> TransceiverSet:
-    """Assemble the precoder/combiner pair for one mode and CSI draw.
-
-    The one-draw call of build_stack.  Raises SingularMatrixError naming
-    the mode where build_stack flags the draw.
-    """
-    ext = np.vstack([est.h_dl_hat, est.h_si_hat])
-    w, built = build_stack((mode,), ext[None], est.h_ul_hat[None])
-    g, failed = built[mode]
-    if failed[0]:
-        raise SingularMatrixError(
-            f"{mode.value} transceiver: a Gram matrix is singular or has a "
-            f"condition number at or above "
-            f"{numerics.GRAM_CONDITION_LIMIT:.1e}, or a precoder column is "
-            f"zero")
-    return TransceiverSet(g=g[0], w=w[0], mode=mode)
-
-
-def build_stack(modes, h_ext_hat: np.ndarray, h_ul_hat: np.ndarray):
+def build(modes, h_ext_hat: np.ndarray, h_ul_hat: np.ndarray):
     """Transceivers for a stack of CSI draws, each distinct one built once.
 
     h_ext_hat is (T, K + N, M): every downlink estimate stacked over its SI
@@ -87,10 +54,10 @@ def build_stack(modes, h_ext_hat: np.ndarray, h_ul_hat: np.ndarray):
     precoder.  Each draw's matrices depend on that draw alone.
     """
     k = h_ul_hat.shape[-1]
-    w, w_failed = numerics._pseudo_inverse(h_ul_hat, "Aᴴ·A")
+    w, w_failed = left_pseudo_inverse(h_ul_hat)
 
     def precoder(rows):
-        full, failed = numerics._pseudo_inverse(rows, "A·Aᴴ")
+        full, failed = right_pseudo_inverse(rows)
         g, degenerate = _normalize(full[..., :k])
         return g, failed | degenerate | w_failed
 

@@ -18,12 +18,11 @@ from fdmimo import acceptance, experiments, numerics
 from fdmimo.acceptance import (_Z99, criterion_paired_residual_si,
                                criterion_zero_forcing_residuals, run_all)
 from fdmimo.channel import (CorrelatedSampler, RicianParams, SystemConfig,
-                            default_geometry, generate_iid)
-from fdmimo.estimation import (EstimatedChannels, _add_errors, estimate,
-                               model_from_config)
+                            _channel_stack, default_geometry, generate_iid)
+from fdmimo.estimation import estimate, model_from_config
 from fdmimo.metrics import residual_si
 from fdmimo.numerics import RngStream
-from fdmimo.transceiver import SicMode, build, build_stack
+from fdmimo.transceiver import SicMode, build
 
 BASE_TRIALS = 10_000
 SEED = 1
@@ -82,17 +81,40 @@ def test_criterion_9_csv_determinism(results, capsys):
 SMALL = SystemConfig(M=12, N=4, K=2)
 
 
+def _trial(model, seed, t, sampler=None):
+    """Trial t's true channels and estimates (h_dl_hat, h_ul_hat,
+    h_si_hat) on SMALL, drawn as a stack of one trial; a sampler's SI
+    error is scaled by its path gains, as the correlated engine does."""
+    truth = _channel_stack(SMALL, 1)
+    fill = generate_iid if sampler is None else sampler.sample
+    fill([RngStream(seed, 2 * t)], *truth)
+    hats = tuple(np.empty_like(h) for h in truth)
+    estimate(model, [RngStream(seed, 2 * t + 1)], truth, hats,
+             None if sampler is None else sampler._si_amp)
+    return tuple(h[0] for h in truth), tuple(h[0] for h in hats)
+
+
+def _build(mode, hats):
+    """One draw's precoder and combiner for mode, built as a stack of one
+    draw."""
+    dl, ul, si = hats
+    w, built = build((mode,), np.vstack([dl, si])[None], ul[None])
+    g, failed = built[mode]
+    assert not failed[0]
+    return g[0], w[0]
+
+
 def test_criterion_4_matches_a_per_trial_build_loop(monkeypatch):
     # chunks of 3: both the 50 i.i.d. and the 20 correlated trials end in
     # a partial chunk; the loop is the reference
     monkeypatch.setattr("fdmimo.metrics._chunk_trials", lambda m, n, k: 3)
     built = []
 
-    def recording_build_stack(modes, h_ext_hat, h_ul_hat):
+    def recording_build(modes, h_ext_hat, h_ul_hat):
         built.extend(zip(h_ext_hat.copy(), h_ul_hat.copy()))
-        return build_stack(modes, h_ext_hat, h_ul_hat)
+        return build(modes, h_ext_hat, h_ul_hat)
 
-    monkeypatch.setattr(acceptance, "build_stack", recording_build_stack)
+    monkeypatch.setattr(acceptance, "build", recording_build)
     base_trials, seed = 100, 3001
     model = model_from_config(SMALL, perfect=False)
     sampler = CorrelatedSampler(
@@ -103,23 +125,14 @@ def test_criterion_4_matches_a_per_trial_build_loop(monkeypatch):
     worst_comb = 0.0
     ests = []
     for i in range(iid_trials + corr_trials):
-        error_stream = RngStream(seed, 2 * i + 1)
-        if i >= iid_trials:
-            # the correlated engine scales the SI error by the path gains
-            ch = sampler.sample(RngStream(seed, 2 * i))
-            truth = tuple(h[None] for h in (ch.h_dl, ch.h_ul, ch.h_si))
-            hats = tuple(np.empty_like(h) for h in truth)
-            _add_errors(model, [error_stream], truth, hats, sampler._si_amp)
-            est = EstimatedChannels(*(hat[0] for hat in hats))
-        else:
-            ch = generate_iid(SMALL, RngStream(seed, 2 * i))
-            est = estimate(ch, model, error_stream)
-        ests.append(est)
-        ts = build(SicMode.SPATIAL_SUPPRESSION, est)
-        null = np.linalg.norm(est.h_si_hat @ ts.g)
-        null_rel = null / (np.linalg.norm(est.h_si_hat)
-                           * np.linalg.norm(ts.g))
-        comb = np.linalg.norm(ts.w @ est.h_ul_hat - np.eye(SMALL.K))
+        _, hats = _trial(model, seed, i,
+                         sampler if i >= iid_trials else None)
+        ests.append(hats)
+        dl_hat, ul_hat, si_hat = hats
+        g, w = _build(SicMode.SPATIAL_SUPPRESSION, hats)
+        null = np.linalg.norm(si_hat @ g)
+        null_rel = null / (np.linalg.norm(si_hat) * np.linalg.norm(g))
+        comb = np.linalg.norm(w @ ul_hat - np.eye(SMALL.K))
         worst_null = max(worst_null, null_rel)
         worst_comb = max(worst_comb, comb)
     got = criterion_zero_forcing_residuals(SMALL, base_trials, seed)
@@ -130,10 +143,9 @@ def test_criterion_4_matches_a_per_trial_build_loop(monkeypatch):
     assert got.passed
     # every trial was built from its own draw, in trial order
     assert len(built) == len(ests)
-    for (h_ext_hat, h_ul_hat), est in zip(built, ests):
-        assert np.array_equal(h_ext_hat,
-                              np.vstack([est.h_dl_hat, est.h_si_hat]))
-        assert np.array_equal(h_ul_hat, est.h_ul_hat)
+    for (h_ext_hat, h_ul_hat), (dl_hat, ul_hat, si_hat) in zip(built, ests):
+        assert np.array_equal(h_ext_hat, np.vstack([dl_hat, si_hat]))
+        assert np.array_equal(h_ul_hat, ul_hat)
 
 
 def test_criterion_4_fails_on_a_failed_transceiver(monkeypatch):
@@ -150,12 +162,11 @@ def test_criterion_5_matches_a_per_trial_build_loop(monkeypatch):
     model = model_from_config(SMALL, perfect=False)
     diffs = np.empty(trials)
     for t in range(trials):
-        ch = generate_iid(SMALL, RngStream(seed, 2 * t))
-        est = estimate(ch, model, RngStream(seed, 2 * t + 1))
+        (_, _, h_si), hats = _trial(model, seed, t)
         om = {}
         for mode in (SicMode.SUBTRACTION, SicMode.SPATIAL_SUPPRESSION):
-            ts = build(mode, est)
-            om[mode] = residual_si(mode, ts.w, ch.h_si, est.h_si_hat, ts.g)
+            g, w = _build(mode, hats)
+            om[mode] = residual_si(mode, w, h_si, hats[2], g)
         diffs[t] = float(np.mean(om[SicMode.SPATIAL_SUPPRESSION])
                          - np.mean(om[SicMode.SUBTRACTION]))
     mean = float(np.mean(diffs))
@@ -181,24 +192,16 @@ def test_criterion_5_needs_two_base_trials():
     assert got.detail == "needs at least 2 base trials"
 
 
-def _mean_inv_gram_diag_reference(gen, rows, cols, draws, keep, right):
-    # complex matrices, a complex Gram and its full inverse, per batch of
-    # 2000 draws: real parts, then imaginary parts
+def _mean_inv_gram_diag_reference(gen, rows, cols, draws, keep):
+    # complex matrices, a complex Gram and its full inverse, per group of
+    # 64 draws: real parts, then imaginary parts
     total = 0.0
     count = 0
-    chunk = max(1, min(2000, draws))
-    left = draws
-    while left > 0:
-        b = min(chunk, left)
-        left -= b
-        re = gen.standard_normal((b, rows, cols))
-        im = gen.standard_normal((b, rows, cols))
+    for start in range(0, draws, 64):
+        b = min(64, draws - start)
+        re, im = gen.standard_normal((2, b, rows, cols))
         a = (re + 1j * im) / np.sqrt(2.0)
-        if right:
-            gram = a @ a.conj().transpose(0, 2, 1)
-        else:
-            gram = a.conj().transpose(0, 2, 1) @ a
-        inv = np.linalg.inv(gram)
+        inv = np.linalg.inv(a @ a.conj().transpose(0, 2, 1))
         diag = np.real(np.diagonal(inv, axis1=1, axis2=2))[:, :keep]
         total += float(np.sum(1.0 / diag))
         count += b * keep
@@ -206,32 +209,29 @@ def _mean_inv_gram_diag_reference(gen, rows, cols, draws, keep, right):
 
 
 @pytest.mark.parametrize("draws", [1, 7, 2000, 2003, 4500])
-@pytest.mark.parametrize("right", [True, False])
+@pytest.mark.parametrize("wide", [True, False])
 @pytest.mark.parametrize("keep", [2, 5])
-def test_criterion_3_kernel_matches_the_complex_inverse(monkeypatch, draws,
-                                                        right, keep):
-    rows, cols = (5, 9) if right else (9, 5)
-    # slices of 300 draws: a batch of 2000 ends in a partial slice
-    monkeypatch.setattr(acceptance, "_SLICE_BYTES", 300 * 8 * rows * cols)
+def test_criterion_3_kernel_matches_the_complex_inverse(draws, wide, keep):
+    # a wide matrix, or a square one as the suppression precoder's at
+    # M = N + K; every draw count but 1 and 7 ends in a partial group
+    rows, cols = (5, 9) if wide else (5, 5)
     want_gen = RngStream(7, 3).generator()
     got_gen = RngStream(7, 3).generator()
-    want = _mean_inv_gram_diag_reference(want_gen, rows, cols, draws, keep,
-                                         right)
-    got = acceptance._mean_inv_gram_diag(got_gen, rows, cols, draws, keep,
-                                         right)
+    want = _mean_inv_gram_diag_reference(want_gen, rows, cols, draws, keep)
+    got = acceptance._mean_inv_gram_diag(got_gen, rows, cols, draws, keep)
     assert got == pytest.approx(want, rel=1e-12)
     # both drew the same normals
     assert got_gen.standard_normal() == want_gen.standard_normal()
 
 
 def test_criterion_3_kernel_peak_memory():
-    # one batch of the SPS target at the default sizes; complex copies and
-    # full inverses of a whole 2000-draw batch would peak near 200 MiB
+    # 2000 draws of the SPS target at the default sizes; complex copies
+    # and full inverses of all of them would peak near 200 MiB
     gen = RngStream(1, 1).generator()
     tracemalloc.start()
     try:
-        acceptance._mean_inv_gram_diag(gen, 30, 64, 2000, 10, right=True)
+        acceptance._mean_inv_gram_diag(gen, 30, 64, 2000, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 16 * 2**20

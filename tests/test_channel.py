@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from fdmimo.channel import (ArrayGeometry, ConfigError, CorrelatedSampler,
                             RicianParams, SPEED_OF_LIGHT, SystemConfig,
-                            db_to_linear, default_geometry, free_space_gains,
-                            generate_iid, jakes_correlation,
-                            si_pathloss_gains)
+                            _channel_stack, db_to_linear, default_geometry,
+                            free_space_gains, generate_iid,
+                            jakes_correlation, si_pathloss_gains)
 from fdmimo.numerics import RngStream
 
 CARRIER_HZ = 2.1e9
@@ -22,6 +22,14 @@ def small_config(**kw):
     defaults = dict(M=16, N=6, K=3)
     defaults.update(kw)
     return SystemConfig(**defaults)
+
+
+def _draw(fill, cfg, seed, indices):
+    """Stacks (h_dl, h_ul, h_si) that fill (generate_iid or a sampler's
+    sample) draws from the substreams of seed with the given indices."""
+    h = _channel_stack(cfg, len(indices))
+    fill([RngStream(seed, i) for i in indices], *h)
+    return h
 
 
 # ------------------------------------------------------------- dB helpers
@@ -91,26 +99,23 @@ def test_config_is_frozen():
 
 def test_generate_iid_shapes_and_determinism():
     cfg = small_config()
-    a = generate_iid(cfg, RngStream(42, 0))
-    b = generate_iid(cfg, RngStream(42, 0))
-    assert a.h_dl.shape == (3, 16)
-    assert a.h_ul.shape == (6, 3)
-    assert a.h_si.shape == (6, 16)
-    for x, y in ((a.h_dl, b.h_dl), (a.h_ul, b.h_ul), (a.h_si, b.h_si)):
+    a = _draw(generate_iid, cfg, 42, [0])
+    b = _draw(generate_iid, cfg, 42, [0])
+    assert [h.shape for h in a] == [(1, 3, 16), (1, 6, 3), (1, 6, 16)]
+    for x, y in zip(a, b):
         assert np.array_equal(x, y)
-    c = generate_iid(cfg, RngStream(42, 1))
-    assert not np.array_equal(a.h_dl, c.h_dl)
+    c = _draw(generate_iid, cfg, 42, [1])
+    assert not np.array_equal(a[0], c[0])
+    # a trial's draw depends on its own stream alone, not on the stack
+    both = _draw(generate_iid, cfg, 42, [1, 0])
+    for x, y, z in zip(both, c, a):
+        assert np.array_equal(x[0], y[0]) and np.array_equal(x[1], z[0])
 
 
 def test_generate_iid_unit_variance():
     cfg = SystemConfig()
-    acc = 0.0
-    n = 0
-    for t in range(40):
-        ch = generate_iid(cfg, RngStream(5, t))
-        acc += np.sum(np.abs(ch.h_si) ** 2)
-        n += ch.h_si.size
-    assert abs(acc / n - 1.0) < 0.02
+    h_si = _draw(generate_iid, cfg, 5, range(40))[2]
+    assert abs(np.mean(np.abs(h_si) ** 2) - 1.0) < 0.02
 
 
 # -------------------------------------------------------- Jakes correlation
@@ -248,12 +253,10 @@ def test_generate_correlated_shapes_and_determinism():
     cfg = small_config()
     geo = default_geometry(cfg, CARRIER_HZ)
     ric = RicianParams(kappa=1.0, sigma_si=1.0)
-    a = CorrelatedSampler(cfg, geo, ric).sample(RngStream(7, 3))
-    b = CorrelatedSampler(cfg, geo, ric).sample(RngStream(7, 3))
-    assert a.h_dl.shape == (3, 16)
-    assert a.h_ul.shape == (6, 3)
-    assert a.h_si.shape == (6, 16)
-    assert np.array_equal(a.h_si, b.h_si)
+    a = _draw(CorrelatedSampler(cfg, geo, ric).sample, cfg, 7, [3])
+    b = _draw(CorrelatedSampler(cfg, geo, ric).sample, cfg, 7, [3])
+    assert [h.shape for h in a] == [(1, 3, 16), (1, 6, 3), (1, 6, 16)]
+    assert np.array_equal(a[2], b[2])
 
 
 def _uncorrelated(sampler, si_amp=None):
@@ -274,11 +277,10 @@ def test_identity_overrides_reduce_to_iid_draw():
     sampler = _uncorrelated(
         CorrelatedSampler(cfg, geo, RicianParams(kappa=0.0, sigma_si=1.0)),
         np.ones((cfg.N, cfg.M)))
-    a = sampler.sample(RngStream(99, 2))
-    b = generate_iid(cfg, RngStream(99, 2))
-    assert np.array_equal(a.h_dl, b.h_dl)
-    assert np.array_equal(a.h_ul, b.h_ul)
-    assert np.array_equal(a.h_si, b.h_si)
+    a = _draw(sampler.sample, cfg, 99, [2, 5])
+    b = _draw(generate_iid, cfg, 99, [2, 5])
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
 
 
 def test_pure_los_limit():
@@ -287,8 +289,8 @@ def test_pure_los_limit():
     sampler = _uncorrelated(
         CorrelatedSampler(cfg, geo, RicianParams(kappa=1e12, sigma_si=2.0)),
         np.ones((cfg.N, cfg.M)))
-    ch = sampler.sample(RngStream(0, 0))
-    assert np.max(np.abs(ch.h_si - 2.0)) < 1e-4
+    h_si = _draw(sampler.sample, cfg, 0, [0])[2]
+    assert np.max(np.abs(h_si - 2.0)) < 1e-4
 
 
 def test_si_channel_power_tracks_path_gains():
@@ -298,11 +300,8 @@ def test_si_channel_power_tracks_path_gains():
     geo = default_geometry(cfg, CARRIER_HZ)
     sampler = _uncorrelated(
         CorrelatedSampler(cfg, geo, RicianParams(kappa=3.0, sigma_si=1.0)))
-    acc = np.zeros((cfg.N, cfg.M))
-    trials = 4000
-    for t in range(trials):
-        acc += np.abs(sampler.sample(RngStream(3, t)).h_si) ** 2
-    ratio = acc / trials / si_pathloss_gains(geo)
+    h_si = _draw(sampler.sample, cfg, 3, range(4000))[2]
+    ratio = np.mean(np.abs(h_si) ** 2, axis=0) / si_pathloss_gains(geo)
     assert abs(np.mean(ratio) - 1.0) < 0.05
 
 
@@ -311,12 +310,9 @@ def test_uplink_rows_follow_receive_correlation():
     geo = default_geometry(cfg, CARRIER_HZ)
     sampler = CorrelatedSampler(cfg, geo, RicianParams())
     r_rx = sampler.r_rx_sqrt @ sampler.r_rx_sqrt
-    acc = np.zeros((cfg.N, cfg.N), dtype=complex)
     trials = 3000
-    for t in range(trials):
-        h = sampler.sample(RngStream(17, t)).h_ul
-        acc += h @ h.conj().T
-    emp = acc / (trials * cfg.K)
+    h = _draw(sampler.sample, cfg, 17, range(trials))[1]
+    emp = np.sum(h @ h.conj().transpose(0, 2, 1), axis=0) / (trials * cfg.K)
     rel = np.linalg.norm(emp - r_rx) / np.linalg.norm(r_rx)
     assert rel < 0.1
 
@@ -326,8 +322,7 @@ def test_correlated_marginals_stay_standard_normal():
     cfg = small_config()
     geo = default_geometry(cfg, CARRIER_HZ)
     sampler = CorrelatedSampler(cfg, geo, RicianParams())
-    vals = np.array([sampler.sample(RngStream(23, t)).h_dl[1, 4]
-                     for t in range(3000)])
+    vals = _draw(sampler.sample, cfg, 23, range(3000))[0][:, 1, 4]
     stat = scipy.stats.kstest(vals.real * math.sqrt(2.0), "norm")
     assert stat.pvalue > 1e-4
 
@@ -358,7 +353,5 @@ def test_rician_params_validation():
 def test_iid_streams_never_collide_with_error_streams(seed):
     # channel draws use even indices, estimation errors odd ones; adjacent
     # streams must be distinct
-    cfg = small_config()
-    a = generate_iid(cfg, RngStream(seed, 0))
-    b = generate_iid(cfg, RngStream(seed, 1))
-    assert not np.array_equal(a.h_dl, b.h_dl)
+    h_dl = _draw(generate_iid, small_config(), seed, [0, 1])[0]
+    assert not np.array_equal(h_dl[0], h_dl[1])

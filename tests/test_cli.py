@@ -187,6 +187,64 @@ def test_run_abort_with_no_rows_reports_plain_error(monkeypatch, capsys,
     assert out == "" and not out_path.exists()
 
 
+def _no_run(monkeypatch):
+    def reached(config, scenario, progress=None):
+        raise AssertionError("trials drawn before --output was checked")
+
+    monkeypatch.setattr(cli.experiments, "run_scenario", reached)
+
+
+def test_output_in_a_missing_directory_exits_1_before_any_trial(
+        monkeypatch, tmp_path, capsys):
+    _no_run(monkeypatch)
+    out_path = tmp_path / "absent" / "out.csv"
+    assert cli.main(["run", "--output", str(out_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: ")
+    assert f"directory {tmp_path / 'absent'} does not exist" in err
+    assert out == "" and not out_path.parent.exists()
+
+
+def test_output_that_is_a_directory_exits_1_before_any_trial(
+        monkeypatch, tmp_path, capsys):
+    _no_run(monkeypatch)
+    assert cli.main(["run", "--output", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: ")
+    assert f"--output {tmp_path} is a directory" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+    assert cli.main(["run", "--output", ""]) == 1
+    assert "--output must not be empty" in capsys.readouterr().err
+
+
+def test_output_check_leaves_an_existing_file_alone(monkeypatch, tmp_path,
+                                                    capsys):
+    # the check neither creates nor truncates the file, so a run that
+    # fails keeps what was there
+    def die(config, scenario, progress=None):
+        raise RuntimeError("nothing happened")
+
+    monkeypatch.setattr(cli.experiments, "run_scenario", die)
+    out_path = tmp_path / "old.csv"
+    out_path.write_text("kept\n", encoding="utf-8")
+    assert cli.main(["run", "--output", str(out_path)]) == 2
+    assert "error: nothing happened" in capsys.readouterr().err
+    assert out_path.read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("flags, text", [
+    (["--modes", "stt,sps,stt"], ""), ([], "modes = hd,hd\n")])
+def test_a_repeated_mode_exits_1(flags, text, monkeypatch, tmp_path, capsys):
+    _no_run(monkeypatch)
+    path = tmp_path / "modes.conf"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["run", "--config", str(path), *flags]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: ")
+    assert "is listed more than once" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("line, msg", [
     ("sweep_stop = nan", "sweep_stop must be finite"),
     ("sweep_start = -inf", "sweep_start must be finite"),

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdmimo.channel import (ConfigError, SystemConfig, default_geometry,
-                            generate_iid, si_pathloss_gains)
+from fdmimo.channel import (ConfigError, SystemConfig, _channel_stack,
+                            default_geometry, generate_iid,
+                            si_pathloss_gains)
 from fdmimo.estimation import (EstimationModel, estimate, model_from_config,
                                uldl_error_variance)
 from fdmimo.experiments import CORRELATED_CARRIER_HZ, correlated_sampler
@@ -13,9 +14,20 @@ from fdmimo.metrics import _trial_chunks
 from fdmimo.numerics import RngStream
 
 
-def _draw(seed=0):
-    cfg = SystemConfig(M=16, N=6, K=3)
-    return cfg, generate_iid(cfg, RngStream(seed, 0))
+def _draw(seed=0, trials=1, cfg=SystemConfig(M=16, N=6, K=3)):
+    """Stacks (h_dl, h_ul, h_si) of i.i.d. channels, trial i from
+    substream i of seed."""
+    truth = _channel_stack(cfg, trials)
+    generate_iid([RngStream(seed, i) for i in range(trials)], *truth)
+    return truth
+
+
+def _estimate(truth, model, streams):
+    """Estimates of the channel stacks truth, trial i's errors from
+    streams[i]."""
+    hats = tuple(np.empty_like(h) for h in truth)
+    estimate(model, streams, truth, hats)
+    return hats
 
 
 # ----------------------------------------------------------------- model
@@ -67,58 +79,55 @@ def test_estimate_is_truth_plus_error_bitwise():
     # the error stream holds each error of nonzero variance in the order
     # dl, ul, si, its real parts then its imaginary parts, row-major; a
     # zero-variance error takes no draws and leaves the truth exact
-    cfg, ch = _draw()
+    truth = _draw()
     for variances in ((0.1, 0.2, 0.3), (0.1, 0.0, 0.3), (0.0, 0.0, 0.3)):
-        est = estimate(ch, EstimationModel(*variances), RngStream(1, 1))
+        hats = _estimate(truth, EstimationModel(*variances), [RngStream(1, 1)])
         gen = RngStream(1, 1).generator()
-        for h, hat, v in zip((ch.h_dl, ch.h_ul, ch.h_si),
-                             (est.h_dl_hat, est.h_ul_hat, est.h_si_hat),
-                             variances):
+        for h, hat, v in zip(truth, hats, variances):
             if v:
-                re = gen.standard_normal(h.shape)
-                im = gen.standard_normal(h.shape)
+                re = gen.standard_normal(h.shape[1:])
+                im = gen.standard_normal(h.shape[1:])
                 assert np.array_equal(
-                    hat, h + np.sqrt(v / 2.0) * (re + 1j * im))
+                    hat[0], h[0] + np.sqrt(v / 2.0) * (re + 1j * im))
             else:
                 assert np.array_equal(hat, h)
 
 
 def test_perfect_estimation_is_exact(monkeypatch):
-    cfg, ch = _draw()
+    truth = _draw()
 
     def no_stream(self):
         raise AssertionError("a perfect model opened its error stream")
     monkeypatch.setattr(RngStream, "generator", no_stream)
-    est = estimate(ch, EstimationModel(), RngStream(1, 1))
-    assert np.array_equal(est.h_dl_hat, ch.h_dl)
-    assert np.array_equal(est.h_ul_hat, ch.h_ul)
-    assert np.array_equal(est.h_si_hat, ch.h_si)
+    hats = _estimate(truth, EstimationModel(), [RngStream(1, 1)])
+    for h, hat in zip(truth, hats):
+        assert np.array_equal(hat, h)
 
 
 def test_estimate_deterministic_per_stream():
-    cfg, ch = _draw()
+    truth = _draw()
     model = EstimationModel(0.1, 0.1, 0.1)
-    a = estimate(ch, model, RngStream(4, 9))
-    b = estimate(ch, model, RngStream(4, 9))
-    assert np.array_equal(a.h_si_hat, b.h_si_hat)
-    c = estimate(ch, model, RngStream(4, 11))
-    assert not np.array_equal(a.h_si_hat, c.h_si_hat)
+    a = _estimate(truth, model, [RngStream(4, 9)])
+    b = _estimate(truth, model, [RngStream(4, 9)])
+    assert np.array_equal(a[2], b[2])
+    c = _estimate(truth, model, [RngStream(4, 11)])
+    assert not np.array_equal(a[2], c[2])
+    # a trial's errors depend on its own stream alone, not on the stack
+    both = _estimate(tuple(np.concatenate([h, h]) for h in truth), model,
+                     [RngStream(4, 11), RngStream(4, 9)])
+    for x, y, z in zip(both, c, a):
+        assert np.array_equal(x[0], y[0]) and np.array_equal(x[1], z[0])
 
 
 def test_error_statistics_match_variances():
-    cfg = SystemConfig()
-    ch = generate_iid(cfg, RngStream(2, 0))
-    model = EstimationModel(eps2_dl=0.05, eps2_ul=0.3, eps2_si=0.2)
-    acc_dl = acc_ul = acc_si = 0.0
+    # one channel draw, each trial's errors from its own stream
     trials = 300
-    for t in range(trials):
-        est = estimate(ch, model, RngStream(2, t))
-        acc_dl += np.mean(np.abs(est.h_dl_hat - ch.h_dl) ** 2)
-        acc_ul += np.mean(np.abs(est.h_ul_hat - ch.h_ul) ** 2)
-        acc_si += np.mean(np.abs(est.h_si_hat - ch.h_si) ** 2)
-    assert acc_dl / trials == pytest.approx(0.05, rel=0.05)
-    assert acc_ul / trials == pytest.approx(0.3, rel=0.05)
-    assert acc_si / trials == pytest.approx(0.2, rel=0.05)
+    truth = tuple(np.repeat(h, trials, axis=0)
+                  for h in _draw(2, cfg=SystemConfig()))
+    model = EstimationModel(eps2_dl=0.05, eps2_ul=0.3, eps2_si=0.2)
+    hats = _estimate(truth, model, [RngStream(2, t) for t in range(trials)])
+    for h, hat, v in zip(truth, hats, (0.05, 0.3, 0.2)):
+        assert np.mean(np.abs(hat - h) ** 2) == pytest.approx(v, rel=0.05)
 
 
 def test_correlated_si_error_variance_follows_the_path_gains():
@@ -140,11 +149,13 @@ def test_correlated_si_error_variance_follows_the_path_gains():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=5000))
 def test_errors_uncorrelated_with_channel(seed):
-    cfg, ch = _draw(seed)
-    est = estimate(ch, EstimationModel(1.0, 1.0, 1.0), RngStream(seed, 1))
+    truth = _draw(seed)
+    hats = _estimate(truth, EstimationModel(1.0, 1.0, 1.0),
+                     [RngStream(seed, 1)])
     # independence by stream separation; a single draw's correlation is
     # noisy, so only rule out gross coupling
-    e_si = est.h_si_hat - ch.h_si
-    corr = abs(np.vdot(ch.h_si, e_si)) / (
-        np.linalg.norm(ch.h_si) * np.linalg.norm(e_si))
+    h_si = truth[2]
+    e_si = hats[2] - h_si
+    corr = abs(np.vdot(h_si, e_si)) / (
+        np.linalg.norm(h_si) * np.linalg.norm(e_si))
     assert corr < 0.5

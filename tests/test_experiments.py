@@ -12,7 +12,7 @@ from fdmimo.experiments import (CSV_HEADER, HALF_DUPLEX, MAX_SWEEP_POINTS,
                                 emit_csv, format_config, load_config,
                                 parse_config, render_csv, run_scenario,
                                 save_config)
-from fdmimo.metrics import Curve, monte_carlo_curves
+from fdmimo.metrics import Curve, monte_carlo_sweep
 from fdmimo.transceiver import SicMode
 
 SMALL = SystemConfig(M=9, N=5, K=3)
@@ -98,6 +98,18 @@ def test_default_scenarios_published_shapes():
 def test_scenario_validation(overrides, msg):
     with pytest.raises(ConfigError, match=msg):
         _small_scenario(**overrides)
+
+
+@pytest.mark.parametrize("modes, token", [
+    ("stt,stt", "stt"), ("nosic,hd,sps,hd", "hd"), (" sps , sps", "sps")])
+def test_a_repeated_mode_is_rejected(modes, token):
+    # a repeated mode would write every one of its rows twice, so a CSV
+    # keyed by (mode, x_db) would be ambiguous
+    msg = f"mode '{token}' is listed more than once"
+    with pytest.raises(ConfigError, match=msg):
+        parse_config(f"modes = {modes}\n")
+    with pytest.raises(ConfigError, match=msg):
+        _small_scenario(modes=tuple(t.strip() for t in modes.split(",")))
 
 
 
@@ -235,7 +247,7 @@ def test_fig_perfect_rows_fill_both_closed_forms():
             assert r.ul_cf == 0.5 * point.ul_rate
             # the baseline reuses the subtraction engine with the SI
             # turned off and halves every simulated statistic
-            (ref,), = monte_carlo_curves(
+            (ref,), = monte_carlo_sweep(
                 [cfg_pt], [Curve(SicMode.SUBTRACTION, si_free=True)],
                 trials=25, master_seed=scn.master_seed)
             assert r.ul_sim == 0.5 * ref.ul_sum_rate

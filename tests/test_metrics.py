@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 import fdmimo.metrics as metrics
 import fdmimo.numerics as numerics
+import fdmimo.transceiver as transceiver
 from fdmimo.channel import (ConfigError, CorrelatedSampler, RicianParams,
-                            SystemConfig, default_geometry, generate_iid)
+                            SystemConfig, _channel_stack, default_geometry,
+                            generate_iid)
 from fdmimo.closedform import rate_half_duplex, rate_perfect
-from fdmimo.estimation import (EstimatedChannels, EstimationModel,
-                               _add_errors, estimate, model_from_config)
+from fdmimo.estimation import EstimationModel, estimate, model_from_config
 from fdmimo.experiments import correlated_sampler
-from fdmimo.metrics import (Curve, dl_sinr, monte_carlo,
-                            monte_carlo_curves, monte_carlo_sweep,
+from fdmimo.metrics import (Curve, dl_sinr, monte_carlo, monte_carlo_sweep,
                             residual_si, sum_rate, ul_sinr)
 from fdmimo.numerics import RngStream
 from fdmimo.transceiver import SicMode, build
@@ -23,10 +23,26 @@ from fdmimo.transceiver import SicMode, build
 CFG_SMALL = SystemConfig(M=9, N=5, K=3)
 
 
-def _trial(seed=0, model=None):
-    ch = generate_iid(CFG_SMALL, RngStream(seed, 0))
-    est = estimate(ch, model or EstimationModel(), RngStream(seed, 1))
-    return ch, est
+def _trial(seed=0, model=None, t=0, cfg=CFG_SMALL, sampler=None):
+    """Trial t's true channels (h_dl, h_ul, h_si) and estimates
+    (h_dl_hat, h_ul_hat, h_si_hat), drawn as a stack of one trial from
+    substreams 2t and 2t+1 of seed, as the engine draws it."""
+    truth = _channel_stack(cfg, 1)
+    fill = generate_iid if sampler is None else sampler.sample
+    fill([RngStream(seed, 2 * t)], *truth)
+    hats = tuple(np.empty_like(h) for h in truth)
+    estimate(model or EstimationModel(), [RngStream(seed, 2 * t + 1)], truth,
+             hats, None if sampler is None else sampler._si_amp)
+    return tuple(h[0] for h in truth), tuple(h[0] for h in hats)
+
+
+def _build(mode, hats):
+    """One draw's precoder, combiner and failure flag for mode, built as a
+    stack of one draw."""
+    dl, ul, si = hats
+    w, built = build((mode,), np.vstack([dl, si])[None], ul[None])
+    g, failed = built[mode]
+    return g[0], w[0], bool(failed[0])
 
 
 # -------------------------------------------------- oracle: naive loops
@@ -57,76 +73,75 @@ def _naive_omega(w, x, g):
 
 
 def test_dl_sinr_matches_naive_loops():
-    ch, est = _trial(3)
-    ts = build(SicMode.SUBTRACTION, est)
-    got = dl_sinr(ch.h_dl, ts.g, 2.5)
-    assert np.allclose(got, _naive_dl(ch.h_dl, ts.g, 2.5), rtol=1e-12)
+    (h_dl, _, _), hats = _trial(3)
+    g, _, _ = _build(SicMode.SUBTRACTION, hats)
+    got = dl_sinr(h_dl, g, 2.5)
+    assert np.allclose(got, _naive_dl(h_dl, g, 2.5), rtol=1e-12)
 
 
 def test_ul_sinr_matches_naive_loops():
     model = EstimationModel(0.05, 0.05, 0.1)
-    ch, est = _trial(4, model)
-    ts = build(SicMode.NO_SIC, est)
-    omega = residual_si(SicMode.NO_SIC, ts.w, ch.h_si, est.h_si_hat, ts.g)
-    got = ul_sinr(ch.h_ul, ts.w, omega, CFG_SMALL.rho_ul,
+    (_, h_ul, h_si), hats = _trial(4, model)
+    g, w, _ = _build(SicMode.NO_SIC, hats)
+    omega = residual_si(SicMode.NO_SIC, w, h_si, hats[2], g)
+    got = ul_sinr(h_ul, w, omega, CFG_SMALL.rho_ul,
                   CFG_SMALL.rho_si / CFG_SMALL.alpha_anc)
-    want = _naive_ul(ch.h_ul, ts.w, omega, CFG_SMALL.rho_ul,
+    want = _naive_ul(h_ul, w, omega, CFG_SMALL.rho_ul,
                      CFG_SMALL.rho_si / CFG_SMALL.alpha_anc)
     assert np.allclose(got, want, rtol=1e-12)
-    assert np.allclose(_naive_omega(ts.w, ch.h_si, ts.g), omega, rtol=1e-12)
+    assert np.allclose(_naive_omega(w, h_si, g), omega, rtol=1e-12)
 
 
 def test_residual_si_subtraction_uses_error_only():
     model = EstimationModel(0.0, 0.0, 0.1)
-    ch, est = _trial(5, model)
-    ts = build(SicMode.SUBTRACTION, est)
-    got = residual_si(SicMode.SUBTRACTION, ts.w, ch.h_si, est.h_si_hat, ts.g)
-    want = _naive_omega(ts.w, ch.h_si - est.h_si_hat, ts.g)
+    (_, _, h_si), hats = _trial(5, model)
+    g, w, _ = _build(SicMode.SUBTRACTION, hats)
+    got = residual_si(SicMode.SUBTRACTION, w, h_si, hats[2], g)
+    want = _naive_omega(w, h_si - hats[2], g)
     assert np.allclose(got, want, rtol=1e-12)
 
 
 def test_residual_si_perfect_estimates():
-    ch, est = _trial(6)
-    stt = build(SicMode.SUBTRACTION, est)
-    assert np.all(residual_si(SicMode.SUBTRACTION, stt.w, ch.h_si,
-                              est.h_si_hat, stt.g) == 0.0)
-    sps = build(SicMode.SPATIAL_SUPPRESSION, est)
-    assert np.max(residual_si(SicMode.SPATIAL_SUPPRESSION, sps.w, ch.h_si,
-                              est.h_si_hat, sps.g)) < 1e-20
-    assert np.min(residual_si(SicMode.NO_SIC, stt.w, ch.h_si,
-                              est.h_si_hat, stt.g)) > 0.0
+    (_, _, h_si), hats = _trial(6)
+    g, w, _ = _build(SicMode.SUBTRACTION, hats)
+    assert np.all(residual_si(SicMode.SUBTRACTION, w, h_si, hats[2],
+                              g) == 0.0)
+    g_sps, w_sps, _ = _build(SicMode.SPATIAL_SUPPRESSION, hats)
+    assert np.max(residual_si(SicMode.SPATIAL_SUPPRESSION, w_sps, h_si,
+                              hats[2], g_sps)) < 1e-20
+    assert np.min(residual_si(SicMode.NO_SIC, w, h_si, hats[2], g)) > 0.0
 
 
 def test_ul_sinr_si_snr_override():
-    ch, est = _trial(7)
-    ts = build(SicMode.NO_SIC, est)
-    omega = residual_si(SicMode.NO_SIC, ts.w, ch.h_si, est.h_si_hat, ts.g)
-    off = ul_sinr(ch.h_ul, ts.w, omega, CFG_SMALL.rho_ul, 0.0)
-    want = _naive_ul(ch.h_ul, ts.w, omega, CFG_SMALL.rho_ul, 0.0)
+    (_, h_ul, h_si), hats = _trial(7)
+    g, w, _ = _build(SicMode.NO_SIC, hats)
+    omega = residual_si(SicMode.NO_SIC, w, h_si, hats[2], g)
+    off = ul_sinr(h_ul, w, omega, CFG_SMALL.rho_ul, 0.0)
+    want = _naive_ul(h_ul, w, omega, CFG_SMALL.rho_ul, 0.0)
     assert np.allclose(off, want, rtol=1e-12)
 
 
 def test_sinrs_broadcast_over_trials_and_points():
     model = EstimationModel(0.05, 0.05, 0.1)
     draws = [_trial(seed, model) for seed in range(3)]
-    sets = [build(SicMode.SUBTRACTION, est) for _, est in draws]
+    sets = [_build(SicMode.SUBTRACTION, hats) for _, hats in draws]
     h_dl, h_ul, h_si, h_si_hat, g, w = (np.stack(a) for a in zip(*[
-        (ch.h_dl, ch.h_ul, ch.h_si, est.h_si_hat, ts.g, ts.w)
-        for (ch, est), ts in zip(draws, sets)]))
+        (*truth, hats[2], g, w) for (truth, hats), (g, w, _)
+        in zip(draws, sets)]))
     rho = np.array([0.5, 2.0])
     omega = residual_si(SicMode.SUBTRACTION, w, h_si, h_si_hat, g)
     dl = dl_sinr(h_dl[:, None], g[:, None], rho)
     ul = ul_sinr(h_ul[:, None], w[:, None], omega[:, None], rho, 3.0)
     assert dl.shape == ul.shape == (3, 2, 3)
     assert sum_rate(dl).shape == (3, 2)
-    for t, ((ch, est), ts) in enumerate(zip(draws, sets)):
-        om = residual_si(SicMode.SUBTRACTION, ts.w, ch.h_si, est.h_si_hat,
-                         ts.g)
+    for t in range(3):
+        om = residual_si(SicMode.SUBTRACTION, w[t], h_si[t], h_si_hat[t],
+                         g[t])
         assert np.array_equal(omega[t], om)
         for j, r in enumerate(rho):
-            assert np.array_equal(dl[t, j], dl_sinr(ch.h_dl, ts.g, r))
+            assert np.array_equal(dl[t, j], dl_sinr(h_dl[t], g[t], r))
             assert np.array_equal(ul[t, j],
-                                  ul_sinr(ch.h_ul, ts.w, om, r, 3.0))
+                                  ul_sinr(h_ul[t], w[t], om, r, 3.0))
 
 
 def test_sum_rate_frozen():
@@ -167,7 +182,8 @@ def test_sweep_matches_single_points_bitwise():
     cfgs = [CFG_SMALL,
             dataclasses.replace(CFG_SMALL, rho_t_db=60.0),
             dataclasses.replace(CFG_SMALL, rho_ul_db=0.0)]
-    swept = monte_carlo_sweep(cfgs, SicMode.NO_SIC, trials=40, master_seed=3)
+    swept, = monte_carlo_sweep(cfgs, [Curve(SicMode.NO_SIC)], trials=40,
+                               master_seed=3)
     for cfg, row in zip(cfgs, swept):
         alone = monte_carlo(cfg, SicMode.NO_SIC, trials=40, master_seed=3)
         assert row == alone
@@ -189,21 +205,21 @@ def _chunks_of(monkeypatch, size):
 
 
 def _failing_precoders(monkeypatch, doomed, rows=None):
-    """Make the stacked pseudo-inverse guard reject the downlink precoders
+    """Make the right pseudo-inverse guard reject the downlink precoders
     of the trials in doomed (counting precoder inputs in call order), only
     for inputs with the given row count when rows is set."""
-    real = numerics._pseudo_inverse
+    real = transceiver.right_pseudo_inverse
     seen = {"n": 0}
 
-    def flaky(a, gram_name):
-        x, failed = real(a, gram_name)
-        if gram_name == "A·Aᴴ" and rows in (None, a.shape[-2]):
+    def flaky(a):
+        x, failed = real(a)
+        if rows in (None, a.shape[-2]):
             index = seen["n"] + np.arange(failed.size)
             seen["n"] += failed.size
             failed = failed | np.isin(index, doomed)
         return x, failed
 
-    monkeypatch.setattr(numerics, "_pseudo_inverse", flaky)
+    monkeypatch.setattr(transceiver, "right_pseudo_inverse", flaky)
 
 
 def test_failures_are_counted(monkeypatch):
@@ -222,20 +238,19 @@ def test_failed_suppression_trial_still_counts_for_other_modes(monkeypatch):
     with pytest.MonkeyPatch.context() as mp:
         _chunks_of(mp, 4)
         _failing_precoders(mp, [0, 5, 9], rows=cfg.K + cfg.N)
-        got = monte_carlo_curves([cfg], curves, trials=trials,
-                                 master_seed=seed)
+        got = monte_carlo_sweep([cfg], curves, trials=trials,
+                                master_seed=seed)
     assert [reports[0].failures for reports in got] == [0, 0, 3, 0]
     for curve, reports in zip(curves, got):
         if curve.mode is not SicMode.SPATIAL_SUPPRESSION:
-            assert reports == monte_carlo_curves(
+            assert reports == monte_carlo_sweep(
                 [cfg], [curve], trials=trials, master_seed=seed)[0]
     # the suppression curve averages exactly the trials that survived
     dl = []
     for t in sorted(set(range(trials)) - {0, 5, 9}):
-        ch = generate_iid(cfg, RngStream(seed, 2 * t))
-        est = estimate(ch, EstimationModel(), RngStream(seed, 2 * t + 1))
-        ts = build(SicMode.SPATIAL_SUPPRESSION, est)
-        dl.append(sum_rate(dl_sinr(ch.h_dl, ts.g, cfg.rho_dl)))
+        (h_dl, _, _), hats = _trial(seed, t=t, cfg=cfg)
+        g, _, _ = _build(SicMode.SPATIAL_SUPPRESSION, hats)
+        dl.append(sum_rate(dl_sinr(h_dl, g, cfg.rho_dl)))
     assert got[2][0].dl_sum_rate == pytest.approx(np.mean(dl), rel=1e-12)
 
 
@@ -268,10 +283,10 @@ def test_multi_curve_call_equals_one_curve_calls(k, extra_n, extra_m, chunk,
         kw.update(sampler=correlated_sampler(cfg))
     with pytest.MonkeyPatch.context() as mp:
         _chunks_of(mp, chunk)
-        together = monte_carlo_curves(configs, curves, **kw)
+        together = monte_carlo_sweep(configs, curves, **kw)
     for curve, reports in zip(curves, together):
         # one-curve calls at the default chunk size, one chunk here
-        assert reports == monte_carlo_curves(configs, [curve], **kw)[0]
+        assert reports == monte_carlo_sweep(configs, [curve], **kw)[0]
 
 
 def _complex_gaussian(gen, rows, cols, variance):
@@ -354,15 +369,6 @@ def test_trial_chunks_equal_the_per_trial_draw_bit_for_bit(
     assert sorted(opened) == sorted([2 * t for t in trials] + errors)
 
 
-def _estimate(ch, model, rng, si_amp=None):
-    """estimate, with the SI error scaled entrywise by si_amp as the
-    correlated engine scales it."""
-    truth = tuple(h[None] for h in (ch.h_dl, ch.h_ul, ch.h_si))
-    hats = tuple(np.empty_like(h) for h in truth)
-    _add_errors(model, [rng], truth, hats, si_amp)
-    return EstimatedChannels(*(hat[0] for hat in hats))
-
-
 @settings(max_examples=15, deadline=None)
 @given(k=st.integers(1, 3), extra_n=st.integers(1, 2), extra_m=st.just(0),
        nmse=st.sampled_from([0.0, 0.2, 1.0, 7.5]),
@@ -392,21 +398,12 @@ def test_edge_configs_give_finite_rates_and_count_failures(
     model = model_from_config(cfg, perfect=perfect)
     sampler = correlated_sampler(cfg) if correlated else None
     curves = [Curve(mode) for mode in SicMode]
-    got = monte_carlo_curves([cfg], curves, trials=trials, master_seed=seed,
-                             estimation=model, sampler=sampler)
+    got = monte_carlo_sweep([cfg], curves, trials=trials, master_seed=seed,
+                            estimation=model, sampler=sampler)
     for curve, (rep,) in zip(curves, got):
-        failed = 0
-        for t in range(trials):
-            if sampler is None:
-                ch, si_amp = generate_iid(cfg, RngStream(seed, 2 * t)), None
-            else:
-                ch = sampler.sample(RngStream(seed, 2 * t))
-                si_amp = sampler._si_amp
-            est = _estimate(ch, model, RngStream(seed, 2 * t + 1), si_amp)
-            try:
-                build(curve.mode, est)
-            except numerics.SingularMatrixError:
-                failed += 1
+        failed = sum(_build(curve.mode, _trial(seed, model, t, cfg,
+                                               sampler)[1])[2]
+                     for t in range(trials))
         assert rep.failures == failed
         assert rep.trials == trials
         if correlated and model.eps2_si == 0.0 and n + k >= 10:
@@ -457,17 +454,17 @@ def test_correlated_model_smoke():
 # ------------------------------------------------------------ validation
 
 def test_sweep_validation_errors():
+    curves = [Curve(SicMode.NO_SIC)]
     with pytest.raises(ConfigError, match="trials"):
-        monte_carlo_sweep([CFG_SMALL], SicMode.NO_SIC, trials=0,
-                          master_seed=0)
+        monte_carlo_sweep([CFG_SMALL], curves, trials=0, master_seed=0)
     with pytest.raises(ConfigError, match="at least one"):
-        monte_carlo_sweep([], SicMode.NO_SIC, trials=5, master_seed=0)
+        monte_carlo_sweep([], curves, trials=5, master_seed=0)
     with pytest.raises(ConfigError, match="share M, N, K"):
         monte_carlo_sweep([CFG_SMALL, SystemConfig(M=10, N=5, K=3)],
-                          SicMode.NO_SIC, trials=5, master_seed=0)
+                          curves, trials=5, master_seed=0)
     with pytest.raises(ConfigError, match="share M, N, K"):
-        monte_carlo_sweep([CFG_SMALL], SicMode.NO_SIC, trials=5,
-                          master_seed=0, sampler=correlated_sampler(
+        monte_carlo_sweep([CFG_SMALL], curves, trials=5, master_seed=0,
+                          sampler=correlated_sampler(
                               SystemConfig(M=10, N=5, K=3)))
 
 
@@ -477,7 +474,7 @@ def test_curves_are_required_before_any_draw(monkeypatch):
 
     monkeypatch.setattr(metrics, "_trial_chunks", no_draws)
     with pytest.raises(ConfigError, match="at least one curve"):
-        monte_carlo_curves([CFG_SMALL], [], trials=5, master_seed=0)
+        monte_carlo_sweep([CFG_SMALL], [], trials=5, master_seed=0)
 
 
 # ----------------------------------------------------------- half duplex
