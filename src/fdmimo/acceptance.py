@@ -327,15 +327,15 @@ def criterion_half_duplex_identity(config: SystemConfig, base_trials: int,
             rho_ul_db=float(gen.uniform(-10.0, 30.0)),
             alpha_anc_db=float(gen.uniform(0.0, 60.0)),
             nmse=float(gen.uniform(0.0, 1.0)))
-        point = closedform.rate_perfect(SicMode.SUBTRACTION, cfg)
-        want = 0.5 * (point.dl_rate + point.ul_rate)
-        got = closedform.rate_half_duplex(cfg).total
-        worst = max(worst, abs(got - want))
+        # The same config again at a drawn linear downlink SNR rho.
         rho = float(gen.uniform(0.0, 1e4))
-        point2 = closedform.rate_perfect(SicMode.SUBTRACTION, cfg, rho_dl=rho)
-        want2 = 0.5 * (point2.dl_rate + point2.ul_rate)
-        got2 = closedform.rate_half_duplex(cfg, rho_dl=rho).total
-        worst = max(worst, abs(got2 - want2))
+        at_rho = dataclasses.replace(
+            cfg, beta_ue_db=10.0 * math.log10(rho) - cfg.rho_t_db)
+        for c in (cfg, at_rho):
+            point = closedform.rate_perfect(SicMode.SUBTRACTION, c)
+            half = closedform.rate_half_duplex(c)
+            worst = max(worst, abs((half.dl_rate + half.ul_rate)
+                                   - 0.5 * (point.dl_rate + point.ul_rate)))
     return CriterionResult(
         7, "half-duplex identity", worst == 0.0,
         f"max absolute deviation {worst:.1e} over 10 random configs")

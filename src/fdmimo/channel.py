@@ -43,6 +43,11 @@ def _check_db_field(name: str, value: float, allow_neg_inf: bool = True) -> None
         raise ConfigError(f"{name} must be finite")
     if value == -np.inf and not allow_neg_inf:
         raise ConfigError(f"{name} must be finite")
+    try:
+        db_to_linear(value)
+    except OverflowError:
+        raise ConfigError(f"{name} = {value!r} dB overflows a float as a "
+                          f"linear power ratio") from None
 
 
 @dataclass(frozen=True)

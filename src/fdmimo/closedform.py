@@ -31,10 +31,6 @@ class ClosedFormPoint:
     dl_rate: float
     ul_rate: float
 
-    @property
-    def total(self) -> float:
-        return self.dl_rate + self.ul_rate
-
 
 def _chi(mode: SicMode, eps2_si: float) -> float:
     if mode is SicMode.NO_SIC:
@@ -46,23 +42,20 @@ def _chi(mode: SicMode, eps2_si: float) -> float:
     return 1.0 / (1.0 / eps2_si + 1.0)
 
 
-def rate_perfect(mode: SicMode, config: SystemConfig, *,
-                 rho_dl: float | None = None) -> ClosedFormPoint:
+def rate_perfect(mode: SicMode, config: SystemConfig) -> ClosedFormPoint:
     """Perfect-CSI downlink and uplink sum rates for one mode.
 
     Downlink: K log2(1 + rho_dl (M-K+1)/K), with M-N-K+1 replacing M-K+1
     under spatial suppression (the null-space constraint costs N antennas).
     Uplink: K log2(1 + rho_ul (N-K+1)); without SIC the SNR is divided by
     rho_si / alpha_anc + 1, the residual SI power after analog attenuation.
-    rho_dl overrides the config-derived downlink SNR when given (linear).
     """
     m, n, k = config.M, config.N, config.K
-    rdl = config.rho_dl if rho_dl is None else rho_dl
     if mode is SicMode.SPATIAL_SUPPRESSION:
         dl_gain = m - n - k + 1
     else:
         dl_gain = m - k + 1
-    dl_rate = k * math.log2(1.0 + rdl * dl_gain / k)
+    dl_rate = k * math.log2(1.0 + config.rho_dl * dl_gain / k)
     ul_sinr = config.rho_ul * (n - k + 1)
     if mode is SicMode.NO_SIC:
         ul_sinr = ul_sinr / (config.rho_si / config.alpha_anc + 1.0)
@@ -70,15 +63,13 @@ def rate_perfect(mode: SicMode, config: SystemConfig, *,
     return ClosedFormPoint(dl_rate=dl_rate, ul_rate=ul_rate)
 
 
-def rate_half_duplex(config: SystemConfig, *,
-                     rho_dl: float | None = None) -> ClosedFormPoint:
+def rate_half_duplex(config: SystemConfig) -> ClosedFormPoint:
     """Half-duplex baseline: half of each perfect-CSI subtraction rate.
 
     A half-duplex BS splits the resources between the two directions, and
     each direction then runs the same zero-forcing link with no SI at all.
-    rho_dl overrides the config-derived downlink SNR as in rate_perfect.
     """
-    point = rate_perfect(SicMode.SUBTRACTION, config, rho_dl=rho_dl)
+    point = rate_perfect(SicMode.SUBTRACTION, config)
     return ClosedFormPoint(dl_rate=0.5 * point.dl_rate,
                            ul_rate=0.5 * point.ul_rate)
 

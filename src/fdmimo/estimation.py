@@ -2,8 +2,9 @@
 
 Estimates are the true channels plus independent complex Gaussian errors:
 h_hat = h + e.  The user-link error variance follows the MMSE pilot model
-beta / (K * rho_u * beta + 1); the self-interference error variance is an
-NMSE figure set by the cancellation hardware rather than by pilot SNR.
+1 / (K * rho_ul + 1) of a unit-variance channel; the self-interference
+error variance is an NMSE figure set by the cancellation hardware rather
+than by pilot SNR.
 """
 
 from __future__ import annotations
@@ -35,28 +36,17 @@ class EstimationModel:
         return self.eps2_dl == 0.0 and self.eps2_ul == 0.0 and self.eps2_si == 0.0
 
 
-def uldl_error_variance(beta_ue: float, rho_u: float, k: int) -> float:
-    """MMSE error variance beta / (K * rho_u * beta + 1) for a user link.
-
-    beta_ue and rho_u are linear (not dB).  Decreasing in both the pilot
-    SNR rho_u and the user count K (more pilot symbols).
-    """
-    if beta_ue < 0.0 or rho_u < 0.0 or k < 1:
-        raise ConfigError("beta_ue, rho_u must be nonnegative and k >= 1")
-    return beta_ue / (k * rho_u * beta_ue + 1.0)
-
-
 def model_from_config(config: SystemConfig, perfect: bool) -> EstimationModel:
     """Estimation model used by the experiments.
 
-    With imperfect CSI the user links use the MMSE variance evaluated at
-    the uplink SNR, which reduces to 1 / (K * rho_ul + 1) for a
-    unit-variance channel, and the self-interference NMSE comes straight
-    from the config.
+    With imperfect CSI the user links use the MMSE variance
+    1 / (K * rho_ul + 1) of a unit-variance channel at the uplink SNR
+    (more users send more pilot symbols), and the self-interference NMSE
+    comes straight from the config.
     """
     if perfect:
         return EstimationModel()
-    eps2 = uldl_error_variance(1.0, config.rho_ul, config.K)
+    eps2 = 1.0 / (config.K * config.rho_ul + 1.0)
     return EstimationModel(eps2_dl=eps2, eps2_ul=eps2, eps2_si=config.nmse)
 
 

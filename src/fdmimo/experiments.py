@@ -80,6 +80,15 @@ class Scenario:
         if self._steps() >= MAX_SWEEP_POINTS:
             raise ConfigError(f"the sweep has more than {MAX_SWEEP_POINTS} "
                               f"points")
+        # Rounding is monotone: if any two points print alike, so do two
+        # neighbours.
+        xs = self.sweep_values()
+        for a, b in zip(xs, xs[1:]):
+            if _fmt(a) == _fmt(b):
+                raise ConfigError(
+                    f"sweep points {a!r} and {b!r} both print as x_db = "
+                    f"{_fmt(a)}; sweep_step is too small for the CSV's 6 "
+                    f"significant digits")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         if self.master_seed < 0:
@@ -231,18 +240,17 @@ def format_config(config: SystemConfig, scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_config(config: SystemConfig, scenario: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_config(config, scenario))
-
-
 def _point_config(config: SystemConfig, scenario: Scenario,
                   x_db: float) -> SystemConfig:
     if scenario.sweep_variable == "rho_dl_db":
         rho_t_db = x_db - config.beta_ue_db
     else:
         rho_t_db = x_db - config.beta_si_db
-    return dataclasses.replace(config, rho_t_db=rho_t_db)
+    try:
+        return dataclasses.replace(config, rho_t_db=rho_t_db)
+    except ConfigError as exc:
+        raise ConfigError(f"sweep point {scenario.sweep_variable} = "
+                          f"{x_db!r}: {exc}") from None
 
 
 def correlated_sampler(config: SystemConfig) -> CorrelatedSampler:
@@ -325,19 +333,26 @@ def _fmt(value: float | None) -> str:
     return f"{value:.6g}"
 
 
+#: The real-valued CSV columns, in order.
+_REAL_COLUMNS = CSV_HEADER.split(",")[2:9]
+
+
 def render_csv(rows: Sequence[SweepRow]) -> str:
     """CSV text with LF line endings and 6-significant-digit reals.
 
-    A field with no value (None or NaN) is left empty.
+    A field with no value (None or NaN) is left empty; an infinite value
+    raises ValueError naming its row and column.
     """
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(",".join([
-            r.scenario, r.mode, _fmt(r.x_db),
-            _fmt(r.dl_sim), _fmt(r.dl_sim_ci),
-            _fmt(r.ul_sim), _fmt(r.ul_sim_ci),
-            _fmt(r.dl_cf), _fmt(r.ul_cf),
-            str(r.trials), str(r.failures)]))
+        reals = [getattr(r, column) for column in _REAL_COLUMNS]
+        for column, value in zip(_REAL_COLUMNS, reals):
+            if value is not None and math.isinf(value):
+                raise ValueError(f"mode {r.mode} at x_db = {_fmt(r.x_db)}: "
+                                 f"{column} is {value}, which a CSV field "
+                                 f"cannot hold")
+        lines.append(",".join([r.scenario, r.mode, *map(_fmt, reals),
+                               str(r.trials), str(r.failures)]))
     return "\n".join(lines) + "\n"
 
 

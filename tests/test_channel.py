@@ -82,6 +82,17 @@ def test_config_db_fields_reject_nan_and_plus_inf():
             SystemConfig(**{field: math.inf})
 
 
+def test_config_db_fields_that_overflow_are_named():
+    # 10 ** (db / 10) leaves the float range just above 3082 dB
+    for field in ("rho_t_db", "beta_ue_db", "beta_si_db", "rho_ul_db",
+                  "alpha_anc_db"):
+        with pytest.raises(ConfigError,
+                           match=f"^{field} = 4000.0 dB overflows"):
+            SystemConfig(**{field: 4000.0})
+        assert getattr(SystemConfig(**{field: 3000.0}), field) == 3000.0
+    assert SystemConfig(beta_ue_db=-4000.0).rho_dl == 0.0
+
+
 def test_config_allows_minus_inf_power_but_not_attenuation():
     cfg = SystemConfig(rho_t_db=-math.inf)
     assert cfg.rho_t == 0.0

@@ -249,6 +249,8 @@ def test_a_repeated_mode_exits_1(flags, text, monkeypatch, tmp_path, capsys):
     ("sweep_stop = nan", "sweep_stop must be finite"),
     ("sweep_start = -inf", "sweep_start must be finite"),
     ("sweep_step = 1e-300", "more than 10000 points"),
+    ("sweep_start = 1000\nsweep_stop = 1000.0005\nsweep_step = 0.0001",
+     "1000.0 and 1000.0001 both print as x_db = 1000;"),
 ])
 def test_bad_sweep_bounds_exit_1(line, tmp_path, capsys, msg):
     path = tmp_path / "sweep.conf"
@@ -272,6 +274,48 @@ def test_correlated_si_sweep_exits_1(text, flags, tmp_path, capsys):
     assert err.startswith("config error: ")
     assert "fig-correlated cannot sweep rho_si_db" in err
     assert out == ""
+
+
+def _no_draw(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("trials drawn before the config was checked")
+
+    monkeypatch.setattr(cli.experiments.metrics, "monte_carlo_sweep", reached)
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("rho_ul_db = 4000\n", "rho_ul_db = 4000.0 dB overflows"),
+    ("beta_ue_db = -4000\n",
+     "sweep point rho_dl_db = 0.0: rho_t_db = 4000.0 dB overflows"),
+    ("sweep_start = 3100\nsweep_stop = 3102\n",
+     "sweep point rho_dl_db = 3100.0: rho_t_db = 3180.0 dB overflows"),
+])
+def test_a_db_value_that_overflows_exits_1_before_any_trial(
+        text, msg, monkeypatch, tmp_path, capsys):
+    _no_draw(monkeypatch)
+    path = tmp_path / "huge.conf"
+    path.write_text(text, encoding="utf-8")
+    out_path = tmp_path / "out.csv"
+    assert cli.main(["run", "--config", str(path), "--trials", "3",
+                     "--output", str(out_path)]) == 1
+    out, err = capsys.readouterr()
+    assert f"config error: {msg}" in err
+    assert "custom: mode" not in err          # no progress line
+    assert out == "" and not out_path.exists()
+
+
+def test_an_infinite_rate_exits_2_without_a_csv(tmp_path, capsys):
+    # rho_ul**2 overflows in the imperfect-CSI uplink closed form
+    path = tmp_path / "loud.conf"
+    path.write_text("M = 9\nN = 5\nK = 3\nrho_ul_db = 1600\n"
+                    "sweep_stop = 2\n", encoding="utf-8")
+    out_path = tmp_path / "out.csv"
+    assert cli.main(["run", "--config", str(path), "--modes", "stt",
+                     "--trials", "3", "--output", str(out_path)]) == 2
+    out, err = capsys.readouterr()
+    assert "error: mode stt at x_db = 0: ul_cf is inf" in err
+    assert "Traceback" not in err
+    assert out == "" and not out_path.exists()
 
 
 # ---------------------------------------------------------- print-config

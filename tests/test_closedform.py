@@ -6,29 +6,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdmimo.channel import SystemConfig
-from fdmimo.closedform import (ClosedFormPoint, rate_perfect,
-                               ul_rate_imperfect, ul_sinr_imperfect)
+from fdmimo.closedform import (rate_perfect, ul_rate_imperfect,
+                               ul_sinr_imperfect)
 from fdmimo.transceiver import SicMode
 
 CFG = SystemConfig()  # M=64, N=20, K=10, defaults throughout
-
-
-def test_point_total():
-    p = ClosedFormPoint(dl_rate=2.0, ul_rate=3.5)
-    assert p.total == 5.5
+#: The defaults at a received downlink SNR rho_dl of exactly 1.0.
+RHO_DL_1 = dataclasses.replace(CFG, rho_t_db=0.0, beta_ue_db=0.0)
 
 
 # ----------------------------------------------------- perfect CSI rates
 
 def test_perfect_subtraction_rates_frozen():
-    # 10 log2(1 + 55/10) and 10 log2(1 + 10*11) at rho_dl=1, rho_ul=10
-    p = rate_perfect(SicMode.SUBTRACTION, CFG, rho_dl=1.0)
+    # 10 log2(1 + 55/10) and 10 log2(1 + 10*11) at rho_dl = 1, rho_ul = 10
+    assert RHO_DL_1.rho_dl == 1.0
+    p = rate_perfect(SicMode.SUBTRACTION, RHO_DL_1)
     assert p.dl_rate == pytest.approx(27.004397181410923, rel=1e-14)
     assert p.ul_rate == pytest.approx(67.94415866350106, rel=1e-14)
+    q = rate_perfect(SicMode.SUBTRACTION,
+                     dataclasses.replace(RHO_DL_1, rho_ul_db=0.0))
+    assert q.dl_rate == CFG.K * math.log2(1.0 + 55.0 / 10.0)
+    assert q.ul_rate == CFG.K * math.log2(1.0 + 11.0)
 
 
 def test_perfect_sps_loses_null_space_antennas():
-    p = rate_perfect(SicMode.SPATIAL_SUPPRESSION, CFG, rho_dl=1.0)
+    p = rate_perfect(SicMode.SPATIAL_SUPPRESSION, RHO_DL_1)
     # gain 35 instead of 55
     assert p.dl_rate == pytest.approx(21.69925001442312, rel=1e-14)
     assert p.ul_rate == pytest.approx(67.94415866350106, rel=1e-14)
@@ -44,20 +46,11 @@ def test_perfect_nosic_divides_by_attenuated_si():
     assert p.ul_rate == pytest.approx(58.07354922057604, rel=1e-14)
 
 
-def test_perfect_rate_overrides():
-    p = rate_perfect(SicMode.SUBTRACTION, CFG, rho_dl=0.0)
-    assert p.dl_rate == 0.0
-    assert p.ul_rate == rate_perfect(SicMode.SUBTRACTION, CFG).ul_rate
-    q = rate_perfect(SicMode.SUBTRACTION,
-                     dataclasses.replace(CFG, rho_ul_db=0.0), rho_dl=1.0)
-    assert q.dl_rate == CFG.K * math.log2(1.0 + 55.0 / 10.0)
-    assert q.ul_rate == CFG.K * math.log2(1.0 + 11.0)
-
-
 def test_perfect_si_free_limit():
-    # with the transmit chain off there is no self-interference, so all
-    # three modes collapse to the same uplink rate
+    # with the transmit chain off there is no downlink and no
+    # self-interference, so all three modes collapse to the same uplink rate
     cfg = dataclasses.replace(CFG, rho_t_db=-math.inf)
+    assert rate_perfect(SicMode.SUBTRACTION, cfg).dl_rate == 0.0
     rates = {m: rate_perfect(m, cfg).ul_rate for m in SicMode}
     assert len(set(rates.values())) == 1
     assert rate_perfect(SicMode.NO_SIC, cfg).ul_rate \
@@ -153,7 +146,7 @@ def test_subtraction_beats_sps_with_perfect_csi(cfg):
     # SI channel is known exactly
     a = rate_perfect(SicMode.SUBTRACTION, cfg)
     b = rate_perfect(SicMode.SPATIAL_SUPPRESSION, cfg)
-    assert a.total >= b.total
+    assert a.dl_rate + a.ul_rate >= b.dl_rate + b.ul_rate
 
 
 @settings(max_examples=40, deadline=None)

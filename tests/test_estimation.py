@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fdmimo.channel import (ConfigError, SystemConfig, _channel_stack,
                             default_geometry, generate_iid,
                             si_pathloss_gains)
-from fdmimo.estimation import (EstimationModel, estimate, model_from_config,
-                               uldl_error_variance)
+from fdmimo.estimation import EstimationModel, estimate, model_from_config
 from fdmimo.experiments import CORRELATED_CARRIER_HZ, correlated_sampler
 from fdmimo.metrics import _trial_chunks
 from fdmimo.numerics import RngStream
@@ -44,33 +44,18 @@ def test_model_rejects_bad_variances(kw):
         EstimationModel(**kw)
 
 
-def test_error_variance_matches_pilot_model():
-    # beta / (K rho beta + 1); at beta=1, rho=10, K=10 this is 1/101
-    assert uldl_error_variance(1.0, 10.0, 10) == pytest.approx(
-        0.009900990099009901, rel=1e-15)
-    assert uldl_error_variance(0.0, 10.0, 10) == 0.0
-
-
-def test_error_variance_decreases_with_pilot_snr_and_users():
-    base = uldl_error_variance(1.0, 10.0, 10)
-    assert uldl_error_variance(1.0, 20.0, 10) < base
-    assert uldl_error_variance(1.0, 10.0, 20) < base
-
-
-def test_error_variance_validation():
-    with pytest.raises(ConfigError):
-        uldl_error_variance(-1.0, 10.0, 10)
-    with pytest.raises(ConfigError):
-        uldl_error_variance(1.0, 10.0, 0)
-
-
 def test_model_from_config():
     cfg = SystemConfig()
     assert model_from_config(cfg, perfect=True) == EstimationModel()
     m = model_from_config(cfg, perfect=False)
-    assert m.eps2_dl == pytest.approx(1.0 / 101.0, rel=1e-15)
+    # the MMSE pilot model 1 / (K rho_ul + 1): 1/101 at K = 10, rho_ul = 10
+    assert m.eps2_dl == pytest.approx(0.009900990099009901, rel=1e-15)
     assert m.eps2_ul == m.eps2_dl
     assert m.eps2_si == 0.2
+    # more pilot SNR or more users (pilot symbols) estimate better
+    for better in (dataclasses.replace(cfg, rho_ul_db=13.0),
+                   SystemConfig(M=80, N=30, K=20)):
+        assert model_from_config(better, perfect=False).eps2_dl < m.eps2_dl
 
 
 # -------------------------------------------------------------- estimate

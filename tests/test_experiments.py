@@ -10,8 +10,7 @@ from fdmimo.closedform import rate_perfect, ul_rate_imperfect
 from fdmimo.experiments import (CSV_HEADER, HALF_DUPLEX, MAX_SWEEP_POINTS,
                                 Scenario, SweepRow, default_scenario,
                                 emit_csv, format_config, load_config,
-                                parse_config, render_csv, run_scenario,
-                                save_config)
+                                parse_config, render_csv, run_scenario)
 from fdmimo.metrics import Curve, monte_carlo_sweep
 from fdmimo.transceiver import SicMode
 
@@ -65,6 +64,9 @@ def test_sweep_values_round_float_steps(start, stop, step, count):
     ("sweep_start = -1e308\nsweep_stop = 1e308", "more than 10000 points"),
     ("sweep_start = 0\nsweep_stop = 10000\nsweep_step = 1",
      "more than 10000 points"),
+    # the CSV keys rows by x_db at 6 significant digits
+    ("sweep_start = 1000\nsweep_stop = 1000.0005\nsweep_step = 0.0001",
+     "1000.0 and 1000.0001 both print as x_db = 1000;"),
 ])
 def test_bad_sweep_bounds_are_config_errors(text, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -183,9 +185,9 @@ def test_config_round_trip_is_bit_exact(tmp_path):
     cfg = SystemConfig(M=33, N=9, K=4, rho_t_db=10.1, beta_ue_db=-79.3,
                        nmse=0.12345678901234567)
     scn = _small_scenario(sweep_step=0.30000000000000004)
-    path = str(tmp_path / "conf.txt")
-    save_config(cfg, scn, path)
-    cfg2, scn2 = load_config(path)
+    path = tmp_path / "conf.txt"
+    path.write_text(format_config(cfg, scn), encoding="utf-8")
+    cfg2, scn2 = load_config(str(path))
     assert cfg2 == cfg
     assert scn2 == scn
 
@@ -324,6 +326,20 @@ def test_render_csv_exact_text():
     assert lines[2] == "fig-correlated,sps,-10,1.5,0.25,2.5,0.5,,,5000,2"
     assert lines[3] == ""
     assert "\r" not in text
+
+
+def test_render_csv_refuses_an_infinite_field():
+    row = _sample_rows()[0]
+    for column in ("dl_sim", "dl_sim_ci", "ul_sim", "ul_sim_ci", "dl_cf",
+                   "ul_cf"):
+        for value in (math.inf, -math.inf):
+            bad = dataclasses.replace(row, **{column: value})
+            with pytest.raises(ValueError,
+                               match=f"^mode stt at x_db = 10: {column} is"):
+                render_csv([bad])
+    # NaN stays the documented empty field
+    nan = dataclasses.replace(row, ul_cf=math.nan)
+    assert render_csv([nan]).split("\n")[1].split(",")[8] == ""
 
 
 def test_render_csv_empty_is_header_only():
