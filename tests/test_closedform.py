@@ -23,10 +23,6 @@ def test_perfect_subtraction_rates_frozen():
     p = rate_perfect(SicMode.SUBTRACTION, RHO_DL_1)
     assert p.dl_rate == pytest.approx(27.004397181410923, rel=1e-14)
     assert p.ul_rate == pytest.approx(67.94415866350106, rel=1e-14)
-    q = rate_perfect(SicMode.SUBTRACTION,
-                     dataclasses.replace(RHO_DL_1, rho_ul_db=0.0))
-    assert q.dl_rate == CFG.K * math.log2(1.0 + 55.0 / 10.0)
-    assert q.ul_rate == CFG.K * math.log2(1.0 + 11.0)
 
 
 def test_perfect_sps_loses_null_space_antennas():
@@ -46,11 +42,22 @@ def test_perfect_nosic_divides_by_attenuated_si():
     assert p.ul_rate == pytest.approx(58.07354922057604, rel=1e-14)
 
 
+def test_perfect_rate_overrides():
+    # rho_dl is set through the config: rho_t_db + beta_ue_db in dB
+    p = rate_perfect(SicMode.SUBTRACTION,
+                     dataclasses.replace(CFG, rho_t_db=-math.inf))
+    assert p.dl_rate == 0.0
+    assert p.ul_rate == rate_perfect(SicMode.SUBTRACTION, CFG).ul_rate
+    q = rate_perfect(SicMode.SUBTRACTION,
+                     dataclasses.replace(RHO_DL_1, rho_ul_db=0.0))
+    assert q.dl_rate == CFG.K * math.log2(1.0 + 55.0 / 10.0)
+    assert q.ul_rate == CFG.K * math.log2(1.0 + 11.0)
+
+
 def test_perfect_si_free_limit():
-    # with the transmit chain off there is no downlink and no
-    # self-interference, so all three modes collapse to the same uplink rate
+    # with the transmit chain off there is no self-interference, so all
+    # three modes collapse to the same uplink rate
     cfg = dataclasses.replace(CFG, rho_t_db=-math.inf)
-    assert rate_perfect(SicMode.SUBTRACTION, cfg).dl_rate == 0.0
     rates = {m: rate_perfect(m, cfg).ul_rate for m in SicMode}
     assert len(set(rates.values())) == 1
     assert rate_perfect(SicMode.NO_SIC, cfg).ul_rate \

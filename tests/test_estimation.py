@@ -44,18 +44,29 @@ def test_model_rejects_bad_variances(kw):
         EstimationModel(**kw)
 
 
+def test_error_variance_matches_pilot_model():
+    # the MMSE pilot model 1 / (K rho_ul + 1): 1/101 at K = 10, rho_ul = 10
+    m = model_from_config(SystemConfig(), perfect=False)
+    assert m.eps2_dl == pytest.approx(0.009900990099009901, rel=1e-15)
+    assert model_from_config(SystemConfig(), perfect=True).eps2_dl == 0.0
+
+
+def test_error_variance_decreases_with_pilot_snr_and_users():
+    # more pilot SNR or more users (pilot symbols) estimate better
+    cfg = SystemConfig()
+    base = model_from_config(cfg, perfect=False).eps2_dl
+    for better in (dataclasses.replace(cfg, rho_ul_db=13.0),
+                   SystemConfig(M=80, N=30, K=20)):
+        assert model_from_config(better, perfect=False).eps2_dl < base
+
+
 def test_model_from_config():
     cfg = SystemConfig()
     assert model_from_config(cfg, perfect=True) == EstimationModel()
     m = model_from_config(cfg, perfect=False)
-    # the MMSE pilot model 1 / (K rho_ul + 1): 1/101 at K = 10, rho_ul = 10
-    assert m.eps2_dl == pytest.approx(0.009900990099009901, rel=1e-15)
+    assert m.eps2_dl == pytest.approx(1.0 / 101.0, rel=1e-15)
     assert m.eps2_ul == m.eps2_dl
     assert m.eps2_si == 0.2
-    # more pilot SNR or more users (pilot symbols) estimate better
-    for better in (dataclasses.replace(cfg, rho_ul_db=13.0),
-                   SystemConfig(M=80, N=30, K=20)):
-        assert model_from_config(better, perfect=False).eps2_dl < m.eps2_dl
 
 
 # -------------------------------------------------------------- estimate

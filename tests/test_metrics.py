@@ -481,15 +481,19 @@ def test_curves_are_required_before_any_draw(monkeypatch):
 
 def test_half_duplex_is_half_the_subtraction_rate():
     cfg = dataclasses.replace(SystemConfig(), rho_t_db=80.0)
-    # rho_dl is exactly 1.0 at 0 dB transmit SNR and user-link gain
-    rho_dl_1 = dataclasses.replace(cfg, rho_t_db=0.0, beta_ue_db=0.0)
-    for c in (cfg, rho_dl_1):
-        got = rate_half_duplex(c)
-        full = rate_perfect(SicMode.SUBTRACTION, c)
-        assert (got.dl_rate, got.ul_rate) == (0.5 * full.dl_rate,
-                                              0.5 * full.ul_rate)
-        assert got.dl_rate + got.ul_rate == 0.5 * (full.dl_rate
-                                                   + full.ul_rate)
     got = rate_half_duplex(cfg)
+    full = rate_perfect(SicMode.SUBTRACTION, cfg)
+    assert (got.dl_rate, got.ul_rate) == (0.5 * full.dl_rate,
+                                          0.5 * full.ul_rate)
+    assert got.dl_rate + got.ul_rate == 0.5 * (full.dl_rate + full.ul_rate)
     assert got.dl_rate + got.ul_rate == pytest.approx(47.47427792245599,
                                                       rel=1e-14)
+
+
+def test_half_duplex_rho_dl_override():
+    # rho_dl is exactly 1.0 at 0 dB transmit SNR and user-link gain
+    cfg = dataclasses.replace(SystemConfig(), rho_t_db=0.0, beta_ue_db=0.0)
+    assert cfg.rho_dl == 1.0
+    got = rate_half_duplex(cfg)
+    full = rate_perfect(SicMode.SUBTRACTION, cfg)
+    assert got.dl_rate + got.ul_rate == 0.5 * (full.dl_rate + full.ul_rate)
