@@ -1,9 +1,10 @@
 """Release acceptance checks: simulation against closed forms and contracts.
 
 Each criterion is a standalone function returning a CriterionResult; run_all
-executes the lot.  The same checks back both the ``fdmimo check`` CLI
-subcommand and the acceptance test module.  base_trials scales the Monte
-Carlo effort (the documented tolerances assume the default 10000).
+executes the lot, criteria 3 and 9 on a background thread.  The same
+checks back both the ``fdmimo check`` CLI subcommand and the acceptance
+test module.  base_trials scales the Monte Carlo effort (the documented
+tolerances assume the default 10000).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,6 +35,8 @@ _Z99 = 2.3263478740408408
 
 #: Matrices that criterion 3 draws and reduces at a time.
 _GROUP_DRAWS = 64
+#: Matrices of a group whose imaginary parts criterion 3 draws at a time.
+_SLICE_DRAWS = 8
 
 
 @dataclass(frozen=True)
@@ -130,51 +134,59 @@ def _mean_inv_gram_diag(gen: np.random.Generator, rows: int, cols: int,
                         draws: int, keep: int) -> float:
     """Mean of 1 / [(A A^H)^{-1}]_kk over the first keep diagonals, for
     draws matrices A = (X + iY) / sqrt(2) with standard normal X and Y of
-    shape (rows, cols).  Each group of _GROUP_DRAWS matrices is one draw:
-    all its real parts, then all its imaginary parts.
+    shape (rows, cols).  Each group of _GROUP_DRAWS matrices draws all its
+    real parts, then all its imaginary parts.
 
     With C = X Y^T, G = 2 A A^H has real part X X^T + Y Y^T and imaginary
-    part C^T - C, so no complex copy of A is made.  Only the kept columns
-    of G^{-1} are solved for, and 1 / [(A A^H)^{-1}]_kk = 1 / (2 [G^{-1}]_kk).
+    part C^T - C, so no complex copy of A is made.  The imaginary parts are
+    drawn _SLICE_DRAWS matrices at a time, which yields the same normals
+    as one draw, and G is filled slice by slice.  Only the kept columns of
+    G^{-1} are solved for, and 1 / [(A A^H)^{-1}]_kk = 1 / (2 [G^{-1}]_kk).
     """
     # 3-D, so that NumPy < 2.0 also reads it as a stack of matrices
     unit = np.eye(rows, keep)[None]
+    x_buf = np.empty((_GROUP_DRAWS, rows, cols))
+    y_buf = np.empty((_SLICE_DRAWS, rows, cols))
+    gram_buf = np.empty((_GROUP_DRAWS, rows, rows), dtype=complex)
     total = 0.0
     for start in range(0, draws, _GROUP_DRAWS):
         group = min(_GROUP_DRAWS, draws - start)
-        x, y = gen.standard_normal((2, group, rows, cols))
-        c = x @ y.transpose(0, 2, 1)
-        gram = np.empty((group, rows, rows), dtype=complex)
-        gram.real = x @ x.transpose(0, 2, 1) + y @ y.transpose(0, 2, 1)
-        gram.imag = c.transpose(0, 2, 1) - c
+        x = gen.standard_normal(out=x_buf[:group])
+        gram = gram_buf[:group]
+        for lo in range(0, group, _SLICE_DRAWS):
+            hi = min(lo + _SLICE_DRAWS, group)
+            xs = x[lo:hi]
+            y = gen.standard_normal(out=y_buf[:hi - lo])
+            c = xs @ y.transpose(0, 2, 1)
+            gram.real[lo:hi] = (xs @ xs.transpose(0, 2, 1)
+                                + y @ y.transpose(0, 2, 1))
+            gram.imag[lo:hi] = c.transpose(0, 2, 1) - c
         sol = np.linalg.solve(gram, unit)
         diag = np.diagonal(sol, axis1=1, axis2=2).real
         total += float(np.sum(1.0 / diag))
     return total / (2 * draws * keep)
 
 
-def criterion_expected_inverse_norms(config: SystemConfig, base_trials: int,
-                                     seed: int) -> CriterionResult:
-    """3: Wishart expectations of the inverse precoder/combiner norms.
+def _inverse_norm_generators(seed: int) -> list[np.random.Generator]:
+    return [RngStream(seed, i).generator() for i in range(3)]
 
-    Uses the identity ||f_k||^2 = [(A A^H)^{-1}]_kk for the zero-forcing
-    solutions (verified against the transceiver in the unit tests) to
-    evaluate the sample means in large batches.
-    """
+
+def _inverse_norm_result(config: SystemConfig, base_trials: int,
+                         gens: Sequence[np.random.Generator]
+                         ) -> CriterionResult:
+    """Criterion 3 from its zf, sps and combiner generators, in that
+    order; it creates no generator, so it may run off the calling thread."""
     draws = 10 * base_trials
     m, n, k = config.M, config.N, config.K
+    zf_gen, sps_gen, combiner_gen = gens
     # The combiner's norms come from (H^H H)^{-1} of the N x K uplink
     # channel H, so its K x N draw is H^H, again i.i.d. CN(0, 1).
     targets = {
-        "zf": (m - k + 1,
-               _mean_inv_gram_diag(RngStream(seed, 0).generator(),
-                                   k, m, draws, k)),
+        "zf": (m - k + 1, _mean_inv_gram_diag(zf_gen, k, m, draws, k)),
         "sps": (m - n - k + 1,
-                _mean_inv_gram_diag(RngStream(seed, 1).generator(),
-                                    n + k, m, draws, k)),
+                _mean_inv_gram_diag(sps_gen, n + k, m, draws, k)),
         "combiner": (n - k + 1,
-                     _mean_inv_gram_diag(RngStream(seed, 2).generator(),
-                                         k, n, draws, k)),
+                     _mean_inv_gram_diag(combiner_gen, k, n, draws, k)),
     }
     worst = 0.0
     parts = []
@@ -185,6 +197,18 @@ def criterion_expected_inverse_norms(config: SystemConfig, base_trials: int,
     return CriterionResult(
         3, "inverse-norm expectations", worst < 0.02,
         ", ".join(parts) + f"; max relative error {worst:.5f}, tolerance 0.02")
+
+
+def criterion_expected_inverse_norms(config: SystemConfig, base_trials: int,
+                                     seed: int) -> CriterionResult:
+    """3: Wishart expectations of the inverse precoder/combiner norms.
+
+    Uses the identity ||f_k||^2 = [(A A^H)^{-1}]_kk for the zero-forcing
+    solutions (verified against the transceiver in the unit tests) to
+    evaluate the sample means in large batches.
+    """
+    return _inverse_norm_result(config, base_trials,
+                                _inverse_norm_generators(seed))
 
 
 def criterion_zero_forcing_residuals(config: SystemConfig, base_trials: int,
@@ -418,16 +442,70 @@ _CRITERIA: tuple[Callable[[SystemConfig, int, int], CriterionResult], ...] = (
 )
 
 
+#: Indices into _CRITERIA that run_all runs on one background thread, in
+#: this order.  Criterion 3 spends its time in NumPy's RNG, BLAS and
+#: LAPACK, and criterion 9 waiting on child processes; both release the
+#: GIL, so they overlap the other criteria.
+_BACKGROUND = (2, 8)
+
+
+def _background_job(criterion, config: SystemConfig, base_trials: int,
+                    seed: int) -> Callable[[], CriterionResult]:
+    """The criterion as a call that may run off the calling thread.
+
+    Criterion 3's generators are created here, on the calling thread, so
+    that a wrapper around RngStream.generator sees every call there.
+    """
+    if criterion is criterion_expected_inverse_norms:
+        gens = _inverse_norm_generators(seed)
+        return lambda: _inverse_norm_result(config, base_trials, gens)
+    return lambda: criterion(config, base_trials, seed)
+
+
 def run_all(base_trials: int = 10_000, seed: int = 1,
             config: SystemConfig | None = None,
             report: Callable[[str], None] | None = None
             ) -> list[CriterionResult]:
-    """Run all criteria; report (if given) receives one line per result."""
+    """Run all criteria; report (if given) receives one line per result.
+
+    The _BACKGROUND criteria run one after another on a daemon thread
+    while the others run on the calling thread.  Results are returned and
+    reported in criterion order, from the calling thread, each as soon as
+    it and all before it are done.  An exception in a background criterion
+    ends the thread and is raised at its position; one on the calling
+    thread is raised at once.
+    """
     cfg = config if config is not None else SystemConfig()
-    results = []
+    jobs = {i: _background_job(_CRITERIA[i], cfg, base_trials,
+                               seed + 1000 * i) for i in _BACKGROUND}
+    outcomes: dict[int, CriterionResult | BaseException] = {}
+
+    def work() -> None:
+        for i, job in jobs.items():
+            try:
+                outcomes[i] = job()
+            except BaseException as exc:
+                outcomes[i] = exc
+                return
+
+    background = threading.Thread(target=work, daemon=True)
+    background.start()
+    results: list[CriterionResult] = []
+
+    def flush() -> None:
+        """Report, in criterion order, the results that are ready."""
+        while len(results) in outcomes:
+            outcome = outcomes.pop(len(results))
+            if isinstance(outcome, BaseException):
+                raise outcome
+            results.append(outcome)
+            if report is not None:
+                report(outcome.line())
+
     for i, criterion in enumerate(_CRITERIA):
-        result = criterion(cfg, base_trials, seed + 1000 * i)
-        results.append(result)
-        if report is not None:
-            report(result.line())
+        if i not in jobs:
+            outcomes[i] = criterion(cfg, base_trials, seed + 1000 * i)
+            flush()
+    background.join()
+    flush()
     return results

@@ -26,6 +26,12 @@ from .numerics import RngStream, _complex_gaussians, bessel_j0, hermitian_sqrt
 
 SPEED_OF_LIGHT = 299792458.0
 
+#: Highest received SNR in dB that a config may set, as rho_ul_db or as
+#: rho_t_db + beta_ue_db or rho_t_db + beta_si_db.  From about 300 dB the
+#: zero-forcing residual sits at machine precision, so simulated rates
+#: leave their closed forms, and far above it an SINR overflows.
+MAX_RECEIVED_SNR_DB = 250.0
+
 
 class ConfigError(ValueError):
     """A configuration value violates one of the documented constraints."""
@@ -83,6 +89,14 @@ class SystemConfig:
         for name in ("rho_t_db", "beta_ue_db", "beta_si_db", "rho_ul_db"):
             _check_db_field(name, getattr(self, name))
         _check_db_field("alpha_anc_db", self.alpha_anc_db, allow_neg_inf=False)
+        for name, snr_db in (
+                ("rho_ul_db", self.rho_ul_db),
+                ("rho_t_db + beta_ue_db", self.rho_t_db + self.beta_ue_db),
+                ("rho_t_db + beta_si_db", self.rho_t_db + self.beta_si_db)):
+            if snr_db > MAX_RECEIVED_SNR_DB:
+                raise ConfigError(
+                    f"{name} = {snr_db!r} dB is above the "
+                    f"{MAX_RECEIVED_SNR_DB:g} dB ceiling for a received SNR")
         if not np.isfinite(self.nmse) or self.nmse < 0.0:
             raise ConfigError("nmse must be finite and nonnegative")
 

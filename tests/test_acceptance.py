@@ -8,6 +8,8 @@ the end check criterion internals on small configs.
 """
 
 import math
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -15,7 +17,8 @@ import numpy as np
 import pytest
 
 from fdmimo import acceptance, experiments, numerics
-from fdmimo.acceptance import (_Z99, criterion_paired_residual_si,
+from fdmimo.acceptance import (_Z99, CriterionResult,
+                               criterion_paired_residual_si,
                                criterion_zero_forcing_residuals, run_all)
 from fdmimo.channel import (CorrelatedSampler, RicianParams, SystemConfig,
                             _channel_stack, default_geometry, generate_iid)
@@ -208,6 +211,24 @@ def _mean_inv_gram_diag_reference(gen, rows, cols, draws, keep):
     return total / count
 
 
+def _mean_inv_gram_diag_one_draw(gen, rows, cols, draws, keep):
+    # each group of 64 in one draw of all its real parts, then all its
+    # imaginary parts, and a Gram from whole-group products
+    unit = np.eye(rows, keep)[None]
+    total = 0.0
+    for start in range(0, draws, 64):
+        group = min(64, draws - start)
+        x, y = gen.standard_normal((2, group, rows, cols))
+        c = x @ y.transpose(0, 2, 1)
+        gram = np.empty((group, rows, rows), dtype=complex)
+        gram.real = x @ x.transpose(0, 2, 1) + y @ y.transpose(0, 2, 1)
+        gram.imag = c.transpose(0, 2, 1) - c
+        sol = np.linalg.solve(gram, unit)
+        diag = np.diagonal(sol, axis1=1, axis2=2).real
+        total += float(np.sum(1.0 / diag))
+    return total / (2 * draws * keep)
+
+
 @pytest.mark.parametrize("draws", [1, 7, 2000, 2003, 4500])
 @pytest.mark.parametrize("wide", [True, False])
 @pytest.mark.parametrize("keep", [2, 5])
@@ -222,11 +243,18 @@ def test_criterion_3_kernel_matches_the_complex_inverse(draws, wide, keep):
     assert got == pytest.approx(want, rel=1e-12)
     # both drew the same normals
     assert got_gen.standard_normal() == want_gen.standard_normal()
+    # drawing the imaginary parts in slices gives the same normals, and
+    # matmul works per matrix, so the mean is the same float
+    one_draw = _mean_inv_gram_diag_one_draw(RngStream(7, 3).generator(),
+                                            rows, cols, draws, keep)
+    assert got == one_draw
 
 
 def test_criterion_3_kernel_peak_memory():
-    # 2000 draws of the SPS target at the default sizes; complex copies
-    # and full inverses of all of them would peak near 200 MiB
+    # 2000 draws of the SPS target at the default sizes: one group's real
+    # parts, a slice of imaginary parts and one group's Gram and solve;
+    # the one-draw kernel peaked at 5.4 MiB, whole-stack complex copies
+    # and inverses near 200 MiB
     gen = RngStream(1, 1).generator()
     tracemalloc.start()
     try:
@@ -234,4 +262,94 @@ def test_criterion_3_kernel_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 4 * 2**20
+
+
+# ------------------------------------------------------------ scheduling
+
+@pytest.fixture(scope="module")
+def small_run():
+    """run_all on SMALL at a few base trials, recording the thread of each
+    report and of each RngStream.generator call."""
+    calls = []
+    generator = RngStream.generator
+
+    def recording_generator(self):
+        calls.append(("generator", threading.current_thread()))
+        return generator(self)
+
+    def report(line):
+        calls.append((line, threading.current_thread()))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RngStream, "generator", recording_generator)
+        results = run_all(base_trials=4, seed=11, config=SMALL,
+                          report=report)
+    return results, calls
+
+
+def test_run_all_equals_the_criteria_called_in_order(small_run):
+    results, calls = small_run
+    want = [criterion(SMALL, 4, 11 + 1000 * i)
+            for i, criterion in enumerate(acceptance._CRITERIA)]
+    assert results == want
+    me = threading.current_thread()
+    assert [c for c in calls if c[0] != "generator"] == [
+        (r.line(), me) for r in want]
+
+
+def test_run_all_draws_every_generator_on_the_calling_thread(small_run):
+    # a tracer that wraps RngStream.generator keeps one span stack
+    _, calls = small_run
+    generators = [thread for what, thread in calls if what == "generator"]
+    assert generators
+    assert set(generators) == {threading.current_thread()}
+
+
+def _fake(number, action=None):
+    def criterion(config, base_trials, seed):
+        if action is not None:
+            action()
+        return CriterionResult(number, f"fake {number}", True, str(seed))
+    return criterion
+
+
+def test_a_failing_background_criterion_raises_at_its_position(monkeypatch):
+    def boom():
+        raise RuntimeError("criterion 3 broke")
+
+    fakes = [_fake(i + 1) for i in range(9)]
+    fakes[2] = _fake(3, boom)
+    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
+    lines = []
+    with pytest.raises(RuntimeError, match="criterion 3 broke"):
+        run_all(base_trials=1, seed=0, config=SMALL, report=lines.append)
+    assert lines == ["PASS criterion 1 (fake 1): 0",
+                     "PASS criterion 2 (fake 2): 1000"]
+
+
+def test_a_failing_foreground_criterion_does_not_wait(monkeypatch):
+    started = threading.Event()
+    release = threading.Event()
+
+    def block():
+        started.set()
+        release.wait(60.0)
+
+    def boom():
+        assert started.wait(60.0)
+        raise RuntimeError("criterion 1 broke")
+
+    fakes = [_fake(i + 1) for i in range(9)]
+    fakes[0] = _fake(1, boom)
+    fakes[2] = _fake(3, block)
+    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError, match="criterion 1 broke"):
+            run_all(base_trials=1, seed=0, config=SMALL)
+        # criterion 3 is still blocked, far inside its 60 s
+        assert not release.is_set()
+        assert time.monotonic() - t0 < 30.0
+    finally:
+        release.set()

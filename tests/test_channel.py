@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,8 +90,36 @@ def test_config_db_fields_that_overflow_are_named():
         with pytest.raises(ConfigError,
                            match=f"^{field} = 4000.0 dB overflows"):
             SystemConfig(**{field: 4000.0})
-        assert getattr(SystemConfig(**{field: 3000.0}), field) == 3000.0
+    # 3000 dB does not overflow; beta_ue_db and beta_si_db offset
+    # rho_t_db, so that no received SNR is above the ceiling
+    for cfg in (SystemConfig(rho_t_db=3000.0, beta_ue_db=-3000.0,
+                             beta_si_db=-3000.0, alpha_anc_db=3000.0),
+                SystemConfig(rho_t_db=-3000.0, beta_ue_db=3000.0,
+                             beta_si_db=3000.0)):
+        for field in ("rho_t_db", "beta_ue_db", "beta_si_db"):
+            assert abs(getattr(cfg, field)) == 3000.0
     assert SystemConfig(beta_ue_db=-4000.0).rho_dl == 0.0
+
+
+@pytest.mark.parametrize("kw, msg", [
+    (dict(rho_ul_db=250.5), "rho_ul_db = 250.5"),
+    (dict(rho_t_db=200.0, beta_ue_db=60.0), "rho_t_db + beta_ue_db = 260.0"),
+    (dict(rho_t_db=300.0), "rho_t_db + beta_si_db = 260.0"),
+    (dict(rho_t_db=-40.0, beta_si_db=3000.0),
+     "rho_t_db + beta_si_db = 2960.0"),
+])
+def test_received_snrs_above_the_ceiling_are_named(kw, msg):
+    with pytest.raises(ConfigError, match=f"^{re.escape(msg)} dB is above "
+                       f"the 250 dB ceiling for a received SNR$"):
+        SystemConfig(**kw)
+
+
+def test_received_snrs_at_the_ceiling_are_valid():
+    cfg = SystemConfig(rho_ul_db=250.0, rho_t_db=290.0, beta_ue_db=-40.0,
+                       beta_si_db=-40.0)
+    assert cfg.rho_ul == 1e25
+    assert cfg.rho_dl == cfg.rho_si == pytest.approx(1e25, rel=1e-15)
+    assert SystemConfig(rho_t_db=-math.inf, beta_ue_db=3000.0).rho_dl == 0.0
 
 
 def test_config_allows_minus_inf_power_but_not_attenuation():

@@ -304,17 +304,33 @@ def test_a_db_value_that_overflows_exits_1_before_any_trial(
     assert out == "" and not out_path.exists()
 
 
-def test_an_infinite_rate_exits_2_without_a_csv(tmp_path, capsys):
-    # rho_ul**2 overflows in the imperfect-CSI uplink closed form
+@pytest.mark.parametrize("text, msg", [
+    # the imperfect-CSI uplink closed form squares rho_ul into an inf rate
+    ("M = 9\nN = 5\nK = 3\nrho_ul_db = 1600\nsweep_stop = 2\n",
+     "rho_ul_db = 1600.0"),
+    # rho_t * beta_ue overflows: every dl_sim came out empty, no failures
+    ("scenario = fig-imperfect-si\nM = 9\nN = 5\nK = 3\n"
+     "beta_ue_db = 3000\nbeta_si_db = -3000\n",
+     "rho_t_db + beta_ue_db = 3050.0"),
+    # zero-forcing sits at machine precision from about 300 dB
+    ("scenario = fig-perfect\nbeta_si_db = -100\nsweep_start = 250\n"
+     "sweep_stop = 300\nsweep_step = 50\n",
+     "sweep point rho_dl_db = 300.0: rho_t_db + beta_ue_db = 300.0"),
+    ("scenario = fig-imperfect-si\nsweep_start = 250\nsweep_stop = 252\n",
+     "sweep point rho_si_db = 252.0: rho_t_db + beta_si_db = 252.0"),
+], ids=["uplink", "downlink", "dl-sweep-point", "si-sweep-point"])
+def test_a_received_snr_above_the_ceiling_exits_1_before_any_trial(
+        text, msg, monkeypatch, tmp_path, capsys):
+    _no_draw(monkeypatch)
     path = tmp_path / "loud.conf"
-    path.write_text("M = 9\nN = 5\nK = 3\nrho_ul_db = 1600\n"
-                    "sweep_stop = 2\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     out_path = tmp_path / "out.csv"
-    assert cli.main(["run", "--config", str(path), "--modes", "stt",
-                     "--trials", "3", "--output", str(out_path)]) == 2
+    assert cli.main(["run", "--config", str(path), "--modes", "stt,sps",
+                     "--trials", "3", "--output", str(out_path)]) == 1
     out, err = capsys.readouterr()
-    assert "error: mode stt at x_db = 0: ul_cf is inf" in err
-    assert "Traceback" not in err
+    assert (f"config error: {msg} dB is above the 250 dB ceiling for a "
+            f"received SNR\n") in err
+    assert "Traceback" not in err and ": mode" not in err
     assert out == "" and not out_path.exists()
 
 
