@@ -9,6 +9,7 @@ tolerances assume the default 10000).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -225,9 +226,9 @@ def criterion_zero_forcing_residuals(config: SystemConfig, base_trials: int,
                 (range(iid_trials, iid_trials + corr_trials),
                  experiments.correlated_sampler(config)))
     for trials, sampler in segments:
-        for chunk, _, _, _, h_ext_hat, h_ul_hat in metrics._trial_chunks(
-                config, model, seed, trials, sampler):
-            w, built = build((sps,), h_ext_hat, h_ul_hat)
+        for chunk, _, _, _, h_ext_hat, h_ul_hat, workspace in (
+                metrics._trial_chunks(config, model, seed, trials, sampler)):
+            w, built = build((sps,), h_ext_hat, h_ul_hat, workspace)
             g, failed = built[sps]
             if failed.any():
                 return _build_failure(4, "zero-forcing residuals", sps, chunk,
@@ -265,9 +266,9 @@ def criterion_paired_residual_si(config: SystemConfig, base_trials: int,
     stt, sps = SicMode.SUBTRACTION, SicMode.SPATIAL_SUPPRESSION
     k = config.K
     diffs = []
-    for chunk, _, _, h_si, h_ext_hat, h_ul_hat in metrics._trial_chunks(
-            config, model, seed, range(base_trials)):
-        w, built = build((stt, sps), h_ext_hat, h_ul_hat)
+    for chunk, _, _, h_si, h_ext_hat, h_ul_hat, workspace in (
+            metrics._trial_chunks(config, model, seed, range(base_trials))):
+        w, built = build((stt, sps), h_ext_hat, h_ul_hat, workspace)
         means = {}
         for mode, (g, failed) in built.items():
             if failed.any():
@@ -403,23 +404,33 @@ def criterion_correlated_orderings(config: SystemConfig, base_trials: int,
 
 def criterion_csv_determinism(config: SystemConfig, base_trials: int,
                               seed: int) -> CriterionResult:
-    """9: identical flags and seed give byte-identical CSVs, any threads."""
+    """9: identical flags and seed give byte-identical CSVs, any threads.
+
+    The three runs start together, since each spends most of its time
+    importing, and are awaited in run order; the first failing run in
+    that order is the one reported.
+    """
     del config, base_trials
     outputs = []
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.ExitStack() as running:
+        runs = []
         for i, threads in enumerate(("1", "2", "1")):
             path = os.path.join(tmp, f"out{i}.csv")
             env = dict(os.environ, OMP_NUM_THREADS=threads,
                        OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-            proc = subprocess.run(
+            runs.append((path, running.enter_context(subprocess.Popen(
                 [sys.executable, "-m", "fdmimo", "run", "--scenario",
                  "fig-perfect", "--trials", "40", "--seed", str(seed),
                  "--output", path],
-                env=env, capture_output=True, text=True)
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                text=True))))
+        for path, proc in runs:
+            _, stderr = proc.communicate()
             if proc.returncode != 0:
                 return CriterionResult(
                     9, "CSV determinism", False,
-                    f"run exited {proc.returncode}: {proc.stderr.strip()}")
+                    f"run exited {proc.returncode}: {stderr.strip()}")
             with open(path, "rb") as fh:
                 outputs.append(fh.read())
     identical = outputs[0] == outputs[1] == outputs[2]

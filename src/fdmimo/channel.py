@@ -26,10 +26,12 @@ from .numerics import RngStream, _complex_gaussians, bessel_j0, hermitian_sqrt
 
 SPEED_OF_LIGHT = 299792458.0
 
-#: Highest received SNR in dB that a config may set, as rho_ul_db or as
-#: rho_t_db + beta_ue_db or rho_t_db + beta_si_db.  From about 300 dB the
-#: zero-forcing residual sits at machine precision, so simulated rates
-#: leave their closed forms, and far above it an SINR overflows.
+#: Highest received SNR in dB that a config may set, as rho_ul_db, as
+#: rho_t_db + beta_ue_db or rho_t_db + beta_si_db, or as the SI SNR left
+#: after analog cancellation, rho_t_db + beta_si_db - alpha_anc_db.  From
+#: about 300 dB the zero-forcing residual sits at machine precision, so
+#: simulated rates leave their closed forms, and far above it an SINR
+#: overflows.
 MAX_RECEIVED_SNR_DB = 250.0
 
 
@@ -50,10 +52,13 @@ def _check_db_field(name: str, value: float, allow_neg_inf: bool = True) -> None
     if value == -np.inf and not allow_neg_inf:
         raise ConfigError(f"{name} must be finite")
     try:
-        db_to_linear(value)
+        linear = db_to_linear(value)
     except OverflowError:
         raise ConfigError(f"{name} = {value!r} dB overflows a float as a "
                           f"linear power ratio") from None
+    if linear == 0.0 and not allow_neg_inf:
+        raise ConfigError(f"{name} = {value!r} dB underflows a float to a "
+                          f"zero linear power ratio")
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,9 @@ class SystemConfig:
         for name, snr_db in (
                 ("rho_ul_db", self.rho_ul_db),
                 ("rho_t_db + beta_ue_db", self.rho_t_db + self.beta_ue_db),
-                ("rho_t_db + beta_si_db", self.rho_t_db + self.beta_si_db)):
+                ("rho_t_db + beta_si_db", self.rho_t_db + self.beta_si_db),
+                ("rho_t_db + beta_si_db - alpha_anc_db",
+                 self.rho_t_db + self.beta_si_db - self.alpha_anc_db)):
             if snr_db > MAX_RECEIVED_SNR_DB:
                 raise ConfigError(
                     f"{name} = {snr_db!r} dB is above the "

@@ -31,10 +31,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import (ConfigError, CorrelatedSampler, SystemConfig,
-                      _channel_stack, generate_iid)
+from .channel import (MAX_RECEIVED_SNR_DB, ConfigError, CorrelatedSampler,
+                      SystemConfig, _channel_stack, generate_iid)
 from .estimation import EstimationModel, estimate
-from .numerics import RngStream
+from .numerics import RngStream, Workspace
 from .transceiver import SicMode, build
 
 
@@ -139,20 +139,26 @@ class Curve(NamedTuple):
     si_free: bool = False
 
 
-#: Working-set budget of one chunk of trials.  A chunk's channels,
-#: estimates and pseudo-inverse temporaries are alive together, so this
-#: bounds what the engine adds to peak memory.
+#: Working-set budget of one chunk of trials.  A chunk's channels and
+#: estimates and the workspace that build writes into are allocated once
+#: per run and reused by every chunk, so this bounds what the engine adds
+#: to peak memory.
 _CHUNK_BYTES = 1 << 20
 
 
 def _chunk_trials(m: int, n: int, k: int) -> int:
     """Trials per chunk that keep the working set within _CHUNK_BYTES."""
-    # Complex entries alive per trial at once: the true channels, the
-    # estimates (downlink rows stacked over SI rows, uplink), the largest
-    # pseudo-inverse's temporaries (for that (K + N) x M stack A: the Gram
-    # G, G^-1 and the refinement residual, (K + N) x (K + N) each, and A^H
-    # and the inverse, M x (K + N) each), and the SI estimation error of
-    # subtraction.
+    # Complex entries per trial: the true channels, the estimates
+    # (downlink rows stacked over SI rows, uplink), the largest buffers
+    # of the workspace, which are the suppression pseudo-inverse's (for
+    # its (K + N) x M input A: conj(A) and the inverse X, M x (K + N)
+    # each, and the Gram G and I - A X, (K + N) x (K + N) each), the G^-1
+    # that np.linalg.inv returns, and the SI estimation error of
+    # subtraction.  The workspace's other buffers are left out: the
+    # correction product X (I - A X), the combiner's and the zero-forcing
+    # precoder's buffers and the normalized precoders.  At 64/20/10 that
+    # makes 5 trials, whose buffers hold 1.22 MiB, 0.90 MiB of it the
+    # workspace.
     entries = (k * m + n * k + n * m) + ((k + n) * m + n * k) \
         + 3 * (k + n) * (k + n) + 2 * (k + n) * m + n * m
     return max(1, _CHUNK_BYTES // (16 * entries))
@@ -171,8 +177,11 @@ def _trial_chunks(config: SystemConfig, model: EstimationModel,
     estimate over its SI estimate) and h_ul_hat.
     A chunk is one generate_iid or CorrelatedSampler.sample call and one
     estimate call, whose values depend on each trial's streams alone,
-    where a sampler's SI error is scaled by its path-gain amplitude.  The
-    arrays are views of buffers that the next chunk overwrites.
+    where a sampler's SI error is scaled by its path-gain amplitude.
+    Each chunk also carries the workspace that the caller passes to
+    build, one per call of this generator.  The arrays, and build's
+    combiners and precoders made in that workspace, are views of buffers
+    that the next chunk overwrites.
     """
     m, n, k = config.M, config.N, config.K
     if sampler is None:
@@ -185,6 +194,7 @@ def _trial_chunks(config: SystemConfig, model: EstimationModel,
     h_dl, h_ul, h_si = _channel_stack(config, size)
     h_ext_hat = np.empty((size, k + n, m), dtype=complex)
     h_ul_hat = np.empty((size, n, k), dtype=complex)
+    workspace = Workspace()
     for start in range(0, len(trials), size):
         chunk = trials[start:start + size]
         c = len(chunk)
@@ -193,7 +203,7 @@ def _trial_chunks(config: SystemConfig, model: EstimationModel,
         estimate(model, [RngStream(master_seed, 2 * t + 1) for t in chunk],
                  channels, (h_ext_hat[:c, :k], h_ul_hat[:c],
                             h_ext_hat[:c, k:]), si_amp)
-        yield (chunk, *channels, h_ext_hat[:c], h_ul_hat[:c])
+        yield (chunk, *channels, h_ext_hat[:c], h_ul_hat[:c], workspace)
 
 
 def monte_carlo_sweep(configs: Sequence[SystemConfig],
@@ -232,6 +242,15 @@ def monte_carlo_sweep(configs: Sequence[SystemConfig],
         # Path gains replace the flat beta_si, so the SI term scales with
         # the raw transmit SNR.
         levels = [cfg.rho_t for cfg in configs]
+        gain_db = 10.0 * math.log10(float(np.max(sampler._si_amp)) ** 2)
+        for cfg in configs:
+            snr_db = cfg.rho_t_db + gain_db - cfg.alpha_anc_db
+            if snr_db > MAX_RECEIVED_SNR_DB:
+                raise ConfigError(
+                    f"rho_t_db = {cfg.rho_t_db!r} with alpha_anc_db = "
+                    f"{cfg.alpha_anc_db!r} puts the SI SNR of the strongest "
+                    f"correlated SI path at {snr_db:.1f} dB, above the "
+                    f"{MAX_RECEIVED_SNR_DB:g} dB ceiling for a received SNR")
     else:
         levels = [cfg.rho_si for cfg in configs]
     pref = np.array([[0.0 if curve.si_free else s / cfg.alpha_anc
@@ -244,9 +263,9 @@ def monte_carlo_sweep(configs: Sequence[SystemConfig],
     k = base.K
     acc = [_Welford((2, len(configs))) for _ in curves]
     failures = [0] * len(curves)
-    for _, h_dl, h_ul, h_si, h_ext_hat, h_ul_hat in _trial_chunks(
+    for _, h_dl, h_ul, h_si, h_ext_hat, h_ul_hat, workspace in _trial_chunks(
             base, model, master_seed, range(trials), sampler):
-        w, built = build(modes, h_ext_hat, h_ul_hat)
+        w, built = build(modes, h_ext_hat, h_ul_hat, workspace)
         # Axes: trial, [curve,] point, user.  The downlink rates depend on
         # the precoder only, so each distinct one is evaluated once.
         dl_rates = {}

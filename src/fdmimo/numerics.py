@@ -3,12 +3,14 @@
 Everything downstream (channel draws, precoders, combiners) is built on the
 small set of primitives in this module: seeded counter-based RNG substreams,
 complex Gaussian sampling in one stream layout, a clamping Hermitian square
-root, rank-revealing one-sided pseudo-inverses, and the zero-order Bessel
-function J0 used by the spatial-correlation model.
+root, rank-revealing one-sided pseudo-inverses that work in a reusable
+scratch workspace, and the zero-order Bessel function J0 used by the
+spatial-correlation model.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +47,37 @@ class RngStream:
         seq = np.random.SeedSequence(self.master_seed,
                                      spawn_key=(self.stream_index,))
         return np.random.Generator(np.random.Philox(seq))
+
+
+class Workspace:
+    """Scratch arrays that a loop reuses from one pass to the next.
+
+    array(name, shape, dtype) returns an uninitialized array over the
+    buffer kept under name.  The buffer is allocated on first use and
+    again only when a request needs more elements or another dtype, so a
+    loop whose shapes do not grow allocates it once, and its pages are not
+    handed back to the system and faulted in again on every pass.  The
+    array stays valid until the next request for its name.  scope(name)
+    is a nested workspace with names of its own.  A workspace serves one
+    caller at a time; threads each use their own.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+        self._scopes: dict[str, Workspace] = {}
+
+    def array(self, name: str, shape: tuple[int, ...],
+              dtype) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def scope(self, name: str) -> Workspace:
+        if name not in self._scopes:
+            self._scopes[name] = Workspace()
+        return self._scopes[name]
 
 
 def _complex_gaussians(streams: list[RngStream], outs: list[np.ndarray],
@@ -142,8 +175,8 @@ def _gram_inverse(gram: np.ndarray) -> np.ndarray:
         return out
 
 
-def _pseudo_inverse(a: np.ndarray,
-                    wide: bool) -> tuple[np.ndarray, np.ndarray]:
+def _pseudo_inverse(a: np.ndarray, wide: bool, workspace: Workspace | None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Guarded Moore-Penrose inverse of a full-rank matrix or stack.
 
     wide picks the Gram matrix G to form, and so the side: A A^H gives the
@@ -158,21 +191,42 @@ def _pseudo_inverse(a: np.ndarray,
     the rounding of kappa_F), and the returned failure mask is exactly
     the SVD's.  Each matrix's route and result depend on that matrix
     alone, so a stack's members equal their one-matrix calls bit for bit.
+
+    conj(A), G, X, I - A X (I - X A) and the correction product are
+    written into the workspace (a fresh one when None), so the returned
+    X is a view of its buffer "x".  Writing into a buffer changes no
+    arithmetic: X is bit for bit the one computed into fresh arrays.
     """
-    ah = a.conj().swapaxes(-1, -2)
-    gram = a @ ah if wide else ah @ a
+    ws = Workspace() if workspace is None else workspace
+    # a.conj() is a itself for a real a, and NumPy's product of a real
+    # matrix with its own transpose takes another kernel; keep both so.
+    conj = (np.conjugate(a, out=ws.array("conj", a.shape, a.dtype))
+            if np.iscomplexobj(a) else a)
+    ah = conj.swapaxes(-1, -2)
+    side = a.shape[-2] if wide else a.shape[-1]
+    gram = ws.array("gram", (*a.shape[:-2], side, side), a.dtype)
+    if wide:
+        np.matmul(a, ah, out=gram)
+    else:
+        np.matmul(ah, a, out=gram)
     gram_inv = _gram_inverse(gram)
     with np.errstate(over="ignore", invalid="ignore"):
         kappa = (np.linalg.norm(gram, axis=(-2, -1))
                  * np.linalg.norm(gram_inv, axis=(-2, -1)))
     fast = kappa < min(_GRAM_FAST_LIMIT, 0.5 * GRAM_CONDITION_LIMIT)
-    eye = np.eye(gram.shape[-1])
+    dtype = np.result_type(a, gram_inv)
+    x = ws.array("x", ah.shape, dtype)
+    resid = ws.array("resid", gram.shape, dtype)
+    corr = ws.array("corr", ah.shape, dtype)
+    eye = np.eye(side)
     if wide:
-        x = ah @ gram_inv
-        x += x @ (eye - a @ x)
+        np.matmul(ah, gram_inv, out=x)
+        np.subtract(eye, np.matmul(a, x, out=resid), out=resid)
+        x += np.matmul(x, resid, out=corr)
     else:
-        x = gram_inv @ ah
-        x += (eye - x @ a) @ x
+        np.matmul(gram_inv, ah, out=x)
+        np.subtract(eye, np.matmul(x, a, out=resid), out=resid)
+        x += np.matmul(resid, x, out=corr)
     failed = np.zeros(fast.shape, dtype=bool)
     if not fast.all():
         slow = ~fast
@@ -180,7 +234,8 @@ def _pseudo_inverse(a: np.ndarray,
     return x, failed
 
 
-def right_pseudo_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def right_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Right inverse A^H (A A^H)^{-1} of a full-row-rank wide matrix.
 
     a is one matrix or a stack of matrices along leading axes.  Taken
@@ -190,21 +245,24 @@ def right_pseudo_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     even for moderately ill-conditioned inputs.  Returns the inverses and
     a boolean mask over the leading axes of the matrices whose Gram is
     singular or has a condition number at or above GRAM_CONDITION_LIMIT;
-    the inverses of those are meaningless.
+    the inverses of those are meaningless.  With a workspace, the
+    inverses are a view of its buffer, which the next call with the same
+    workspace overwrites; without one, a fresh workspace is used.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-2] > a.shape[-1]:
         raise ValueError("right inverse needs matrices with rows <= cols")
-    return _pseudo_inverse(a, wide=True)
+    return _pseudo_inverse(a, True, workspace)
 
 
-def left_pseudo_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def left_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Left inverse (A^H A)^{-1} A^H of a full-column-rank tall matrix or
-    stack, with the failure mask of right_pseudo_inverse."""
+    stack, with the failure mask and workspace of right_pseudo_inverse."""
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
         raise ValueError("left inverse needs matrices with rows >= cols")
-    return _pseudo_inverse(a, wide=False)
+    return _pseudo_inverse(a, False, workspace)
 
 
 def bessel_j0(x):

@@ -22,7 +22,7 @@ import enum
 
 import numpy as np
 
-from .numerics import left_pseudo_inverse, right_pseudo_inverse
+from .numerics import Workspace, left_pseudo_inverse, right_pseudo_inverse
 
 
 class SicMode(enum.Enum):
@@ -31,18 +31,23 @@ class SicMode(enum.Enum):
     SPATIAL_SUPPRESSION = "sps"
 
 
-def _normalize(f_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normalize(f_raw: np.ndarray, workspace: Workspace
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Per-user normalization g_k = f_k / (sqrt(K) ||f_k||) over leading
     axes, so that every precoder has unit total power, plus a mask of the
-    matrices with a zero column (whose normalization is meaningless)."""
+    matrices with a zero column (whose normalization is meaningless).
+    The precoders are written into the workspace's buffer "g"."""
     norms = np.linalg.norm(f_raw, axis=-2)
     degenerate = np.any(norms == 0.0, axis=-1)
     norms = np.where(degenerate[..., None], 1.0, norms)
     k = f_raw.shape[-1]
-    return f_raw / (np.sqrt(k) * norms[..., None, :]), degenerate
+    scale = np.sqrt(k) * norms[..., None, :]
+    g = workspace.array("g", f_raw.shape, np.result_type(f_raw, scale))
+    return np.divide(f_raw, scale, out=g), degenerate
 
 
-def build(modes, h_ext_hat: np.ndarray, h_ul_hat: np.ndarray):
+def build(modes, h_ext_hat: np.ndarray, h_ul_hat: np.ndarray,
+          workspace: Workspace | None = None):
     """Transceivers for a stack of CSI draws, each distinct one built once.
 
     h_ext_hat is (T, K + N, M): every downlink estimate stacked over its SI
@@ -52,20 +57,28 @@ def build(modes, h_ext_hat: np.ndarray, h_ul_hat: np.ndarray):
     combiner is singular or fails the condition guard, or a precoder
     column is zero.  NO_SIC and SUBTRACTION share one zero-forcing
     precoder.  Each draw's matrices depend on that draw alone.
-    """
-    k = h_ul_hat.shape[-1]
-    w, w_failed = left_pseudo_inverse(h_ul_hat)
 
-    def precoder(rows):
-        full, failed = right_pseudo_inverse(rows)
-        g, degenerate = _normalize(full[..., :k])
+    The combiners and precoders, and every pseudo-inverse temporary, are
+    views of buffers in the workspace (a fresh one when None): the next
+    build with the same workspace overwrites them, and a loop over chunks
+    of one size allocates none after its first build.
+    """
+    ws = Workspace() if workspace is None else workspace
+    k = h_ul_hat.shape[-1]
+    w, w_failed = left_pseudo_inverse(h_ul_hat, ws.scope("combiner"))
+
+    def precoder(rows, name):
+        scope = ws.scope(name)
+        full, failed = right_pseudo_inverse(rows, scope)
+        g, degenerate = _normalize(full[..., :k], scope)
         return g, failed | degenerate | w_failed
 
     sps = SicMode.SPATIAL_SUPPRESSION
     zf_modes = set(modes) - {sps}
     out = {}
     if zf_modes:
-        out.update(dict.fromkeys(zf_modes, precoder(h_ext_hat[..., :k, :])))
+        out.update(dict.fromkeys(zf_modes,
+                                 precoder(h_ext_hat[..., :k, :], "zf")))
     if sps in modes:
-        out[sps] = precoder(h_ext_hat)
+        out[sps] = precoder(h_ext_hat, "sps")
     return w, out

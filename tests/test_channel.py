@@ -101,6 +101,14 @@ def test_config_db_fields_that_overflow_are_named():
     assert SystemConfig(beta_ue_db=-4000.0).rho_dl == 0.0
 
 
+def test_an_attenuation_that_underflows_to_zero_is_named():
+    # the closed forms divide by alpha_anc, which may not be zero
+    with pytest.raises(ConfigError, match="^alpha_anc_db = -3237.0 dB "
+                       "underflows a float to a zero linear power ratio$"):
+        SystemConfig(alpha_anc_db=-3237.0)
+    assert SystemConfig(alpha_anc_db=-3000.0, rho_t_db=-3000.0).alpha_anc > 0
+
+
 @pytest.mark.parametrize("kw, msg", [
     (dict(rho_ul_db=250.5), "rho_ul_db = 250.5"),
     (dict(rho_t_db=200.0, beta_ue_db=60.0), "rho_t_db + beta_ue_db = 260.0"),

@@ -1,15 +1,24 @@
+import contextlib
+import csv
+import io
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fdmimo
 import fdmimo.cli as cli
 import fdmimo.numerics as numerics
 from fdmimo.acceptance import CriterionResult
-from fdmimo.experiments import CSV_HEADER, SweepRow, parse_config
+from fdmimo.experiments import (_CONFIG_KEYS, _SCENARIO_KEYS, CSV_HEADER,
+                                MODE_TOKENS, SCENARIO_NAMES, SweepRow,
+                                parse_config)
 
 
 @pytest.fixture
@@ -318,7 +327,11 @@ def test_a_db_value_that_overflows_exits_1_before_any_trial(
      "sweep point rho_dl_db = 300.0: rho_t_db + beta_ue_db = 300.0"),
     ("scenario = fig-imperfect-si\nsweep_start = 250\nsweep_stop = 252\n",
      "sweep point rho_si_db = 252.0: rho_t_db + beta_si_db = 252.0"),
-], ids=["uplink", "downlink", "dl-sweep-point", "si-sweep-point"])
+    # an SI level that overflowed made inf * 0 = NaN where subtraction
+    # left no residual SI
+    ("alpha_anc_db = -300\n", "rho_t_db + beta_si_db - alpha_anc_db = 310.0"),
+], ids=["uplink", "downlink", "dl-sweep-point", "si-sweep-point",
+        "si-after-cancellation"])
 def test_a_received_snr_above_the_ceiling_exits_1_before_any_trial(
         text, msg, monkeypatch, tmp_path, capsys):
     _no_draw(monkeypatch)
@@ -405,3 +418,82 @@ def test_check_failure_exits_2(monkeypatch, capsys):
                         _fake_results(2))
     assert cli.main(["check"]) == 2
     assert "7/9 criteria passed" in capsys.readouterr().err
+
+
+# ------------------------------------------------ extreme inputs, end to end
+
+#: Within +-4000 dB or -inf; most draws from the inner range pass the
+#: config checks, so that many examples reach the engine.
+_DB = st.one_of(st.floats(-4000.0, 4000.0), st.floats(-300.0, 300.0),
+                st.just(-math.inf))
+#: A message names a config key when one appears in it as a whole word.
+_KEY = re.compile(r"\b(%s)\b" % "|".join(
+    ["scenario", *_CONFIG_KEYS, *_SCENARIO_KEYS]))
+
+
+def _closed_form_columns(scenario, mode):
+    """The closed-form columns a scenario fills for a mode."""
+    if scenario == "fig-perfect":
+        return {"dl_cf", "ul_cf"}
+    if scenario == "fig-correlated" or mode == "hd":
+        return set()
+    return {"ul_cf"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=st.sampled_from(SCENARIO_NAMES),
+       k=st.integers(1, 2), extra_n=st.integers(1, 2),
+       db=st.fixed_dictionaries({
+           name: _DB for name in ("rho_t_db", "beta_ue_db", "beta_si_db",
+                                  "rho_ul_db", "alpha_anc_db")}),
+       nmse=st.sampled_from([0.0, 0.2, 1.0, 1e300]),
+       start=st.floats(-4000.0, 4000.0), points=st.integers(1, 3),
+       step=st.sampled_from([1e-9, 0.5, 40.0, 3000.0]),
+       modes=st.lists(st.sampled_from(MODE_TOKENS), min_size=1,
+                      unique=True),
+       trials=st.integers(1, 3), seed=st.integers(0, 50))
+def test_run_ends_in_a_csv_or_a_named_config_error(
+        scenario, k, extra_n, db, nmse, start, points, step, modes, trials,
+        seed):
+    # M = N + K, dB fields anywhere in +-4000 dB or -inf, nmse up to
+    # 1e300: a run writes finite fields, leaving empty only what failed
+    # trials explain, or exits 1 naming a config key; never exit 2.
+    n = k + extra_n
+    lines = [f"scenario = {scenario}", f"M = {n + k}", f"N = {n}",
+             f"K = {k}", f"nmse = {nmse!r}", f"sweep_start = {start!r}",
+             f"sweep_stop = {start + (points - 1) * step!r}",
+             f"sweep_step = {step!r}",
+             *(f"{name} = {value!r}" for name, value in db.items())]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = os.path.join(tmp, "run.conf")
+        out = os.path.join(tmp, "out.csv")
+        with open(conf, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(["run", "--config", conf, "--modes",
+                           ",".join(modes), "--trials", str(trials),
+                           "--seed", str(seed), "--output", out])
+        text = Path(out).read_text(encoding="utf-8") if rc == 0 else ""
+    message = err.getvalue()
+    assert "Traceback" not in message
+    assert rc in (0, 1), message
+    if rc == 1:
+        error = message.splitlines()[-1]
+        assert error.startswith("config error: "), message
+        assert _KEY.search(error), message
+        return
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert rows and {row["mode"] for row in rows} == set(modes)
+    for row in rows:
+        failures, runs = int(row["failures"]), int(row["trials"])
+        expected = {
+            "dl_sim": failures < runs, "ul_sim": failures < runs,
+            "dl_sim_ci": runs - failures >= 2,
+            "ul_sim_ci": runs - failures >= 2,
+            **{col: col in _closed_form_columns(scenario, row["mode"])
+               for col in ("dl_cf", "ul_cf")}}
+        for column, filled in expected.items():
+            assert (row[column] != "") == filled, (column, row, message)
+            if filled:
+                assert math.isfinite(float(row[column])), (column, row)

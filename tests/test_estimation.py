@@ -134,7 +134,7 @@ def test_correlated_si_error_variance_follows_the_path_gains():
     model = EstimationModel(eps2_si=0.2)
     acc = np.zeros_like(gains)
     trials = 2000
-    for _, _, _, h_si, h_ext_hat, _ in _trial_chunks(
+    for _, _, _, h_si, h_ext_hat, _, _ in _trial_chunks(
             cfg, model, 6, range(trials), correlated_sampler(cfg)):
         acc += np.sum(np.abs(h_ext_hat[:, cfg.K:] - h_si) ** 2, axis=0)
     ratio = acc / trials / (0.2 * gains)

@@ -1,11 +1,18 @@
 import dataclasses
 import math
+import os
+import platform
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fdmimo
 import fdmimo.metrics as metrics
 import fdmimo.numerics as numerics
 import fdmimo.transceiver as transceiver
@@ -211,8 +218,8 @@ def _failing_precoders(monkeypatch, doomed, rows=None):
     real = transceiver.right_pseudo_inverse
     seen = {"n": 0}
 
-    def flaky(a):
-        x, failed = real(a)
+    def flaky(a, workspace=None):
+        x, failed = real(a, workspace)
         if rows in (None, a.shape[-2]):
             index = seen["n"] + np.arange(failed.size)
             seen["n"] += failed.size
@@ -477,6 +484,27 @@ def test_curves_are_required_before_any_draw(monkeypatch):
         monte_carlo_sweep([CFG_SMALL], [], trials=5, master_seed=0)
 
 
+def test_a_correlated_si_level_above_the_ceiling_is_named_before_any_draw(
+        monkeypatch):
+    # the correlated model scales the SI by rho_t and the path gains, not
+    # by beta_si: 400 - 40 dB plus the strongest path gain is far above
+    # 250 dB, though every received SNR of the config itself is below it
+    cfg = dataclasses.replace(CFG_SMALL, rho_t_db=400.0, beta_ue_db=-380.0,
+                              beta_si_db=-300.0)
+    sampler = correlated_sampler(cfg)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("trials drawn before the SI level was checked")
+
+    monkeypatch.setattr(metrics, "_trial_chunks", no_draws)
+    with pytest.raises(ConfigError, match="^rho_t_db = 400.0 with "
+                       "alpha_anc_db = 40.0 puts the SI SNR of the strongest "
+                       "correlated SI path at 3[0-9][0-9].[0-9] dB, above "
+                       "the 250 dB ceiling"):
+        monte_carlo_sweep([cfg], [Curve(SicMode.SUBTRACTION)], trials=3,
+                          master_seed=0, sampler=sampler)
+
+
 # ----------------------------------------------------------- half duplex
 
 def test_half_duplex_is_half_the_subtraction_rate():
@@ -497,3 +525,80 @@ def test_half_duplex_rho_dl_override():
     got = rate_half_duplex(cfg)
     full = rate_perfect(SicMode.SUBTRACTION, cfg)
     assert got.dl_rate + got.ul_rate == 0.5 * (full.dl_rate + full.ul_rate)
+
+
+# ------------------------------------------------------------- workspace
+
+def test_concurrent_sweeps_equal_sequential_ones(monkeypatch):
+    # every sweep owns its workspace, so four at once on threads (more
+    # than the cores), switching as often as the interpreter allows,
+    # return what they return one after another
+    _chunks_of(monkeypatch, 2)
+    curves = [Curve(SicMode.NO_SIC), Curve(SicMode.SUBTRACTION),
+              Curve(SicMode.SPATIAL_SUPPRESSION)]
+    configs = [CFG_SMALL, dataclasses.replace(CFG_SMALL, rho_t_db=60.0)]
+    model = model_from_config(CFG_SMALL, perfect=False)
+    seeds = range(4)
+
+    def sweep(seed):
+        return monte_carlo_sweep(configs, curves, trials=30,
+                                 master_seed=seed, estimation=model)
+
+    want = [sweep(seed) for seed in seeds]
+    got = [None] * len(seeds)
+
+    def work(i):
+        got[i] = sweep(seeds[i])
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(len(seeds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+
+
+#: Minor page faults of the second of two 600-trial sweeps at the default
+#: sizes (sps, one point), printed by a fresh interpreter.
+_WARMED_SWEEP_FAULTS = """
+import resource
+from fdmimo.channel import SystemConfig
+from fdmimo.estimation import model_from_config
+from fdmimo.metrics import Curve, monte_carlo_sweep
+from fdmimo.transceiver import SicMode
+
+cfg = SystemConfig()
+model = model_from_config(cfg, perfect=False)
+curves = [Curve(SicMode.SPATIAL_SUPPRESSION)]
+monte_carlo_sweep([cfg], curves, trials=600, master_seed=1, estimation=model)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+monte_carlo_sweep([cfg], curves, trials=600, master_seed=1, estimation=model)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults of glibc's allocator")
+def test_a_warmed_sweep_does_not_fault_its_pages_in_again():
+    # A chunk's pseudo-inverse temporaries are large enough that glibc
+    # hands them back to the system when they are freed, and every chunk
+    # faulted them in again: about 17 400 minor faults for these 600
+    # trials.  In one reused workspace they fault once.  The sweep runs in
+    # a fresh interpreter, as under the CLI, because the allocator's
+    # thresholds adapt to what the process freed before.
+    src = str(Path(fdmimo.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _WARMED_SWEEP_FAULTS],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import fdmimo.transceiver as transceiver
 from fdmimo.channel import SystemConfig, _channel_stack, generate_iid
 from fdmimo.estimation import EstimationModel, estimate
-from fdmimo.numerics import (RngStream, left_pseudo_inverse,
+from fdmimo.numerics import (RngStream, Workspace, left_pseudo_inverse,
                              right_pseudo_inverse)
 from fdmimo.transceiver import SicMode, build
 
@@ -94,8 +94,8 @@ def _stacked(draws):
 def test_a_zero_precoder_column_fails_the_draw(monkeypatch):
     real = transceiver.right_pseudo_inverse
 
-    def zero_column(a):
-        x, failed = real(a)
+    def zero_column(a, workspace=None):
+        x, failed = real(a, workspace)
         x[1, :, 2] = 0.0       # draw 1, user 2's precoder column
         return x, failed
 
@@ -234,6 +234,62 @@ def test_singular_stack_reports_context():
         g, failed = built[mode]
         assert not failed.any()
         assert np.array_equal(g[1], g[0])
+
+
+# ------------------------------------------------------------- workspace
+
+def _awkward_chunk(seeds, svd, singular, k=3):
+    """Stacked estimates of the given draws in which draw svd takes the
+    SVD route (a downlink row scaled by 1e-5: Gram condition about 1e10,
+    inside the guard) and draw singular is exactly singular (zero
+    downlink rows and a zero uplink, so the batched Gram inverses
+    raise)."""
+    ext, ul = _stacked([_hats(seed=seed) for seed in seeds])
+    ext[svd, 0] *= 1e-5
+    ext[singular, :k] = 0.0
+    ul[singular] = 0.0
+    return ext, ul
+
+
+def _same(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        a.tobytes() == b.tobytes()
+
+
+def _snapshot(w, built):
+    return w.copy(), {mode: (g.copy(), failed.copy())
+                      for mode, (g, failed) in built.items()}
+
+
+def _assert_same_build(got, want):
+    (w, built), (w_ref, built_ref) = got, want
+    assert _same(w, w_ref)
+    assert built.keys() == built_ref.keys()
+    for mode, (g, failed) in built.items():
+        assert _same(g, built_ref[mode][0]), mode
+        assert _same(failed, built_ref[mode][1]), mode
+
+
+def test_a_reused_workspace_builds_what_fresh_builds_do():
+    # chunk b is smaller than chunk a, as a last chunk is, and has its
+    # awkward draws elsewhere; a third build of chunk a after b finds no
+    # trace of b in the buffers
+    modes = list(SicMode)
+    chunk_a = _awkward_chunk(range(4), svd=1, singular=2)
+    chunk_b = _awkward_chunk(range(10, 13), svd=2, singular=0)
+    fresh_a = build(modes, *chunk_a)
+    fresh_b = build(modes, *chunk_b)
+    for (_, failed_a), (_, failed_b) in zip(fresh_a[1].values(),
+                                            fresh_b[1].values()):
+        assert failed_a.tolist() == [False, False, True, False]
+        assert failed_b.tolist() == [True, False, False]
+    ws = Workspace()
+    reused_a = build(modes, *chunk_a, ws)
+    _assert_same_build(_snapshot(*reused_a), fresh_a)
+    _assert_same_build(build(modes, *chunk_b, ws), fresh_b)
+    # the first build's arrays are views that the second overwrote
+    assert _same(reused_a[0][:3], fresh_b[0])
+    _assert_same_build(build(modes, *chunk_a, ws), fresh_a)
 
 
 # ------------------------------------------------------------ hypothesis
