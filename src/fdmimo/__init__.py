@@ -12,11 +12,11 @@ The root holds the names README's library example imports and the ones
 perfbench/ reads; everything else is imported from its submodule.
 """
 
-from .channel import SystemConfig
+from .channel import CorrelatedSampler, SystemConfig
 from .closedform import rate_perfect
 from .estimation import model_from_config
-from .experiments import (correlated_sampler, default_scenario, parse_config,
-                          render_csv, run_scenario)
+from .experiments import (default_scenario, parse_config, render_csv,
+                          run_scenario)
 from .metrics import monte_carlo
 from .transceiver import SicMode
 

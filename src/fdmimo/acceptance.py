@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import closedform, experiments, metrics
-from .channel import SystemConfig
+from .channel import CorrelatedSampler, SystemConfig
 from .estimation import model_from_config
 from .metrics import Curve, residual_si
 from .numerics import RngStream
@@ -224,7 +224,7 @@ def criterion_zero_forcing_residuals(config: SystemConfig, base_trials: int,
     corr_trials = max(20, min(200, base_trials // 50))
     segments = ((range(iid_trials), None),
                 (range(iid_trials, iid_trials + corr_trials),
-                 experiments.correlated_sampler(config)))
+                 CorrelatedSampler(config)))
     for trials, sampler in segments:
         for chunk, _, _, _, h_ext_hat, h_ul_hat, workspace in (
                 metrics._trial_chunks(config, model, seed, trials, sampler)):

@@ -8,16 +8,17 @@ band.  Three matrices describe one coherence block:
     h_ul : (N, K)  uplink channel, column k belongs to user k
     h_si : (N, M)  self-interference channel between the BS arrays
 
-The i.i.d. generator draws all entries CN(0, 1).  The correlated generator
-applies Jakes (J0) spatial correlation at both BS arrays, gives the
-self-interference channel a Rician line-of-sight component, and scales each
-of its entries by the free-space path gain of the corresponding
-transmit/receive element pair.
+The i.i.d. generator draws all entries CN(0, 1).  The correlated model,
+CorrelatedSampler, places both arrays on one line, applies Jakes (J0)
+spatial correlation at both, gives the self-interference channel a Rician
+line-of-sight component, and scales each of its entries by the free-space
+path amplitude of the corresponding transmit/receive element pair.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +27,16 @@ from .numerics import RngStream, _complex_gaussians, bessel_j0, hermitian_sqrt
 
 SPEED_OF_LIGHT = 299792458.0
 
+#: The correlated model's carrier frequency, and the Rician factor and
+#: line-of-sight amplitude of its SI channel.
+CARRIER_HZ = 2.1e9
+KAPPA = 1.0
+SIGMA_SI = 1.0
+
 #: Highest received SNR in dB that a config may set, as rho_ul_db, as
 #: rho_t_db + beta_ue_db or rho_t_db + beta_si_db, or as the SI SNR left
-#: after analog cancellation, rho_t_db + beta_si_db - alpha_anc_db.  From
+#: after analog cancellation, rho_t_db + beta_si_db - alpha_anc_db, and
+#: after subtraction, that plus 10 log10(nmse) for a nonzero nmse.  From
 #: about 300 dB the zero-forcing residual sits at machine precision, so
 #: simulated rates leave their closed forms, and far above it an SINR
 #: overflows.
@@ -59,6 +67,9 @@ def _check_db_field(name: str, value: float, allow_neg_inf: bool = True) -> None
     if linear == 0.0 and not allow_neg_inf:
         raise ConfigError(f"{name} = {value!r} dB underflows a float to a "
                           f"zero linear power ratio")
+    if 0.0 < linear < sys.float_info.min:
+        raise ConfigError(f"{name} = {value!r} dB is a subnormal float as a "
+                          f"linear power ratio, which has lost precision")
 
 
 @dataclass(frozen=True)
@@ -94,18 +105,21 @@ class SystemConfig:
         for name in ("rho_t_db", "beta_ue_db", "beta_si_db", "rho_ul_db"):
             _check_db_field(name, getattr(self, name))
         _check_db_field("alpha_anc_db", self.alpha_anc_db, allow_neg_inf=False)
-        for name, snr_db in (
-                ("rho_ul_db", self.rho_ul_db),
+        if not np.isfinite(self.nmse) or self.nmse < 0.0:
+            raise ConfigError("nmse must be finite and nonnegative")
+        si_db = self.rho_t_db + self.beta_si_db - self.alpha_anc_db
+        snrs = [("rho_ul_db", self.rho_ul_db),
                 ("rho_t_db + beta_ue_db", self.rho_t_db + self.beta_ue_db),
                 ("rho_t_db + beta_si_db", self.rho_t_db + self.beta_si_db),
-                ("rho_t_db + beta_si_db - alpha_anc_db",
-                 self.rho_t_db + self.beta_si_db - self.alpha_anc_db)):
+                ("rho_t_db + beta_si_db - alpha_anc_db", si_db)]
+        if self.nmse > 0.0:
+            snrs.append(("rho_t_db + beta_si_db - alpha_anc_db + 10 "
+                         "log10(nmse)", si_db + 10.0 * math.log10(self.nmse)))
+        for name, snr_db in snrs:
             if snr_db > MAX_RECEIVED_SNR_DB:
                 raise ConfigError(
                     f"{name} = {snr_db!r} dB is above the "
                     f"{MAX_RECEIVED_SNR_DB:g} dB ceiling for a received SNR")
-        if not np.isfinite(self.nmse) or self.nmse < 0.0:
-            raise ConfigError("nmse must be finite and nonnegative")
 
     @property
     def rho_t(self) -> float:
@@ -130,92 +144,6 @@ class SystemConfig:
         return db_to_linear(self.alpha_anc_db)
 
 
-@dataclass(frozen=True)
-class RicianParams:
-    """Rician factor and line-of-sight amplitude of the SI channel."""
-
-    kappa: float = 1.0
-    sigma_si: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.kappa) or self.kappa < 0.0:
-            raise ConfigError("kappa must be finite and nonnegative")
-        if not np.isfinite(self.sigma_si) or self.sigma_si < 0.0:
-            raise ConfigError("sigma_si must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Element positions (meters, 3-vectors) of both BS arrays.
-
-    Transmit/receive element pairs must be at least wavelength/6 apart and
-    no two elements may coincide.
-    """
-
-    tx_positions: np.ndarray   # (M, 3)
-    rx_positions: np.ndarray   # (N, 3)
-    wavelength: float
-
-    def __post_init__(self) -> None:
-        tx = _positions(self.tx_positions)
-        rx = _positions(self.rx_positions)
-        object.__setattr__(self, "tx_positions", tx)
-        object.__setattr__(self, "rx_positions", rx)
-        if not np.isfinite(self.wavelength) or self.wavelength <= 0.0:
-            raise ConfigError("wavelength must be positive")
-        for name, pos in (("tx", tx), ("rx", rx)):
-            d = _pairwise_distances(pos, pos)
-            off = d[~np.eye(len(pos), dtype=bool)]
-            if off.size and off.min() <= 0.0:
-                raise ConfigError(f"duplicate {name} element positions")
-        cross = _pairwise_distances(rx, tx)
-        if cross.size:
-            if cross.min() <= 0.0:
-                raise ConfigError("transmit and receive elements coincide")
-            floor = self.wavelength / 6.0
-            if cross.min() < floor * (1.0 - 1e-12):
-                raise ConfigError(
-                    f"minimum tx/rx element separation {cross.min():.6g} m is "
-                    f"below wavelength/6 = {floor:.6g} m")
-
-    def cross_distances(self) -> np.ndarray:
-        """(N, M) matrix of tx/rx element distances."""
-        return _pairwise_distances(self.rx_positions, self.tx_positions)
-
-
-def _positions(positions) -> np.ndarray:
-    """Element positions as a float array of finite 3-vectors (a NaN
-    would pass every distance check and give NaN correlations)."""
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise ConfigError("positions must be arrays of 3-vectors")
-    if not np.isfinite(pos).all():
-        raise ConfigError("positions must be finite")
-    return pos
-
-
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
-
-
-def default_geometry(config: SystemConfig, carrier_hz: float) -> ArrayGeometry:
-    """Colinear uniform linear arrays in the default layout.
-
-    M transmit elements at wavelength/6 spacing, then a wavelength/6 gap,
-    then N receive elements at the same spacing, all on the x axis.
-    """
-    if not np.isfinite(carrier_hz) or carrier_hz <= 0.0:
-        raise ConfigError("carrier frequency must be positive")
-    lam = SPEED_OF_LIGHT / carrier_hz
-    s = lam / 6.0
-    tx = np.zeros((config.M, 3))
-    tx[:, 0] = s * np.arange(config.M)
-    rx = np.zeros((config.N, 3))
-    rx[:, 0] = s * (config.M + np.arange(config.N))
-    return ArrayGeometry(tx_positions=tx, rx_positions=rx, wavelength=lam)
-
-
 def _channel_stack(config: SystemConfig,
                    trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uninitialised stacks (h_dl, h_ul, h_si) for the given trial count."""
@@ -238,65 +166,68 @@ def generate_iid(streams: list[RngStream], h_dl: np.ndarray,
     _complex_gaussians(streams, [h_dl, h_ul, h_si], [1.0, 1.0, 1.0])
 
 
-def jakes_correlation(positions: np.ndarray, wavelength: float) -> np.ndarray:
-    """Jakes spatial correlation matrix r_ij = J0(2 pi d_ij / wavelength).
-
-    Returns a real symmetric matrix with a unit diagonal.  Duplicate
-    positions are mathematically permitted but usually a mistake, so they
-    trigger a warning.
-    """
-    pos = _positions(positions)
-    if not np.isfinite(wavelength) or wavelength <= 0.0:
-        raise ConfigError("wavelength must be positive")
-    d = _pairwise_distances(pos, pos)
-    off = d[~np.eye(len(pos), dtype=bool)]
-    if off.size and off.min() <= 0.0:
-        warnings.warn("duplicate antenna positions give a singular "
-                      "correlation matrix", RuntimeWarning, stacklevel=2)
-    r = bessel_j0(2.0 * np.pi * d / wavelength)
-    np.fill_diagonal(r, 1.0)
-    return (r + r.T) / 2.0
-
-
-def free_space_gains(distances: np.ndarray, wavelength: float) -> np.ndarray:
-    """Free-space power gain min(1, (wavelength / (4 pi d))^2) per entry."""
-    d = np.asarray(distances, dtype=float)
-    if np.any(d <= 0.0):
-        raise ConfigError("distances must be strictly positive")
-    g = (wavelength / (4.0 * np.pi * d)) ** 2
-    return np.minimum(g, 1.0)
-
-
-def si_pathloss_gains(geometry: ArrayGeometry) -> np.ndarray:
-    """(N, M) free-space power gains between receive and transmit elements."""
-    return free_space_gains(geometry.cross_distances(), geometry.wavelength)
-
-
 class CorrelatedSampler:
-    """Draws correlated Rician realizations for a fixed geometry.
+    """fig-correlated's channel model: correlated Rician channels between
+    two fixed arrays.
 
-    The correlation square roots, the SI amplitude and the LOS matrix only
-    depend on the geometry, so they are computed once here and reused
+    The M transmit elements sit on a line at wavelength/6 spacing, then,
+    after a gap of wavelength/6, the N receive elements at the same
+    spacing, with the wavelength of CARRIER_HZ.  Each array has the Jakes
+    correlation r_ij = J0(2 pi d_ij / wavelength) of its element
+    distances d_ij.  The SI channel has a Rician line-of-sight component
+    of factor KAPPA and amplitude SIGMA_SI, and each of its entries is
+    scaled by si_amp, the free-space amplitude wavelength / (4 pi d) of
+    its transmit/receive pair, which replaces the flat beta_si of the
+    i.i.d. model.  The closest pair, si_amp[0, -1], is wavelength/6 apart,
+    so no amplitude exceeds 3 / (2 pi), a power gain of -6.4 dB.  All of
+    this depends on M and N alone, so it is computed once here and reused
     across trials.
     """
 
-    def __init__(self, config: SystemConfig, geometry: ArrayGeometry,
-                 rician: RicianParams) -> None:
-        m, n = len(geometry.tx_positions), len(geometry.rx_positions)
-        if (m, n) != (config.M, config.N):
-            raise ConfigError(
-                f"geometry has {m} transmit and {n} receive elements; the "
-                f"config has M={config.M}, N={config.N}")
+    def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        self.r_tx_sqrt, self.r_rx_sqrt = (
-            hermitian_sqrt(jakes_correlation(pos, geometry.wavelength))
-            for pos in (geometry.tx_positions, geometry.rx_positions))
-        # Path gains replace the flat beta_si of the i.i.d. model.
-        self._si_amp = np.sqrt(si_pathloss_gains(geometry))
-        k = rician.kappa
-        self._los = (np.sqrt(k / (k + 1.0)) * rician.sigma_si
+        wavelength = SPEED_OF_LIGHT / CARRIER_HZ
+        spacing = wavelength / 6.0
+        x_tx = spacing * np.arange(config.M)
+        x_rx = spacing * (config.M + np.arange(config.N))
+        roots = []
+        for x in (x_tx, x_rx):
+            r = bessel_j0(2.0 * np.pi * np.abs(x[:, None] - x) / wavelength)
+            np.fill_diagonal(r, 1.0)
+            roots.append(hermitian_sqrt(r))
+        self.r_tx_sqrt, self.r_rx_sqrt = roots
+        self.si_amp = wavelength / (4.0 * np.pi * (x_rx[:, None] - x_tx))
+        self._los = (np.sqrt(KAPPA / (KAPPA + 1.0)) * SIGMA_SI
                      * np.ones((config.N, config.M)))
-        self._nlos_amp = np.sqrt(1.0 / (k + 1.0))
+        self._nlos_amp = np.sqrt(1.0 / (KAPPA + 1.0))
+
+    def check_si_snr(self, config: SystemConfig) -> None:
+        """Raise ConfigError if config puts the SI SNR of the strongest SI
+        path above the ceiling, after analog cancellation or after
+        subtraction.
+
+        These are the SI SNRs that SystemConfig checks, with the path gain
+        in place of beta_si_db, since the SI term scales with the raw
+        transmit SNR.
+        """
+        gain_db = 10.0 * math.log10(float(np.max(self.si_amp)) ** 2)
+        snr_db = config.rho_t_db + gain_db - config.alpha_anc_db
+        if snr_db > MAX_RECEIVED_SNR_DB:
+            raise ConfigError(
+                f"rho_t_db = {config.rho_t_db!r} with alpha_anc_db = "
+                f"{config.alpha_anc_db!r} puts the SI SNR of the strongest "
+                f"correlated SI path at {snr_db:.1f} dB, above the "
+                f"{MAX_RECEIVED_SNR_DB:g} dB ceiling for a received SNR")
+        if config.nmse > 0.0:
+            snr_db += 10.0 * math.log10(config.nmse)
+            if snr_db > MAX_RECEIVED_SNR_DB:
+                raise ConfigError(
+                    f"rho_t_db = {config.rho_t_db!r} with alpha_anc_db = "
+                    f"{config.alpha_anc_db!r} and nmse = {config.nmse!r} "
+                    f"puts the SI SNR left after subtraction on the "
+                    f"strongest correlated SI path at {snr_db:.1f} dB, above "
+                    f"the {MAX_RECEIVED_SNR_DB:g} dB ceiling for a received "
+                    f"SNR")
 
     def sample(self, streams: list[RngStream], h_dl: np.ndarray,
                h_ul: np.ndarray, h_si: np.ndarray) -> None:
@@ -305,8 +236,7 @@ class CorrelatedSampler:
 
         h_dl = H_iid R_tx^(1/2); h_ul = R_rx^(1/2) H_iid; the
         self-interference channel is R_rx^(1/2) (LOS + NLOS) R_tx^(1/2)
-        scaled entrywise by the square root of the free-space path gains,
-        which replace the flat beta_si of the i.i.d. model.  Each product
+        scaled entrywise by si_amp.  Each product
         is stacked over the trials against one 2-D factor, which equals
         the per-trial product bit for bit; the SI expression keeps its
         grouping, since distributing it changes the last bits.
@@ -318,4 +248,4 @@ class CorrelatedSampler:
         x_si *= self._nlos_amp
         x_si += self._los
         np.matmul(self.r_rx_sqrt @ x_si, self.r_tx_sqrt, out=h_si)
-        h_si *= self._si_amp
+        h_si *= self.si_amp

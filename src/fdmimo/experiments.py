@@ -7,9 +7,11 @@ Three named scenarios cover the standard sweeps, plus a free-form one:
     fig-imperfect-si  imperfect CSI, i.i.d. channels, sweep of the received
                       SI SNR (transmit SNR varies, beta_si fixed); uplink
                       closed form only
-    fig-correlated    imperfect CSI, spatially correlated Rician channels
-                      with per-element SI path loss at 2.1 GHz; sweep of
-                      the received downlink SNR; simulation only
+    fig-correlated    imperfect CSI, the spatially correlated Rician
+                      channels of channel.CorrelatedSampler, whose fixed
+                      arrays at 2.1 GHz have per-element SI path loss
+                      and no config key; sweep of the received downlink
+                      SNR; simulation only
     custom            imperfect CSI, i.i.d. channels, free sweep bounds
 
 Config files are flat UTF-8 ``key = value`` lines with ``#`` comments.
@@ -25,13 +27,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
 from . import closedform, metrics
-from .channel import (ConfigError, CorrelatedSampler, RicianParams,
-                      SystemConfig, default_geometry)
+from .channel import ConfigError, CorrelatedSampler, SystemConfig
 from .estimation import model_from_config
 from .transceiver import SicMode
-
-CORRELATED_CARRIER_HZ = 2.1e9
-CORRELATED_RICIAN = RicianParams(kappa=1.0, sigma_si=1.0)
 
 #: Baseline row tag for the half-duplex reference curve.
 HALF_DUPLEX = "hd"
@@ -253,14 +251,6 @@ def _point_config(config: SystemConfig, scenario: Scenario,
                           f"{x_db!r}: {exc}") from None
 
 
-def correlated_sampler(config: SystemConfig) -> CorrelatedSampler:
-    """fig-correlated's channel model: the default arrays at
-    CORRELATED_CARRIER_HZ with CORRELATED_RICIAN."""
-    return CorrelatedSampler(
-        config, default_geometry(config, CORRELATED_CARRIER_HZ),
-        CORRELATED_RICIAN)
-
-
 def _closed_forms(scenario: Scenario, mode_token: str,
                   cfg: SystemConfig) -> tuple[float | None, float | None]:
     if scenario.name == "fig-perfect":
@@ -289,7 +279,7 @@ def run_scenario(config: SystemConfig, scenario: Scenario,
     xs = scenario.sweep_values()
     configs = [_point_config(config, scenario, x) for x in xs]
 
-    sampler = (correlated_sampler(config)
+    sampler = (CorrelatedSampler(config)
                if scenario.name == "fig-correlated" else None)
     model = model_from_config(config, perfect=(scenario.name == "fig-perfect"))
 

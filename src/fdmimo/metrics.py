@@ -31,8 +31,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import (MAX_RECEIVED_SNR_DB, ConfigError, CorrelatedSampler,
-                      SystemConfig, _channel_stack, generate_iid)
+from .channel import (ConfigError, CorrelatedSampler, SystemConfig,
+                      _channel_stack, generate_iid)
 from .estimation import EstimationModel, estimate
 from .numerics import RngStream, Workspace
 from .transceiver import SicMode, build
@@ -189,7 +189,7 @@ def _trial_chunks(config: SystemConfig, model: EstimationModel,
     else:
         # The SI estimation error follows the local channel power, to keep
         # the NMSE meaningful per element.
-        fill, si_amp = sampler.sample, sampler._si_amp
+        fill, si_amp = sampler.sample, sampler.si_amp
     size = max(1, min(len(trials), _chunk_trials(m, n, k)))
     h_dl, h_ul, h_si = _channel_stack(config, size)
     h_ext_hat = np.empty((size, k + n, m), dtype=complex)
@@ -242,15 +242,8 @@ def monte_carlo_sweep(configs: Sequence[SystemConfig],
         # Path gains replace the flat beta_si, so the SI term scales with
         # the raw transmit SNR.
         levels = [cfg.rho_t for cfg in configs]
-        gain_db = 10.0 * math.log10(float(np.max(sampler._si_amp)) ** 2)
         for cfg in configs:
-            snr_db = cfg.rho_t_db + gain_db - cfg.alpha_anc_db
-            if snr_db > MAX_RECEIVED_SNR_DB:
-                raise ConfigError(
-                    f"rho_t_db = {cfg.rho_t_db!r} with alpha_anc_db = "
-                    f"{cfg.alpha_anc_db!r} puts the SI SNR of the strongest "
-                    f"correlated SI path at {snr_db:.1f} dB, above the "
-                    f"{MAX_RECEIVED_SNR_DB:g} dB ceiling for a received SNR")
+            sampler.check_si_snr(cfg)
     else:
         levels = [cfg.rho_si for cfg in configs]
     pref = np.array([[0.0 if curve.si_free else s / cfg.alpha_anc

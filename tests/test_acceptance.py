@@ -16,12 +16,12 @@ import warnings
 import numpy as np
 import pytest
 
-from fdmimo import acceptance, experiments, numerics
+from fdmimo import acceptance, numerics
 from fdmimo.acceptance import (_Z99, CriterionResult,
                                criterion_paired_residual_si,
                                criterion_zero_forcing_residuals, run_all)
-from fdmimo.channel import (CorrelatedSampler, RicianParams, SystemConfig,
-                            _channel_stack, default_geometry, generate_iid)
+from fdmimo.channel import (CorrelatedSampler, SystemConfig, _channel_stack,
+                            generate_iid)
 from fdmimo.estimation import estimate, model_from_config
 from fdmimo.metrics import residual_si
 from fdmimo.numerics import RngStream
@@ -93,7 +93,7 @@ def _trial(model, seed, t, sampler=None):
     fill([RngStream(seed, 2 * t)], *truth)
     hats = tuple(np.empty_like(h) for h in truth)
     estimate(model, [RngStream(seed, 2 * t + 1)], truth, hats,
-             None if sampler is None else sampler._si_amp)
+             None if sampler is None else sampler.si_amp)
     return tuple(h[0] for h in truth), tuple(h[0] for h in hats)
 
 
@@ -120,9 +120,7 @@ def test_criterion_4_matches_a_per_trial_build_loop(monkeypatch):
     monkeypatch.setattr(acceptance, "build", recording_build)
     base_trials, seed = 100, 3001
     model = model_from_config(SMALL, perfect=False)
-    sampler = CorrelatedSampler(
-        SMALL, default_geometry(SMALL, experiments.CORRELATED_CARRIER_HZ),
-        RicianParams(1.0, 1.0))
+    sampler = CorrelatedSampler(SMALL)
     iid_trials, corr_trials = 50, 20
     worst_null = 0.0
     worst_comb = 0.0

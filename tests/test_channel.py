@@ -8,15 +8,9 @@ import scipy.special
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from fdmimo.channel import (ArrayGeometry, ConfigError, CorrelatedSampler,
-                            RicianParams, SPEED_OF_LIGHT, SystemConfig,
-                            _channel_stack, db_to_linear, default_geometry,
-                            free_space_gains, generate_iid,
-                            jakes_correlation, si_pathloss_gains)
+from fdmimo.channel import (ConfigError, CorrelatedSampler, SystemConfig,
+                            _channel_stack, db_to_linear, generate_iid)
 from fdmimo.numerics import RngStream
-
-CARRIER_HZ = 2.1e9
-WAVELENGTH = 0.14275831333333333  # c / 2.1 GHz
 
 
 def small_config(**kw):
@@ -115,11 +109,28 @@ def test_an_attenuation_that_underflows_to_zero_is_named():
     (dict(rho_t_db=300.0), "rho_t_db + beta_si_db = 260.0"),
     (dict(rho_t_db=-40.0, beta_si_db=3000.0),
      "rho_t_db + beta_si_db = 2960.0"),
+    # nmse scales the SI that subtraction leaves
+    (dict(nmse=1e300),
+     "rho_t_db + beta_si_db - alpha_anc_db + 10 log10(nmse) = 2970.0"),
 ])
 def test_received_snrs_above_the_ceiling_are_named(kw, msg):
     with pytest.raises(ConfigError, match=f"^{re.escape(msg)} dB is above "
                        f"the 250 dB ceiling for a received SNR$"):
         SystemConfig(**kw)
+
+
+@pytest.mark.parametrize("field", ["rho_t_db", "beta_ue_db", "beta_si_db",
+                                   "rho_ul_db", "alpha_anc_db"])
+def test_config_db_fields_that_are_subnormal_are_named(field):
+    # below about -3076.5 dB the linear ratio is a subnormal float, with
+    # fewer significant bits the further down it goes
+    with pytest.raises(ConfigError, match=(
+            f"^{field} = -3100.0 dB is a subnormal float as a linear power "
+            f"ratio, which has lost precision$")):
+        SystemConfig(**{field: -3100.0})
+    # the smallest normal ratio is valid
+    assert getattr(SystemConfig(**{field: -3076.0, "rho_t_db": -3076.0}),
+                   field) == -3076.0
 
 
 def test_received_snrs_at_the_ceiling_are_valid():
@@ -128,6 +139,9 @@ def test_received_snrs_at_the_ceiling_are_valid():
     assert cfg.rho_ul == 1e25
     assert cfg.rho_dl == cfg.rho_si == pytest.approx(1e25, rel=1e-15)
     assert SystemConfig(rho_t_db=-math.inf, beta_ue_db=3000.0).rho_dl == 0.0
+    assert SystemConfig(nmse=1e28).nmse == 1e28    # -30 + 280 dB
+    # nmse = 0 adds no term: subtraction then leaves no SI
+    assert SystemConfig(rho_t_db=290.0, alpha_anc_db=0.0, nmse=0.0).nmse == 0.0
 
 
 def test_config_allows_minus_inf_power_but_not_attenuation():
@@ -169,125 +183,56 @@ def test_generate_iid_unit_variance():
 # -------------------------------------------------------- Jakes correlation
 
 def test_jakes_diagonal_symmetry_and_values():
-    pos = np.zeros((4, 3))
-    pos[:, 0] = WAVELENGTH / 6.0 * np.arange(4)
-    r = jakes_correlation(pos, WAVELENGTH)
-    assert np.array_equal(np.diag(r), np.ones(4))
-    assert np.array_equal(r, r.T)
-    # adjacent elements at lambda/6: J0(pi/3)
-    assert r[0, 1] == pytest.approx(scipy.special.j0(math.pi / 3), abs=1e-10)
-    assert r[0, 2] == pytest.approx(scipy.special.j0(2 * math.pi / 3), abs=1e-10)
-
-
-def test_jakes_warns_on_duplicate_positions():
-    pos = np.zeros((2, 3))
-    with pytest.warns(RuntimeWarning):
-        r = jakes_correlation(pos, 1.0)
-    assert np.array_equal(r, np.ones((2, 2)))
-
-
-def test_jakes_input_validation():
-    with pytest.raises(ConfigError):
-        jakes_correlation(np.zeros((3, 2)), 1.0)
-    with pytest.raises(ConfigError):
-        jakes_correlation(np.zeros((3, 3)), 0.0)
+    # elements at lambda/6 spacing: r_ij = J0(pi/3 |i - j|) on both arrays
+    cfg = small_config()
+    sampler = CorrelatedSampler(cfg)
+    for root, size in ((sampler.r_tx_sqrt, cfg.M), (sampler.r_rx_sqrt, cfg.N)):
+        assert np.max(np.abs(root - root.T)) < 1e-14
+        r = root @ root
+        steps = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
+        want = scipy.special.j0(math.pi / 3.0 * steps)
+        assert np.max(np.abs(r - want)) < 1e-10
+        assert np.max(np.abs(np.diag(r) - 1.0)) < 1e-10
+        assert r[0, 1] == pytest.approx(scipy.special.j0(math.pi / 3),
+                                        abs=1e-10)
+        assert r[0, 2] == pytest.approx(scipy.special.j0(2 * math.pi / 3),
+                                        abs=1e-10)
 
 
 def test_jakes_correlation_is_psd_for_linear_array():
-    pos = np.zeros((30, 3))
-    pos[:, 0] = WAVELENGTH / 6.0 * np.arange(30)
-    r = jakes_correlation(pos, WAVELENGTH)
+    sampler = CorrelatedSampler(small_config(M=30))
+    assert np.linalg.eigvalsh(sampler.r_tx_sqrt).min() > -1e-10
+    r = sampler.r_tx_sqrt @ sampler.r_tx_sqrt
     assert np.linalg.eigvalsh(r).min() > -1e-10
 
 
 # ------------------------------------------------------------- geometry
 
 def test_default_geometry_layout():
+    # colinear arrays, lambda/6 spacing and a lambda/6 gap: transmit
+    # element j and receive element i are M + i - j spacings apart, and
+    # the amplitude lambda / (4 pi d) at d = lambda/6 is 3 / (2 pi)
     cfg = SystemConfig()
-    geo = default_geometry(cfg, CARRIER_HZ)
-    assert geo.wavelength == pytest.approx(WAVELENGTH, rel=1e-12)
-    assert geo.tx_positions.shape == (64, 3)
-    assert geo.rx_positions.shape == (20, 3)
-    spacing = geo.tx_positions[1, 0] - geo.tx_positions[0, 0]
-    assert spacing == pytest.approx(0.023793052222222222, rel=1e-12)
-    # colinear on x, arrays gapped by one spacing
-    assert np.all(geo.tx_positions[:, 1:] == 0.0)
-    assert np.all(geo.rx_positions[:, 1:] == 0.0)
-    gap = geo.rx_positions[0, 0] - geo.tx_positions[-1, 0]
-    assert gap == pytest.approx(spacing, rel=1e-12)
-    assert geo.cross_distances().min() >= geo.wavelength / 6.0 * (1 - 1e-12)
-
-
-def test_default_geometry_rejects_bad_carrier():
-    with pytest.raises(ConfigError):
-        default_geometry(SystemConfig(), 0.0)
-
-
-def test_geometry_rejects_duplicates_and_close_pairs():
-    tx = np.zeros((2, 3))
-    tx[1, 0] = 1.0
-    rx = np.zeros((1, 3))
-    rx[0, 0] = 2.0
-    ArrayGeometry(tx, rx, wavelength=1.0)  # spacing 1.0 >= 1/6, fine
-    with pytest.raises(ConfigError, match="duplicate"):
-        ArrayGeometry(np.zeros((2, 3)), rx, wavelength=1.0)
-    near = np.zeros((1, 3))
-    near[0, 0] = 1.0 + 0.1  # 0.1 < 1/6
-    with pytest.raises(ConfigError, match="separation"):
-        ArrayGeometry(tx, near, wavelength=1.0)
-    with pytest.raises(ConfigError, match="coincide"):
-        ArrayGeometry(tx, tx[:1].copy(), wavelength=1.0)
-
-
-def test_geometry_rejects_bad_shapes():
-    with pytest.raises(ConfigError):
-        ArrayGeometry(np.zeros((2, 2)), np.zeros((1, 3)), wavelength=1.0)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_positions_are_rejected(bad):
-    # NaN compares False with every distance floor, so without the check
-    # these pass the geometry and give a NaN correlation matrix
-    tx = np.zeros((3, 3))
-    tx[:, 0] = [0.0, 1.0, 2.0]
-    rx = np.array([[10.0, 0.0, 0.0], [11.0, 0.0, 0.0]])
-    for pos in (tx, rx):
-        saved = pos[1, 1]
-        pos[1, 1] = bad
-        with pytest.raises(ConfigError, match="finite"):
-            ArrayGeometry(tx, rx, wavelength=1.0)
-        with pytest.raises(ConfigError, match="finite"):
-            jakes_correlation(pos, 1.0)
-        pos[1, 1] = saved
-    ArrayGeometry(tx, rx, wavelength=1.0)
+    amp = CorrelatedSampler(cfg).si_amp
+    spacings = cfg.M + np.subtract.outer(np.arange(cfg.N), np.arange(cfg.M))
+    np.testing.assert_allclose(amp * spacings, 3.0 / (2.0 * math.pi),
+                               rtol=1e-12)
 
 
 # --------------------------------------------------------- path-loss gains
 
-def test_free_space_unit_gain_at_reference_distance():
-    # gain hits 1 exactly at d = wavelength / (4 pi)
-    d = WAVELENGTH / (4.0 * math.pi)
-    assert free_space_gains(np.array([d]), WAVELENGTH)[0] == pytest.approx(1.0, rel=1e-12)
-    # and saturates (not exceeds) closer in
-    assert free_space_gains(np.array([d / 3]), WAVELENGTH)[0] == 1.0
-
-
 def test_free_space_inverse_square():
-    d = np.array([1.0, 2.0, 4.0])
-    g = free_space_gains(d, WAVELENGTH)
+    cfg = small_config()
+    gains = CorrelatedSampler(cfg).si_amp[0] ** 2
+    # the first receive element is 1, 2 and 4 spacings from these
+    g = gains[[cfg.M - 1, cfg.M - 2, cfg.M - 4]]
     assert g[1] == pytest.approx(g[0] / 4.0, rel=1e-12)
     assert g[2] == pytest.approx(g[0] / 16.0, rel=1e-12)
 
 
-def test_free_space_rejects_nonpositive_distance():
-    with pytest.raises(ConfigError):
-        free_space_gains(np.array([1.0, 0.0]), WAVELENGTH)
-
-
 def test_si_pathloss_gains_shape_and_range():
     cfg = small_config()
-    geo = default_geometry(cfg, CARRIER_HZ)
-    gains = si_pathloss_gains(geo)
+    gains = CorrelatedSampler(cfg).si_amp ** 2
     assert gains.shape == (cfg.N, cfg.M)
     assert np.all(gains > 0.0) and np.all(gains <= 1.0)
     # the closest pair is the last transmit and first receive element
@@ -295,14 +240,23 @@ def test_si_pathloss_gains_shape_and_range():
     assert gains.min() == gains[-1, 0]
 
 
+@pytest.mark.parametrize("m, n", [(16, 6), (64, 20)])
+def test_the_strongest_si_amplitude_is_three_over_two_pi(m, n):
+    # lambda/6 is more than lambda / (4 pi), where the free-space gain
+    # would reach 1, so the gains need no clamp: the strongest is
+    # (3 / (2 pi))^2, -6.4 dB
+    amp = CorrelatedSampler(SystemConfig(M=m, N=n, K=3)).si_amp
+    assert np.unravel_index(np.argmax(amp), amp.shape) == (0, m - 1)
+    assert amp[0, -1] == pytest.approx(3.0 / (2.0 * math.pi), rel=1e-12)
+    assert 10.0 * math.log10(amp[0, -1] ** 2) == pytest.approx(-6.4, abs=0.05)
+
+
 # --------------------------------------------------- correlated generation
 
 def test_generate_correlated_shapes_and_determinism():
     cfg = small_config()
-    geo = default_geometry(cfg, CARRIER_HZ)
-    ric = RicianParams(kappa=1.0, sigma_si=1.0)
-    a = _draw(CorrelatedSampler(cfg, geo, ric).sample, cfg, 7, [3])
-    b = _draw(CorrelatedSampler(cfg, geo, ric).sample, cfg, 7, [3])
+    a = _draw(CorrelatedSampler(cfg).sample, cfg, 7, [3])
+    b = _draw(CorrelatedSampler(cfg).sample, cfg, 7, [3])
     assert [h.shape for h in a] == [(1, 3, 16), (1, 6, 3), (1, 6, 16)]
     assert np.array_equal(a[2], b[2])
 
@@ -313,7 +267,17 @@ def _uncorrelated(sampler, si_amp=None):
     cfg = sampler.config
     sampler.r_tx_sqrt, sampler.r_rx_sqrt = np.eye(cfg.M), np.eye(cfg.N)
     if si_amp is not None:
-        sampler._si_amp = si_amp
+        sampler.si_amp = si_amp
+    return sampler
+
+
+def _rician(sampler, kappa, sigma_si):
+    """The sampler with the LOS matrix and NLOS amplitude of Rician
+    factor kappa and LOS amplitude sigma_si, set after construction."""
+    cfg = sampler.config
+    sampler._los = (np.sqrt(kappa / (kappa + 1.0)) * sigma_si
+                    * np.ones((cfg.N, cfg.M)))
+    sampler._nlos_amp = np.sqrt(1.0 / (kappa + 1.0))
     return sampler
 
 
@@ -321,10 +285,8 @@ def test_identity_overrides_reduce_to_iid_draw():
     """With identity correlation, unit gains and kappa = 0 the correlated
     sampler must reproduce the i.i.d. generator bit for bit (same stream)."""
     cfg = small_config()
-    geo = default_geometry(cfg, CARRIER_HZ)
-    sampler = _uncorrelated(
-        CorrelatedSampler(cfg, geo, RicianParams(kappa=0.0, sigma_si=1.0)),
-        np.ones((cfg.N, cfg.M)))
+    sampler = _uncorrelated(_rician(CorrelatedSampler(cfg), 0.0, 1.0),
+                            np.ones((cfg.N, cfg.M)))
     a = _draw(sampler.sample, cfg, 99, [2, 5])
     b = _draw(generate_iid, cfg, 99, [2, 5])
     for x, y in zip(a, b):
@@ -333,10 +295,8 @@ def test_identity_overrides_reduce_to_iid_draw():
 
 def test_pure_los_limit():
     cfg = small_config()
-    geo = default_geometry(cfg, CARRIER_HZ)
-    sampler = _uncorrelated(
-        CorrelatedSampler(cfg, geo, RicianParams(kappa=1e12, sigma_si=2.0)),
-        np.ones((cfg.N, cfg.M)))
+    sampler = _uncorrelated(_rician(CorrelatedSampler(cfg), 1e12, 2.0),
+                            np.ones((cfg.N, cfg.M)))
     h_si = _draw(sampler.sample, cfg, 0, [0])[2]
     assert np.max(np.abs(h_si - 2.0)) < 1e-4
 
@@ -345,18 +305,15 @@ def test_si_channel_power_tracks_path_gains():
     # with sigma_si = 1 the LOS/NLOS split leaves per-element power equal
     # to the free-space gain, whatever kappa is
     cfg = small_config()
-    geo = default_geometry(cfg, CARRIER_HZ)
-    sampler = _uncorrelated(
-        CorrelatedSampler(cfg, geo, RicianParams(kappa=3.0, sigma_si=1.0)))
+    sampler = _uncorrelated(_rician(CorrelatedSampler(cfg), 3.0, 1.0))
     h_si = _draw(sampler.sample, cfg, 3, range(4000))[2]
-    ratio = np.mean(np.abs(h_si) ** 2, axis=0) / si_pathloss_gains(geo)
+    ratio = np.mean(np.abs(h_si) ** 2, axis=0) / sampler.si_amp ** 2
     assert abs(np.mean(ratio) - 1.0) < 0.05
 
 
 def test_uplink_rows_follow_receive_correlation():
     cfg = small_config()
-    geo = default_geometry(cfg, CARRIER_HZ)
-    sampler = CorrelatedSampler(cfg, geo, RicianParams())
+    sampler = CorrelatedSampler(cfg)
     r_rx = sampler.r_rx_sqrt @ sampler.r_rx_sqrt
     trials = 3000
     h = _draw(sampler.sample, cfg, 17, range(trials))[1]
@@ -368,32 +325,10 @@ def test_uplink_rows_follow_receive_correlation():
 def test_correlated_marginals_stay_standard_normal():
     # unit-diagonal correlation preserves each element's CN(0,1) marginal
     cfg = small_config()
-    geo = default_geometry(cfg, CARRIER_HZ)
-    sampler = CorrelatedSampler(cfg, geo, RicianParams())
+    sampler = CorrelatedSampler(cfg)
     vals = _draw(sampler.sample, cfg, 23, range(3000))[0][:, 1, 4]
     stat = scipy.stats.kstest(vals.real * math.sqrt(2.0), "norm")
     assert stat.pvalue > 1e-4
-
-
-def test_sampler_rejects_a_geometry_of_other_size(monkeypatch):
-    def no_j0(x):
-        raise AssertionError("J0 evaluated before the sizes were checked")
-
-    monkeypatch.setattr("fdmimo.channel.bessel_j0", no_j0)
-    cfg = small_config()
-    for other in (small_config(M=17), small_config(N=7)):
-        geo = default_geometry(other, CARRIER_HZ)
-        with pytest.raises(ConfigError, match=(
-                f"{other.M} transmit and {other.N} receive elements; the "
-                f"config has M={cfg.M}, N={cfg.N}")):
-            CorrelatedSampler(cfg, geo, RicianParams())
-
-
-def test_rician_params_validation():
-    with pytest.raises(ConfigError):
-        RicianParams(kappa=-1.0)
-    with pytest.raises(ConfigError):
-        RicianParams(sigma_si=math.nan)
 
 
 @settings(max_examples=20, deadline=None)

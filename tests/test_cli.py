@@ -314,6 +314,32 @@ def test_a_db_value_that_overflows_exits_1_before_any_trial(
 
 
 @pytest.mark.parametrize("text, msg", [
+    # rho_t came out as 2 ulps of the smallest subnormal, and the uplink
+    # closed form 1.2 % off its value at the exact SI level
+    ("M = 9\nN = 5\nK = 3\nrho_t_db = -3230\nbeta_si_db = 3080\n"
+     "alpha_anc_db = -300\nsweep_variable = rho_si_db\n"
+     "sweep_start = -150\nsweep_stop = -150\n",
+     "rho_t_db = -3230.0 dB is a subnormal float"),
+    ("beta_ue_db = 0\nsweep_start = -3100\nsweep_stop = -3100\n",
+     "sweep point rho_dl_db = -3100.0: rho_t_db = -3100.0 dB is a "
+     "subnormal float"),
+], ids=["field", "sweep-point"])
+def test_a_subnormal_db_value_exits_1_before_any_trial(
+        text, msg, monkeypatch, tmp_path, capsys):
+    _no_draw(monkeypatch)
+    path = tmp_path / "faint.conf"
+    path.write_text(text, encoding="utf-8")
+    out_path = tmp_path / "out.csv"
+    assert cli.main(["run", "--config", str(path), "--modes", "nosic",
+                     "--trials", "3", "--output", str(out_path)]) == 1
+    out, err = capsys.readouterr()
+    assert (f"config error: {msg} as a linear power ratio, which has lost "
+            f"precision\n") in err
+    assert "Traceback" not in err and ": mode" not in err
+    assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("text, msg", [
     # the imperfect-CSI uplink closed form squares rho_ul into an inf rate
     ("M = 9\nN = 5\nK = 3\nrho_ul_db = 1600\nsweep_stop = 2\n",
      "rho_ul_db = 1600.0"),
@@ -330,8 +356,12 @@ def test_a_db_value_that_overflows_exits_1_before_any_trial(
     # an SI level that overflowed made inf * 0 = NaN where subtraction
     # left no residual SI
     ("alpha_anc_db = -300\n", "rho_t_db + beta_si_db - alpha_anc_db = 310.0"),
+    # the SI estimation error overflowed the uplink SINR's SI term
+    ("scenario = fig-imperfect-si\nM = 9\nN = 5\nK = 3\nnmse = 1e300\n"
+     "alpha_anc_db = -88\n",
+     "rho_t_db + beta_si_db - alpha_anc_db + 10 log10(nmse) = 3098.0"),
 ], ids=["uplink", "downlink", "dl-sweep-point", "si-sweep-point",
-        "si-after-cancellation"])
+        "si-after-cancellation", "si-after-subtraction"])
 def test_a_received_snr_above_the_ceiling_exits_1_before_any_trial(
         text, msg, monkeypatch, tmp_path, capsys):
     _no_draw(monkeypatch)

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdmimo.channel import (ConfigError, SystemConfig, _channel_stack,
-                            default_geometry, generate_iid,
-                            si_pathloss_gains)
+from fdmimo.channel import (ConfigError, CorrelatedSampler, SystemConfig,
+                            _channel_stack, generate_iid)
 from fdmimo.estimation import EstimationModel, estimate, model_from_config
-from fdmimo.experiments import CORRELATED_CARRIER_HZ, correlated_sampler
 from fdmimo.metrics import _trial_chunks
 from fdmimo.numerics import RngStream
 
@@ -130,12 +128,13 @@ def test_correlated_si_error_variance_follows_the_path_gains():
     # the correlated model's SI error keeps the NMSE per element: its
     # variance is eps2_si times that element's free-space path gain
     cfg = SystemConfig(M=16, N=6, K=3)
-    gains = si_pathloss_gains(default_geometry(cfg, CORRELATED_CARRIER_HZ))
+    sampler = CorrelatedSampler(cfg)
+    gains = sampler.si_amp ** 2
     model = EstimationModel(eps2_si=0.2)
     acc = np.zeros_like(gains)
     trials = 2000
     for _, _, _, h_si, h_ext_hat, _, _ in _trial_chunks(
-            cfg, model, 6, range(trials), correlated_sampler(cfg)):
+            cfg, model, 6, range(trials), sampler):
         acc += np.sum(np.abs(h_ext_hat[:, cfg.K:] - h_si) ** 2, axis=0)
     ratio = acc / trials / (0.2 * gains)
     assert abs(np.mean(ratio) - 1.0) < 0.05

@@ -16,12 +16,10 @@ import fdmimo
 import fdmimo.metrics as metrics
 import fdmimo.numerics as numerics
 import fdmimo.transceiver as transceiver
-from fdmimo.channel import (ConfigError, CorrelatedSampler, RicianParams,
-                            SystemConfig, _channel_stack, default_geometry,
-                            generate_iid)
+from fdmimo.channel import (ConfigError, CorrelatedSampler, SystemConfig,
+                            _channel_stack, generate_iid)
 from fdmimo.closedform import rate_half_duplex, rate_perfect
 from fdmimo.estimation import EstimationModel, estimate, model_from_config
-from fdmimo.experiments import correlated_sampler
 from fdmimo.metrics import (Curve, dl_sinr, monte_carlo, monte_carlo_sweep,
                             residual_si, sum_rate, ul_sinr)
 from fdmimo.numerics import RngStream
@@ -39,7 +37,7 @@ def _trial(seed=0, model=None, t=0, cfg=CFG_SMALL, sampler=None):
     fill([RngStream(seed, 2 * t)], *truth)
     hats = tuple(np.empty_like(h) for h in truth)
     estimate(model or EstimationModel(), [RngStream(seed, 2 * t + 1)], truth,
-             hats, None if sampler is None else sampler._si_amp)
+             hats, None if sampler is None else sampler.si_amp)
     return tuple(h[0] for h in truth), tuple(h[0] for h in hats)
 
 
@@ -287,7 +285,7 @@ def test_multi_curve_call_equals_one_curve_calls(k, extra_n, extra_m, chunk,
     kw = dict(trials=trials, master_seed=seed,
               estimation=model_from_config(cfg, perfect=False))
     if correlated:
-        kw.update(sampler=correlated_sampler(cfg))
+        kw.update(sampler=CorrelatedSampler(cfg))
     with pytest.MonkeyPatch.context() as mp:
         _chunks_of(mp, chunk)
         together = monte_carlo_sweep(configs, curves, **kw)
@@ -308,30 +306,41 @@ def _complex_gaussian(gen, rows, cols, variance):
     return scale * (real + 1j * imag)
 
 
+def _rician(sampler, kappa, sigma_si):
+    """The sampler with the LOS matrix and NLOS amplitude of Rician
+    factor kappa and LOS amplitude sigma_si, set after construction."""
+    cfg = sampler.config
+    sampler._los = (np.sqrt(kappa / (kappa + 1.0)) * sigma_si
+                    * np.ones((cfg.N, cfg.M)))
+    sampler._nlos_amp = np.sqrt(1.0 / (kappa + 1.0))
+    return sampler
+
+
 def _reference_trial(cfg, model, seed, t, rician, sampler):
     """Trial t drawn one trial at a time with six separate complex draws:
-    the channels from stream 2t, then the errors from stream 2t+1."""
+    the channels from stream 2t, then the errors from stream 2t+1; rician
+    is the sampler's (kappa, sigma_si), or None for i.i.d. channels."""
     m, n, k = cfg.M, cfg.N, cfg.K
     gen = RngStream(seed, 2 * t).generator()
     h_dl = _complex_gaussian(gen, k, m, 1.0)
     h_ul = _complex_gaussian(gen, n, k, 1.0)
     h_si = _complex_gaussian(gen, n, m, 1.0)
     if rician is not None:
-        kappa = rician.kappa
-        los = (np.sqrt(kappa / (kappa + 1.0)) * rician.sigma_si
+        kappa, sigma_si = rician
+        los = (np.sqrt(kappa / (kappa + 1.0)) * sigma_si
                * np.ones((n, m)))
         nlos = np.sqrt(1.0 / (kappa + 1.0))
         r_tx, r_rx = sampler.r_tx_sqrt, sampler.r_rx_sqrt
         h_dl = h_dl @ r_tx
         h_ul = r_rx @ h_ul
         h_si = r_rx @ (los + nlos * h_si) @ r_tx
-        h_si = sampler._si_amp * h_si
+        h_si = sampler.si_amp * h_si
     gen = RngStream(seed, 2 * t + 1).generator()
     e_dl = _complex_gaussian(gen, k, m, model.eps2_dl)
     e_ul = _complex_gaussian(gen, n, k, model.eps2_ul)
     e_si = _complex_gaussian(gen, n, m, model.eps2_si)
     if rician is not None:
-        e_si = sampler._si_amp * e_si
+        e_si = sampler.si_amp * e_si
     return (h_dl, h_ul, h_si, np.vstack([h_dl + e_dl, h_si + e_si]),
             h_ul + e_ul)
 
@@ -349,8 +358,8 @@ def test_trial_chunks_equal_the_per_trial_draw_bit_for_bit(
                               for v, d in zip((0.1, 0.2, 0.3), drawn)))
     rician = sampler = None
     if correlated:
-        rician = RicianParams(kappa=2.0, sigma_si=0.7)
-        sampler = CorrelatedSampler(cfg, default_geometry(cfg, 2.1e9), rician)
+        rician = (2.0, 0.7)
+        sampler = _rician(CorrelatedSampler(cfg), *rician)
     _chunks_of(monkeypatch, 3)
     seed, trials = 17, range(2, 9)
     want = {t: _reference_trial(cfg, model, seed, t, rician, sampler)
@@ -403,7 +412,7 @@ def test_edge_configs_give_finite_rates_and_count_failures(
     cfg = SystemConfig(M=n + k + extra_m, N=n, K=k, rho_t_db=rho_t_db,
                        nmse=nmse)
     model = model_from_config(cfg, perfect=perfect)
-    sampler = correlated_sampler(cfg) if correlated else None
+    sampler = CorrelatedSampler(cfg) if correlated else None
     curves = [Curve(mode) for mode in SicMode]
     got = monte_carlo_sweep([cfg], curves, trials=trials, master_seed=seed,
                             estimation=model, sampler=sampler)
@@ -450,8 +459,7 @@ def test_monte_carlo_tracks_closed_form():
 
 def test_correlated_model_smoke():
     cfg = SystemConfig(M=12, N=6, K=3)
-    sampler = CorrelatedSampler(cfg, default_geometry(cfg, 2.1e9),
-                                RicianParams(kappa=3.0, sigma_si=1.0))
+    sampler = _rician(CorrelatedSampler(cfg), 3.0, 1.0)
     rep = monte_carlo(cfg, SicMode.SUBTRACTION, trials=20, master_seed=4,
                       sampler=sampler)
     assert rep.failures == 0
@@ -471,7 +479,7 @@ def test_sweep_validation_errors():
                           curves, trials=5, master_seed=0)
     with pytest.raises(ConfigError, match="share M, N, K"):
         monte_carlo_sweep([CFG_SMALL], curves, trials=5, master_seed=0,
-                          sampler=correlated_sampler(
+                          sampler=CorrelatedSampler(
                               SystemConfig(M=10, N=5, K=3)))
 
 
@@ -491,7 +499,7 @@ def test_a_correlated_si_level_above_the_ceiling_is_named_before_any_draw(
     # 250 dB, though every received SNR of the config itself is below it
     cfg = dataclasses.replace(CFG_SMALL, rho_t_db=400.0, beta_ue_db=-380.0,
                               beta_si_db=-300.0)
-    sampler = correlated_sampler(cfg)
+    sampler = CorrelatedSampler(cfg)
 
     def no_draws(*args, **kwargs):
         raise AssertionError("trials drawn before the SI level was checked")
@@ -501,6 +509,28 @@ def test_a_correlated_si_level_above_the_ceiling_is_named_before_any_draw(
                        "alpha_anc_db = 40.0 puts the SI SNR of the strongest "
                        "correlated SI path at 3[0-9][0-9].[0-9] dB, above "
                        "the 250 dB ceiling"):
+        monte_carlo_sweep([cfg], [Curve(SicMode.SUBTRACTION)], trials=3,
+                          master_seed=0, sampler=sampler)
+
+
+def test_a_correlated_si_level_after_subtraction_above_the_ceiling_is_named(
+        monkeypatch):
+    # beta_si_db = -300 keeps the config's own SI SNR after subtraction at
+    # -40 dB, but the strongest correlated path puts it at 253.6 dB
+    cfg = dataclasses.replace(CFG_SMALL, beta_si_db=-300.0, nmse=1e25)
+    sampler = CorrelatedSampler(cfg)
+    monte_carlo_sweep([dataclasses.replace(cfg, nmse=1e24)],   # 243.6 dB
+                      [Curve(SicMode.SUBTRACTION)], trials=3, master_seed=0,
+                      sampler=sampler)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("trials drawn before the SI level was checked")
+
+    monkeypatch.setattr(metrics, "_trial_chunks", no_draws)
+    with pytest.raises(ConfigError, match=(
+            r"^rho_t_db = 50.0 with alpha_anc_db = 40.0 and nmse = 1e\+25 "
+            r"puts the SI SNR left after subtraction on the strongest "
+            r"correlated SI path at 253.6 dB, above the 250 dB ceiling")):
         monte_carlo_sweep([cfg], [Curve(SicMode.SUBTRACTION)], trials=3,
                           master_seed=0, sampler=sampler)
 
