@@ -14,7 +14,6 @@ perfbench/ reads; everything else is imported from its submodule.
 
 from .channel import CorrelatedSampler, SystemConfig
 from .closedform import rate_perfect
-from .estimation import model_from_config
 from .experiments import (default_scenario, parse_config, render_csv,
                           run_scenario)
 from .metrics import monte_carlo

@@ -24,10 +24,9 @@ import numpy as np
 
 from . import closedform, experiments, metrics
 from .channel import CorrelatedSampler, SystemConfig
-from .estimation import model_from_config
 from .metrics import Curve, residual_si
 from .numerics import RngStream
-from .transceiver import SicMode, build
+from .transceiver import SicMode
 
 _MODES = (SicMode.NO_SIC, SicMode.SUBTRACTION, SicMode.SPATIAL_SUPPRESSION)
 
@@ -109,13 +108,12 @@ def criterion_imperfect_ul_match(config: SystemConfig, base_trials: int,
     offsets = (-10.0, -5.0, 0.0, 5.0, 10.0)
     points = [config.alpha_anc_db + off for off in offsets]
     configs = _si_configs(config, points)
-    model = model_from_config(config, perfect=False)
     ok = True
     worst_desc = ""
     worst_margin = -math.inf
     curves = metrics.monte_carlo_sweep(
         configs, [Curve(mode) for mode in _MODES], trials=base_trials,
-        master_seed=seed, estimation=model)
+        master_seed=seed, perfect=False)
     for mode, reports in zip(_MODES, curves):
         for off, cfg, rep in zip(offsets, configs, reports):
             ref = closedform.ul_rate_imperfect(mode, cfg)
@@ -179,19 +177,14 @@ def _inverse_norm_result(config: SystemConfig, base_trials: int,
     order; it creates no generator, so it may run off the calling thread."""
     draws = 10 * base_trials
     m, n, k = config.M, config.N, config.K
-    zf_gen, sps_gen, combiner_gen = gens
     # The combiner's norms come from (H^H H)^{-1} of the N x K uplink
     # channel H, so its K x N draw is H^H, again i.i.d. CN(0, 1).
-    targets = {
-        "zf": (m - k + 1, _mean_inv_gram_diag(zf_gen, k, m, draws, k)),
-        "sps": (m - n - k + 1,
-                _mean_inv_gram_diag(sps_gen, n + k, m, draws, k)),
-        "combiner": (n - k + 1,
-                     _mean_inv_gram_diag(combiner_gen, k, n, draws, k)),
-    }
+    shapes = {"zf": (k, m), "sps": (n + k, m), "combiner": (k, n)}
     worst = 0.0
     parts = []
-    for name, (expect, got) in targets.items():
+    for (name, (rows, cols)), gen, expect in zip(
+            shapes.items(), gens, closedform.inverse_norm_gains(config)):
+        got = _mean_inv_gram_diag(gen, rows, cols, draws, k)
         err = abs(got - expect) / expect
         worst = max(worst, err)
         parts.append(f"{name} {got:.3f} vs {expect}")
@@ -215,7 +208,6 @@ def criterion_expected_inverse_norms(config: SystemConfig, base_trials: int,
 def criterion_zero_forcing_residuals(config: SystemConfig, base_trials: int,
                                      seed: int) -> CriterionResult:
     """4: per-trial null-space and combiner residuals below 1e-9."""
-    model = model_from_config(config, perfect=False)
     sps = SicMode.SPATIAL_SUPPRESSION
     k = config.K
     worst_null = 0.0
@@ -226,9 +218,9 @@ def criterion_zero_forcing_residuals(config: SystemConfig, base_trials: int,
                 (range(iid_trials, iid_trials + corr_trials),
                  CorrelatedSampler(config)))
     for trials, sampler in segments:
-        for chunk, _, _, _, h_ext_hat, h_ul_hat, workspace in (
-                metrics._trial_chunks(config, model, seed, trials, sampler)):
-            w, built = build((sps,), h_ext_hat, h_ul_hat, workspace)
+        for chunk, _, _, _, h_ext_hat, h_ul_hat, w, built in (
+                metrics._trial_chunks(config, False, seed, trials, (sps,),
+                                      sampler)):
             g, failed = built[sps]
             if failed.any():
                 return _build_failure(4, "zero-forcing residuals", sps, chunk,
@@ -255,20 +247,19 @@ def criterion_paired_residual_si(config: SystemConfig, base_trials: int,
 
     Paired one-sided test at the 1 percent level on the per-trial mean
     residual SI power difference (suppression minus subtraction).  Both
-    modes' transceivers come from one build call per chunk of
-    trials, so each trial's combiner is built once.
+    modes' transceivers come from one build per chunk of trials, so
+    each trial's combiner is built once.
     """
     if base_trials < 2:
         # the sample standard deviation needs two trials
         return CriterionResult(5, "paired residual-SI ordering", False,
                                "needs at least 2 base trials")
-    model = model_from_config(config, perfect=False)
     stt, sps = SicMode.SUBTRACTION, SicMode.SPATIAL_SUPPRESSION
     k = config.K
     diffs = []
-    for chunk, _, _, h_si, h_ext_hat, h_ul_hat, workspace in (
-            metrics._trial_chunks(config, model, seed, range(base_trials))):
-        w, built = build((stt, sps), h_ext_hat, h_ul_hat, workspace)
+    for chunk, _, _, h_si, h_ext_hat, _, w, built in (
+            metrics._trial_chunks(config, False, seed, range(base_trials),
+                                  (stt, sps))):
         means = {}
         for mode, (g, failed) in built.items():
             if failed.any():

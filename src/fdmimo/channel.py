@@ -36,10 +36,10 @@ SIGMA_SI = 1.0
 #: Highest received SNR in dB that a config may set, as rho_ul_db, as
 #: rho_t_db + beta_ue_db or rho_t_db + beta_si_db, or as the SI SNR left
 #: after analog cancellation, rho_t_db + beta_si_db - alpha_anc_db, and
-#: after subtraction, that plus 10 log10(nmse) for a nonzero nmse.  From
-#: about 300 dB the zero-forcing residual sits at machine precision, so
-#: simulated rates leave their closed forms, and far above it an SINR
-#: overflows.
+#: after subtraction, that plus 10 log10(nmse) for a nonzero nmse, which
+#: may not exceed it as a power ratio either.  From about 300 dB the
+#: zero-forcing residual sits at machine precision, so simulated rates
+#: leave their closed forms, and far above it an SINR overflows.
 MAX_RECEIVED_SNR_DB = 250.0
 
 
@@ -120,6 +120,12 @@ class SystemConfig:
                 raise ConfigError(
                     f"{name} = {snr_db!r} dB is above the "
                     f"{MAX_RECEIVED_SNR_DB:g} dB ceiling for a received SNR")
+        # The SI estimate's entries grow with sqrt(nmse) at any SI level.
+        if self.nmse > db_to_linear(MAX_RECEIVED_SNR_DB):
+            raise ConfigError(
+                f"nmse = {self.nmse!r} is above "
+                f"{db_to_linear(MAX_RECEIVED_SNR_DB):g}, the "
+                f"{MAX_RECEIVED_SNR_DB:g} dB ceiling as a power ratio")
 
     @property
     def rho_t(self) -> float:

@@ -1,8 +1,8 @@
 """Closed-form ergodic sum-rate approximations.
 
 The perfect-CSI rates follow from zero-forcing plus the expected inverse
-column norms of the precoder and combiner (Wishart identities M-K+1,
-M-N-K+1 and N-K+1).  The imperfect-CSI uplink rates use a high-SNR
+column norms of the precoder and combiner (the Wishart identities of
+inverse_norm_gains).  The imperfect-CSI uplink rates use a high-SNR
 ratio-of-means approximation in which the three SIC modes differ only by
 the factor chi multiplying the residual self-interference power:
 
@@ -42,6 +42,14 @@ def _chi(mode: SicMode, eps2_si: float) -> float:
     return 1.0 / (1.0 / eps2_si + 1.0)
 
 
+def inverse_norm_gains(config: SystemConfig) -> tuple[int, int, int]:
+    """Wishart degrees of freedom M-K+1, M-N-K+1 and N-K+1: the mean of
+    1 / ||f_k||^2 over the columns of the unnormalized zero-forcing and
+    suppression precoders and of the combiner, in that order."""
+    m, n, k = config.M, config.N, config.K
+    return m - k + 1, m - n - k + 1, n - k + 1
+
+
 def rate_perfect(mode: SicMode, config: SystemConfig) -> ClosedFormPoint:
     """Perfect-CSI downlink and uplink sum rates for one mode.
 
@@ -50,13 +58,11 @@ def rate_perfect(mode: SicMode, config: SystemConfig) -> ClosedFormPoint:
     Uplink: K log2(1 + rho_ul (N-K+1)); without SIC the SNR is divided by
     rho_si / alpha_anc + 1, the residual SI power after analog attenuation.
     """
-    m, n, k = config.M, config.N, config.K
-    if mode is SicMode.SPATIAL_SUPPRESSION:
-        dl_gain = m - n - k + 1
-    else:
-        dl_gain = m - k + 1
+    k = config.K
+    zf_gain, sps_gain, ul_gain = inverse_norm_gains(config)
+    dl_gain = sps_gain if mode is SicMode.SPATIAL_SUPPRESSION else zf_gain
     dl_rate = k * math.log2(1.0 + config.rho_dl * dl_gain / k)
-    ul_sinr = config.rho_ul * (n - k + 1)
+    ul_sinr = config.rho_ul * ul_gain
     if mode is SicMode.NO_SIC:
         ul_sinr = ul_sinr / (config.rho_si / config.alpha_anc + 1.0)
     ul_rate = k * math.log2(1.0 + ul_sinr)

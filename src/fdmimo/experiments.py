@@ -28,7 +28,6 @@ from typing import Callable, Sequence, TextIO
 
 from . import closedform, metrics
 from .channel import ConfigError, CorrelatedSampler, SystemConfig
-from .estimation import model_from_config
 from .transceiver import SicMode
 
 #: Baseline row tag for the half-duplex reference curve.
@@ -281,7 +280,6 @@ def run_scenario(config: SystemConfig, scenario: Scenario,
 
     sampler = (CorrelatedSampler(config)
                if scenario.name == "fig-correlated" else None)
-    model = model_from_config(config, perfect=(scenario.name == "fig-perfect"))
 
     curves = [metrics.Curve(SicMode.SUBTRACTION, si_free=True)
               if token == HALF_DUPLEX else metrics.Curve(SicMode(token))
@@ -292,7 +290,8 @@ def run_scenario(config: SystemConfig, scenario: Scenario,
                      f"{scenario.trials} trials")
     reports = metrics.monte_carlo_sweep(
         configs, curves, trials=scenario.trials,
-        master_seed=scenario.master_seed, estimation=model, sampler=sampler)
+        master_seed=scenario.master_seed,
+        perfect=scenario.name == "fig-perfect", sampler=sampler)
 
     rows: list[SweepRow] = []
     for token, curve_reports in zip(scenario.modes, reports):

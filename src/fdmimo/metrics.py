@@ -33,7 +33,7 @@ import numpy as np
 
 from .channel import (ConfigError, CorrelatedSampler, SystemConfig,
                       _channel_stack, generate_iid)
-from .estimation import EstimationModel, estimate
+from .estimation import error_variances, estimate
 from .numerics import RngStream, Workspace
 from .transceiver import SicMode, build
 
@@ -164,24 +164,23 @@ def _chunk_trials(m: int, n: int, k: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * entries))
 
 
-def _trial_chunks(config: SystemConfig, model: EstimationModel,
-                  master_seed: int, trials: range,
+def _trial_chunks(config: SystemConfig, perfect: bool, master_seed: int,
+                  trials: range, modes,
                   sampler: CorrelatedSampler | None = None):
-    """Draw and estimate the given trials in chunks.
+    """Draw, estimate and build the given trials in chunks.
 
     Trial t draws its channels from substream 2t of master_seed, i.i.d.
-    or, with a sampler, correlated Rician, and its estimation errors from
-    substream 2t+1, each stream in one call.  Yields, per chunk of at most
-    _chunk_trials(M, N, K) trials, the chunk's trial indices, the stacked
-    true channels h_dl, h_ul, h_si and estimates h_ext_hat (each downlink
-    estimate over its SI estimate) and h_ul_hat.
-    A chunk is one generate_iid or CorrelatedSampler.sample call and one
-    estimate call, whose values depend on each trial's streams alone,
-    where a sampler's SI error is scaled by its path-gain amplitude.
-    Each chunk also carries the workspace that the caller passes to
-    build, one per call of this generator.  The arrays, and build's
-    combiners and precoders made in that workspace, are views of buffers
-    that the next chunk overwrites.
+    or, with a sampler, correlated Rician, and the estimation errors of
+    error_variances(config, perfect) from substream 2t+1, each stream in
+    one call.  Yields, per chunk of at most _chunk_trials(M, N, K)
+    trials, the chunk's trial indices, the stacked true channels h_dl,
+    h_ul, h_si, the estimates h_ext_hat (each downlink estimate over its
+    SI estimate) and h_ul_hat, and what build returns for the modes.  A
+    chunk is one generate_iid or CorrelatedSampler.sample call, one
+    estimate call and one build call, whose values depend on each
+    trial's streams alone, where a sampler's SI error is scaled by its
+    path-gain amplitude.  Every yielded array is a view of a buffer, one
+    set per call of this generator, that the next chunk overwrites.
     """
     m, n, k = config.M, config.N, config.K
     if sampler is None:
@@ -190,6 +189,7 @@ def _trial_chunks(config: SystemConfig, model: EstimationModel,
         # The SI estimation error follows the local channel power, to keep
         # the NMSE meaningful per element.
         fill, si_amp = sampler.sample, sampler.si_amp
+    variances = error_variances(config, perfect)
     size = max(1, min(len(trials), _chunk_trials(m, n, k)))
     h_dl, h_ul, h_si = _channel_stack(config, size)
     h_ext_hat = np.empty((size, k + n, m), dtype=complex)
@@ -200,27 +200,30 @@ def _trial_chunks(config: SystemConfig, model: EstimationModel,
         c = len(chunk)
         channels = (h_dl[:c], h_ul[:c], h_si[:c])
         fill([RngStream(master_seed, 2 * t) for t in chunk], *channels)
-        estimate(model, [RngStream(master_seed, 2 * t + 1) for t in chunk],
+        estimate(variances,
+                 [RngStream(master_seed, 2 * t + 1) for t in chunk],
                  channels, (h_ext_hat[:c, :k], h_ul_hat[:c],
                             h_ext_hat[:c, k:]), si_amp)
-        yield (chunk, *channels, h_ext_hat[:c], h_ul_hat[:c], workspace)
+        hats = (h_ext_hat[:c], h_ul_hat[:c])
+        yield (chunk, *channels, *hats, *build(modes, *hats, workspace))
 
 
 def monte_carlo_sweep(configs: Sequence[SystemConfig],
                       curves: Sequence[Curve], *, trials: int,
-                      master_seed: int,
-                      estimation: EstimationModel | None = None,
+                      master_seed: int, perfect: bool = True,
                       sampler: CorrelatedSampler | None = None
                       ) -> list[list[RateReport]]:
     """Monte Carlo rates of several curves over shared operating points.
 
     The configs, and a correlated sampler's config, must agree on
-    (M, N, K); they may differ in the SNR scalars.  Trial t draws its
-    channels from substream 2t and its estimation errors from substream
-    2t+1 of master_seed, once for every curve and point (paired sampling /
-    common random numbers).  Trials run in chunks: each chunk's
-    transceivers are built once per distinct precoder, and its SINRs are
-    evaluated for every curve and point in stacked arrays.  Returns one
+    (M, N, K); they may differ in the SNR scalars, but under imperfect
+    CSI (perfect=False) not in rho_ul_db or nmse, which set the
+    estimation errors.  Trial t draws its channels from substream 2t and
+    its estimation errors from substream 2t+1 of master_seed, once for
+    every curve and point (paired sampling / common random numbers).
+    Trials run in chunks: each chunk's transceivers are built once per
+    distinct precoder, and its SINRs are evaluated for every curve and
+    point in stacked arrays.  Returns one
     report per point for each curve; each is bit-identical to a one-curve
     call, to a one-point call, and for any chunk size.  A trial whose
     transceiver for a curve's mode cannot be built counts as a failure of
@@ -236,7 +239,10 @@ def monte_carlo_sweep(configs: Sequence[SystemConfig],
     for cfg in [*configs, *([] if sampler is None else [sampler.config])]:
         if (cfg.M, cfg.N, cfg.K) != (base.M, base.N, base.K):
             raise ConfigError("sweep configs must share M, N, K")
-    model = estimation if estimation is not None else EstimationModel()
+    if not perfect and any((cfg.rho_ul_db, cfg.nmse)
+                           != (base.rho_ul_db, base.nmse) for cfg in configs):
+        raise ConfigError("imperfect-CSI sweep configs must share "
+                          "rho_ul_db and nmse")
 
     if sampler is not None:
         # Path gains replace the flat beta_si, so the SI term scales with
@@ -256,9 +262,8 @@ def monte_carlo_sweep(configs: Sequence[SystemConfig],
     k = base.K
     acc = [_Welford((2, len(configs))) for _ in curves]
     failures = [0] * len(curves)
-    for _, h_dl, h_ul, h_si, h_ext_hat, h_ul_hat, workspace in _trial_chunks(
-            base, model, master_seed, range(trials), sampler):
-        w, built = build(modes, h_ext_hat, h_ul_hat, workspace)
+    for _, h_dl, h_ul, h_si, h_ext_hat, _, w, built in _trial_chunks(
+            base, perfect, master_seed, range(trials), modes, sampler):
         # Axes: trial, [curve,] point, user.  The downlink rates depend on
         # the precoder only, so each distinct one is evaluated once.
         dl_rates = {}
@@ -294,15 +299,14 @@ def monte_carlo_sweep(configs: Sequence[SystemConfig],
 
 
 def monte_carlo(config: SystemConfig, mode: SicMode, *, trials: int,
-                master_seed: int,
-                estimation: EstimationModel | None = None,
+                master_seed: int, perfect: bool = True,
                 sampler: CorrelatedSampler | None = None) -> RateReport:
     """Monte Carlo ergodic sum rates for a single operating point.
 
     The one-point, one-curve call of monte_carlo_sweep, at the point's
-    SI level.  estimation=None means perfect CSI; a sampler switches on
-    its correlated Rician channel model.
+    SI level, with imperfect CSI for perfect=False and the correlated
+    Rician channel model for a sampler.
     """
     return monte_carlo_sweep(
         [config], [Curve(mode)], trials=trials, master_seed=master_seed,
-        estimation=estimation, sampler=sampler)[0][0]
+        perfect=perfect, sampler=sampler)[0][0]

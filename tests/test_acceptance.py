@@ -16,13 +16,13 @@ import warnings
 import numpy as np
 import pytest
 
-from fdmimo import acceptance, numerics
+from fdmimo import acceptance, metrics, numerics
 from fdmimo.acceptance import (_Z99, CriterionResult,
                                criterion_paired_residual_si,
                                criterion_zero_forcing_residuals, run_all)
 from fdmimo.channel import (CorrelatedSampler, SystemConfig, _channel_stack,
                             generate_iid)
-from fdmimo.estimation import estimate, model_from_config
+from fdmimo.estimation import error_variances, estimate
 from fdmimo.metrics import residual_si
 from fdmimo.numerics import RngStream
 from fdmimo.transceiver import SicMode, build
@@ -84,7 +84,7 @@ def test_criterion_9_csv_determinism(results, capsys):
 SMALL = SystemConfig(M=12, N=4, K=2)
 
 
-def _trial(model, seed, t, sampler=None):
+def _trial(variances, seed, t, sampler=None):
     """Trial t's true channels and estimates (h_dl_hat, h_ul_hat,
     h_si_hat) on SMALL, drawn as a stack of one trial; a sampler's SI
     error is scaled by its path gains, as the correlated engine does."""
@@ -92,7 +92,7 @@ def _trial(model, seed, t, sampler=None):
     fill = generate_iid if sampler is None else sampler.sample
     fill([RngStream(seed, 2 * t)], *truth)
     hats = tuple(np.empty_like(h) for h in truth)
-    estimate(model, [RngStream(seed, 2 * t + 1)], truth, hats,
+    estimate(variances, [RngStream(seed, 2 * t + 1)], truth, hats,
              None if sampler is None else sampler.si_amp)
     return tuple(h[0] for h in truth), tuple(h[0] for h in hats)
 
@@ -117,16 +117,16 @@ def test_criterion_4_matches_a_per_trial_build_loop(monkeypatch):
         built.extend(zip(h_ext_hat.copy(), h_ul_hat.copy()))
         return build(modes, h_ext_hat, h_ul_hat, workspace)
 
-    monkeypatch.setattr(acceptance, "build", recording_build)
+    monkeypatch.setattr(metrics, "build", recording_build)
     base_trials, seed = 100, 3001
-    model = model_from_config(SMALL, perfect=False)
+    variances = error_variances(SMALL, perfect=False)
     sampler = CorrelatedSampler(SMALL)
     iid_trials, corr_trials = 50, 20
     worst_null = 0.0
     worst_comb = 0.0
     ests = []
     for i in range(iid_trials + corr_trials):
-        _, hats = _trial(model, seed, i,
+        _, hats = _trial(variances, seed, i,
                          sampler if i >= iid_trials else None)
         ests.append(hats)
         dl_hat, ul_hat, si_hat = hats
@@ -160,10 +160,10 @@ def test_criterion_5_matches_a_per_trial_build_loop(monkeypatch):
     # chunks of 3 with a partial last one; the loop is the reference
     monkeypatch.setattr("fdmimo.metrics._chunk_trials", lambda m, n, k: 3)
     trials, seed = 23, 1
-    model = model_from_config(SMALL, perfect=False)
+    variances = error_variances(SMALL, perfect=False)
     diffs = np.empty(trials)
     for t in range(trials):
-        (_, _, h_si), hats = _trial(model, seed, t)
+        (_, _, h_si), hats = _trial(variances, seed, t)
         om = {}
         for mode in (SicMode.SUBTRACTION, SicMode.SPATIAL_SUPPRESSION):
             g, w = _build(mode, hats)

@@ -139,9 +139,25 @@ def test_received_snrs_at_the_ceiling_are_valid():
     assert cfg.rho_ul == 1e25
     assert cfg.rho_dl == cfg.rho_si == pytest.approx(1e25, rel=1e-15)
     assert SystemConfig(rho_t_db=-math.inf, beta_ue_db=3000.0).rho_dl == 0.0
-    assert SystemConfig(nmse=1e28).nmse == 1e28    # -30 + 280 dB
+    # -30 + 280 dB
+    assert SystemConfig(rho_t_db=80.0, nmse=1e25).nmse == 1e25
     # nmse = 0 adds no term: subtraction then leaves no SI
     assert SystemConfig(rho_t_db=290.0, alpha_anc_db=0.0, nmse=0.0).nmse == 0.0
+
+
+#: A config whose transmit SNR keeps every received SNR below the ceiling
+#: however large nmse is.
+_FAINT_SI = dict(M=9, N=5, K=3, rho_t_db=-2900.0, beta_ue_db=2900.0,
+                 beta_si_db=0.0, alpha_anc_db=0.0)
+
+
+def test_an_nmse_above_the_ceiling_is_named():
+    # the SI estimate's entries scale with sqrt(nmse) alone, and at 1e308
+    # the suppression Gram matrix overflowed
+    with pytest.raises(ConfigError, match=r"^nmse = 1e\+308 is above "
+                       r"1e\+25, the 250 dB ceiling as a power ratio$"):
+        SystemConfig(**_FAINT_SI, nmse=1e308)
+    assert SystemConfig(**_FAINT_SI, nmse=1e25).nmse == 1e25
 
 
 def test_config_allows_minus_inf_power_but_not_attenuation():

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -373,6 +374,28 @@ def test_a_received_snr_above_the_ceiling_exits_1_before_any_trial(
     out, err = capsys.readouterr()
     assert (f"config error: {msg} dB is above the 250 dB ceiling for a "
             f"received SNR\n") in err
+    assert "Traceback" not in err and ": mode" not in err
+    assert out == "" and not out_path.exists()
+
+
+def test_an_nmse_above_the_ceiling_exits_1_before_any_trial(
+        monkeypatch, tmp_path, capsys):
+    # every received SNR is far below the ceiling, yet the SI estimate
+    # overflowed the suppression Gram matrix: exit 0 with RuntimeWarnings
+    _no_draw(monkeypatch)
+    path = tmp_path / "noisy.conf"
+    path.write_text("M = 9\nN = 5\nK = 3\nnmse = 1e308\nrho_t_db = -2900\n"
+                    "beta_ue_db = 2900\nbeta_si_db = 0\nalpha_anc_db = 0\n"
+                    "sweep_start = 0\nsweep_stop = 0\n", encoding="utf-8")
+    out_path = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", "--config", str(path), "--modes",
+                         "nosic,stt,sps", "--trials", "20",
+                         "--output", str(out_path)]) == 1
+    out, err = capsys.readouterr()
+    assert ("config error: nmse = 1e+308 is above 1e+25, the 250 dB ceiling "
+            "as a power ratio\n") in err
     assert "Traceback" not in err and ": mode" not in err
     assert out == "" and not out_path.exists()
 

@@ -19,7 +19,7 @@ import fdmimo.transceiver as transceiver
 from fdmimo.channel import (ConfigError, CorrelatedSampler, SystemConfig,
                             _channel_stack, generate_iid)
 from fdmimo.closedform import rate_half_duplex, rate_perfect
-from fdmimo.estimation import EstimationModel, estimate, model_from_config
+from fdmimo.estimation import error_variances, estimate
 from fdmimo.metrics import (Curve, dl_sinr, monte_carlo, monte_carlo_sweep,
                             residual_si, sum_rate, ul_sinr)
 from fdmimo.numerics import RngStream
@@ -28,16 +28,18 @@ from fdmimo.transceiver import SicMode, build
 CFG_SMALL = SystemConfig(M=9, N=5, K=3)
 
 
-def _trial(seed=0, model=None, t=0, cfg=CFG_SMALL, sampler=None):
+def _trial(seed=0, variances=(0.0, 0.0, 0.0), t=0, cfg=CFG_SMALL,
+           sampler=None):
     """Trial t's true channels (h_dl, h_ul, h_si) and estimates
-    (h_dl_hat, h_ul_hat, h_si_hat), drawn as a stack of one trial from
-    substreams 2t and 2t+1 of seed, as the engine draws it."""
+    (h_dl_hat, h_ul_hat, h_si_hat) with the given error variances, drawn
+    as a stack of one trial from substreams 2t and 2t+1 of seed, as the
+    engine draws it."""
     truth = _channel_stack(cfg, 1)
     fill = generate_iid if sampler is None else sampler.sample
     fill([RngStream(seed, 2 * t)], *truth)
     hats = tuple(np.empty_like(h) for h in truth)
-    estimate(model or EstimationModel(), [RngStream(seed, 2 * t + 1)], truth,
-             hats, None if sampler is None else sampler.si_amp)
+    estimate(variances, [RngStream(seed, 2 * t + 1)], truth, hats,
+             None if sampler is None else sampler.si_amp)
     return tuple(h[0] for h in truth), tuple(h[0] for h in hats)
 
 
@@ -85,8 +87,7 @@ def test_dl_sinr_matches_naive_loops():
 
 
 def test_ul_sinr_matches_naive_loops():
-    model = EstimationModel(0.05, 0.05, 0.1)
-    (_, h_ul, h_si), hats = _trial(4, model)
+    (_, h_ul, h_si), hats = _trial(4, (0.05, 0.05, 0.1))
     g, w, _ = _build(SicMode.NO_SIC, hats)
     omega = residual_si(SicMode.NO_SIC, w, h_si, hats[2], g)
     got = ul_sinr(h_ul, w, omega, CFG_SMALL.rho_ul,
@@ -98,8 +99,7 @@ def test_ul_sinr_matches_naive_loops():
 
 
 def test_residual_si_subtraction_uses_error_only():
-    model = EstimationModel(0.0, 0.0, 0.1)
-    (_, _, h_si), hats = _trial(5, model)
+    (_, _, h_si), hats = _trial(5, (0.0, 0.0, 0.1))
     g, w, _ = _build(SicMode.SUBTRACTION, hats)
     got = residual_si(SicMode.SUBTRACTION, w, h_si, hats[2], g)
     want = _naive_omega(w, h_si - hats[2], g)
@@ -127,8 +127,7 @@ def test_ul_sinr_si_snr_override():
 
 
 def test_sinrs_broadcast_over_trials_and_points():
-    model = EstimationModel(0.05, 0.05, 0.1)
-    draws = [_trial(seed, model) for seed in range(3)]
+    draws = [_trial(seed, (0.05, 0.05, 0.1)) for seed in range(3)]
     sets = [_build(SicMode.SUBTRACTION, hats) for _, hats in draws]
     h_dl, h_ul, h_si, h_si_hat, g, w = (np.stack(a) for a in zip(*[
         (*truth, hats[2], g, w) for (truth, hats), (g, w, _)
@@ -271,27 +270,35 @@ def test_every_trial_failing_reports_nan(monkeypatch):
 @given(k=st.integers(1, 3), extra_n=st.integers(1, 3),
        extra_m=st.integers(0, 3), chunk=st.integers(2, 5),
        trials=st.integers(2, 13), correlated=st.booleans(),
-       seed=st.integers(0, 1000))
+       perfect=st.booleans(), seed=st.integers(0, 1000))
 def test_multi_curve_call_equals_one_curve_calls(k, extra_n, extra_m, chunk,
-                                                 trials, correlated, seed):
+                                                 trials, correlated, perfect,
+                                                 seed):
     assume(trials % chunk != 0)    # a partial last chunk; two trials give CIs
     n = k + extra_n
     cfg = SystemConfig(M=n + k + extra_m, N=n, K=k)
+    # only perfect CSI lets the points differ in the uplink SNR, which
+    # sets the user-link estimation errors
+    third = dict(alpha_anc_db=30.0, rho_ul_db=0.0 if perfect else 10.0)
     configs = [cfg, dataclasses.replace(cfg, rho_t_db=70.0),
-               dataclasses.replace(cfg, rho_ul_db=0.0, alpha_anc_db=30.0)]
+               dataclasses.replace(cfg, **third)]
     curves = [Curve(SicMode.NO_SIC), Curve(SicMode.SUBTRACTION),
               Curve(SicMode.SPATIAL_SUPPRESSION),
               Curve(SicMode.SUBTRACTION, si_free=True)]
-    kw = dict(trials=trials, master_seed=seed,
-              estimation=model_from_config(cfg, perfect=False))
+    kw = dict(trials=trials, master_seed=seed, perfect=perfect)
     if correlated:
         kw.update(sampler=CorrelatedSampler(cfg))
     with pytest.MonkeyPatch.context() as mp:
         _chunks_of(mp, chunk)
         together = monte_carlo_sweep(configs, curves, **kw)
     for curve, reports in zip(curves, together):
-        # one-curve calls at the default chunk size, one chunk here
-        assert reports == monte_carlo_sweep(configs, [curve], **kw)[0]
+        # one-curve calls at the default chunk size, one chunk here; a CI
+        # is NaN where suppression failed all but one trial, as it can
+        # under perfect correlated CSI
+        alone = monte_carlo_sweep(configs, [curve], **kw)[0]
+        assert np.array_equal([dataclasses.astuple(r) for r in reports],
+                              [dataclasses.astuple(r) for r in alone],
+                              equal_nan=True)
 
 
 def _complex_gaussian(gen, rows, cols, variance):
@@ -316,7 +323,7 @@ def _rician(sampler, kappa, sigma_si):
     return sampler
 
 
-def _reference_trial(cfg, model, seed, t, rician, sampler):
+def _reference_trial(cfg, variances, seed, t, rician, sampler):
     """Trial t drawn one trial at a time with six separate complex draws:
     the channels from stream 2t, then the errors from stream 2t+1; rician
     is the sampler's (kappa, sigma_si), or None for i.i.d. channels."""
@@ -336,9 +343,10 @@ def _reference_trial(cfg, model, seed, t, rician, sampler):
         h_si = r_rx @ (los + nlos * h_si) @ r_tx
         h_si = sampler.si_amp * h_si
     gen = RngStream(seed, 2 * t + 1).generator()
-    e_dl = _complex_gaussian(gen, k, m, model.eps2_dl)
-    e_ul = _complex_gaussian(gen, n, k, model.eps2_ul)
-    e_si = _complex_gaussian(gen, n, m, model.eps2_si)
+    eps2_dl, eps2_ul, eps2_si = variances
+    e_dl = _complex_gaussian(gen, k, m, eps2_dl)
+    e_ul = _complex_gaussian(gen, n, k, eps2_ul)
+    e_si = _complex_gaussian(gen, n, m, eps2_si)
     if rician is not None:
         e_si = sampler.si_amp * e_si
     return (h_dl, h_ul, h_si, np.vstack([h_dl + e_dl, h_si + e_si]),
@@ -347,22 +355,26 @@ def _reference_trial(cfg, model, seed, t, rician, sampler):
 
 @pytest.mark.parametrize("dims", [(7, 4, 3), (10, 4, 2)])   # M = N + K
 @pytest.mark.parametrize("correlated", [False, True])
+# drawn: the CSI, perfect or not, and the rho_ul_db and nmse that set
+# the errors drawn; -inf dB makes the user-link variance exactly 1, and
+# nmse = 0 draws no SI error
 @pytest.mark.parametrize("drawn", [
-    (dl, ul, si) for dl in (False, True) for ul in (False, True)
-    for si in (False, True)])
+    (True, 10.0, 0.0), (True, 10.0, 0.3), (False, 10.0, 0.0),
+    (False, 10.0, 0.3), (False, 10.0, 7.5), (False, -math.inf, 0.0),
+    (False, -math.inf, 0.3), (False, 30.0, 1.0)])
 def test_trial_chunks_equal_the_per_trial_draw_bit_for_bit(
         monkeypatch, dims, correlated, drawn):
     m, n, k = dims
-    cfg = SystemConfig(M=m, N=n, K=k)
-    model = EstimationModel(*(v if d else 0.0
-                              for v, d in zip((0.1, 0.2, 0.3), drawn)))
+    perfect, rho_ul_db, nmse = drawn
+    cfg = SystemConfig(M=m, N=n, K=k, rho_ul_db=rho_ul_db, nmse=nmse)
+    variances = error_variances(cfg, perfect)
     rician = sampler = None
     if correlated:
         rician = (2.0, 0.7)
         sampler = _rician(CorrelatedSampler(cfg), *rician)
     _chunks_of(monkeypatch, 3)
     seed, trials = 17, range(2, 9)
-    want = {t: _reference_trial(cfg, model, seed, t, rician, sampler)
+    want = {t: _reference_trial(cfg, variances, seed, t, rician, sampler)
             for t in trials}
     opened = []
     generator = RngStream.generator
@@ -372,16 +384,16 @@ def test_trial_chunks_equal_the_per_trial_draw_bit_for_bit(
         return generator(stream)
     monkeypatch.setattr(RngStream, "generator", counted)
     chunks = []
-    for chunk, *arrays in metrics._trial_chunks(cfg, model, seed, trials,
-                                                sampler):
+    for chunk, *arrays in metrics._trial_chunks(cfg, perfect, seed, trials,
+                                                (), sampler):
         for i, t in enumerate(chunk):
             for got, ref in zip(arrays, want[t]):
                 assert got[i].shape == ref.shape
                 assert np.array_equal(got[i], ref), t
         chunks.append(list(chunk))
     assert chunks == [[2, 3, 4], [5, 6, 7], [8]]    # a partial last chunk
-    # one generator per stream; a perfect model opens no error stream
-    errors = [] if model.perfect else [2 * t + 1 for t in trials]
+    # one generator per stream; perfect CSI opens no error stream
+    errors = [] if perfect else [2 * t + 1 for t in trials]
     assert sorted(opened) == sorted([2 * t for t in trials] + errors)
 
 
@@ -411,18 +423,18 @@ def test_edge_configs_give_finite_rates_and_count_failures(
     n = k + extra_n
     cfg = SystemConfig(M=n + k + extra_m, N=n, K=k, rho_t_db=rho_t_db,
                        nmse=nmse)
-    model = model_from_config(cfg, perfect=perfect)
+    variances = error_variances(cfg, perfect)
     sampler = CorrelatedSampler(cfg) if correlated else None
     curves = [Curve(mode) for mode in SicMode]
     got = monte_carlo_sweep([cfg], curves, trials=trials, master_seed=seed,
-                            estimation=model, sampler=sampler)
+                            perfect=perfect, sampler=sampler)
     for curve, (rep,) in zip(curves, got):
-        failed = sum(_build(curve.mode, _trial(seed, model, t, cfg,
+        failed = sum(_build(curve.mode, _trial(seed, variances, t, cfg,
                                                sampler)[1])[2]
                      for t in range(trials))
         assert rep.failures == failed
         assert rep.trials == trials
-        if correlated and model.eps2_si == 0.0 and n + k >= 10:
+        if correlated and variances[2] == 0.0 and n + k >= 10:
             # A lambda/6 Jakes correlation leaves the suppression input
             # [h_dl; h_si] numerically rank-deficient once N + K reaches
             # 10, and only an SI estimation error would lift it; the
@@ -481,6 +493,24 @@ def test_sweep_validation_errors():
         monte_carlo_sweep([CFG_SMALL], curves, trials=5, master_seed=0,
                           sampler=CorrelatedSampler(
                               SystemConfig(M=10, N=5, K=3)))
+
+
+def test_an_imperfect_csi_sweep_needs_one_set_of_estimation_errors():
+    # imperfect CSI draws each trial's errors once for every point, so the
+    # points must agree on the uplink SNR and the NMSE that set them
+    curves = [Curve(SicMode.SUBTRACTION)]
+    for other in (dataclasses.replace(CFG_SMALL, rho_ul_db=0.0),
+                  dataclasses.replace(CFG_SMALL, nmse=0.1)):
+        with pytest.raises(ConfigError, match="^imperfect-CSI sweep configs "
+                           "must share rho_ul_db and nmse"):
+            monte_carlo_sweep([CFG_SMALL, other], curves, trials=3,
+                              master_seed=0, perfect=False)
+    # perfect CSI draws no errors, so the uplink SNR may vary
+    other = dataclasses.replace(CFG_SMALL, rho_ul_db=0.0)
+    swept, = monte_carlo_sweep([CFG_SMALL, other], curves, trials=3,
+                               master_seed=0)
+    assert swept[1] == monte_carlo(other, SicMode.SUBTRACTION, trials=3,
+                                   master_seed=0)
 
 
 def test_curves_are_required_before_any_draw(monkeypatch):
@@ -567,12 +597,11 @@ def test_concurrent_sweeps_equal_sequential_ones(monkeypatch):
     curves = [Curve(SicMode.NO_SIC), Curve(SicMode.SUBTRACTION),
               Curve(SicMode.SPATIAL_SUPPRESSION)]
     configs = [CFG_SMALL, dataclasses.replace(CFG_SMALL, rho_t_db=60.0)]
-    model = model_from_config(CFG_SMALL, perfect=False)
     seeds = range(4)
 
     def sweep(seed):
         return monte_carlo_sweep(configs, curves, trials=30,
-                                 master_seed=seed, estimation=model)
+                                 master_seed=seed, perfect=False)
 
     want = [sweep(seed) for seed in seeds]
     got = [None] * len(seeds)
@@ -600,16 +629,14 @@ def test_concurrent_sweeps_equal_sequential_ones(monkeypatch):
 _WARMED_SWEEP_FAULTS = """
 import resource
 from fdmimo.channel import SystemConfig
-from fdmimo.estimation import model_from_config
 from fdmimo.metrics import Curve, monte_carlo_sweep
 from fdmimo.transceiver import SicMode
 
 cfg = SystemConfig()
-model = model_from_config(cfg, perfect=False)
 curves = [Curve(SicMode.SPATIAL_SUPPRESSION)]
-monte_carlo_sweep([cfg], curves, trials=600, master_seed=1, estimation=model)
+monte_carlo_sweep([cfg], curves, trials=600, master_seed=1, perfect=False)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-monte_carlo_sweep([cfg], curves, trials=600, master_seed=1, estimation=model)
+monte_carlo_sweep([cfg], curves, trials=600, master_seed=1, perfect=False)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

@@ -4,19 +4,19 @@ from hypothesis import given, settings, strategies as st
 
 import fdmimo.transceiver as transceiver
 from fdmimo.channel import SystemConfig, _channel_stack, generate_iid
-from fdmimo.estimation import EstimationModel, estimate
+from fdmimo.estimation import estimate
 from fdmimo.numerics import (RngStream, Workspace, left_pseudo_inverse,
                              right_pseudo_inverse)
 from fdmimo.transceiver import SicMode, build
 
 
-def _hats(m=16, n=6, k=3, seed=0, model=None):
-    """One draw's estimates (h_dl_hat, h_ul_hat, h_si_hat), drawn as a
-    stack of one trial."""
+def _hats(m=16, n=6, k=3, seed=0, variances=(0.0, 0.0, 0.0)):
+    """One draw's estimates (h_dl_hat, h_ul_hat, h_si_hat) with the given
+    error variances, drawn as a stack of one trial."""
     truth = _channel_stack(SystemConfig(M=m, N=n, K=k), 1)
     generate_iid([RngStream(seed, 0)], *truth)
     hats = tuple(np.empty_like(h) for h in truth)
-    estimate(model or EstimationModel(), [RngStream(seed, 1)], truth, hats)
+    estimate(variances, [RngStream(seed, 1)], truth, hats)
     return tuple(h[0] for h in hats)
 
 
@@ -170,7 +170,7 @@ def test_build_stack_matches_an_inline_per_draw_reference():
     # (7, 4, 3) and (9, 6, 3) have M = N + K: the suppression input is
     # square and leaves the precoder exactly K dimensions
     for m, n, k in [(16, 6, 3), (7, 4, 3), (9, 6, 3)]:
-        draws = [_hats(m, n, k, seed, EstimationModel(0.1, 0.1, 0.2))
+        draws = [_hats(m, n, k, seed, (0.1, 0.1, 0.2))
                  for seed in range(6)]
         ext, ul = _stacked(draws)
         w, built = build(list(SicMode), ext, ul)
