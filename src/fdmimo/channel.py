@@ -32,14 +32,16 @@ SPEED_OF_LIGHT = 299792458.0
 CARRIER_HZ = 2.1e9
 KAPPA = 1.0
 SIGMA_SI = 1.0
+#: The correlated model's strongest SI path gain in dB, which stands in
+#: for beta_si_db: the closest transmit/receive pair is wavelength/6
+#: apart, a free-space amplitude of 3 / (2 pi).
+STRONGEST_SI_GAIN_DB = 20.0 * math.log10(3.0 / (2.0 * math.pi))
 
 #: Highest received SNR in dB that a config may set, as rho_ul_db, as
-#: rho_t_db + beta_ue_db or rho_t_db + beta_si_db, or as the SI SNR left
-#: after analog cancellation, rho_t_db + beta_si_db - alpha_anc_db, and
-#: after subtraction, that plus 10 log10(nmse) for a nonzero nmse, which
-#: may not exceed it as a power ratio either.  From about 300 dB the
-#: zero-forcing residual sits at machine precision, so simulated rates
-#: leave their closed forms, and far above it an SINR overflows.
+#: rho_t_db + beta_ue_db or as an SI SNR of _si_snrs, which nmse may not
+#: exceed as a power ratio either.  From about 300 dB the zero-forcing
+#: residual sits at machine precision, so simulated rates leave their
+#: closed forms, and far above it an SINR overflows.
 MAX_RECEIVED_SNR_DB = 250.0
 
 
@@ -50,6 +52,36 @@ class ConfigError(ValueError):
 def db_to_linear(db: float) -> float:
     """Power ratio from decibels; -inf maps to exactly 0."""
     return 10.0 ** (db / 10.0)
+
+
+def _si_snrs(config: SystemConfig, gain: str, gain_db: float):
+    """Yield (sum, dB) rows of the SI SNR at SI gain gain_db, named gain:
+    at the receive array, after analog cancellation, and for a nonzero
+    nmse after subtraction."""
+    snr_db = config.rho_t_db + gain_db
+    yield f"rho_t_db + {gain}", snr_db
+    snr_db -= config.alpha_anc_db
+    yield f"rho_t_db + {gain} - alpha_anc_db", snr_db
+    if config.nmse > 0.0:
+        yield (f"rho_t_db + {gain} - alpha_anc_db + 10 log10(nmse)",
+               snr_db + 10.0 * math.log10(config.nmse))
+
+
+def _check_received_snrs(rows) -> None:
+    """Raise ConfigError naming the first (sum, dB) row above the
+    ceiling."""
+    for name, snr_db in rows:
+        if snr_db > MAX_RECEIVED_SNR_DB:
+            raise ConfigError(
+                f"{name} = {snr_db!r} dB is above the "
+                f"{MAX_RECEIVED_SNR_DB:g} dB ceiling for a received SNR")
+
+
+def check_correlated_snrs(config: SystemConfig) -> None:
+    """Raise ConfigError if an SI SNR of the correlated model's strongest
+    SI path is above the ceiling."""
+    _check_received_snrs(
+        _si_snrs(config, "strongest_si_gain_db", STRONGEST_SI_GAIN_DB))
 
 
 def _check_db_field(name: str, value: float, allow_neg_inf: bool = True) -> None:
@@ -107,19 +139,10 @@ class SystemConfig:
         _check_db_field("alpha_anc_db", self.alpha_anc_db, allow_neg_inf=False)
         if not np.isfinite(self.nmse) or self.nmse < 0.0:
             raise ConfigError("nmse must be finite and nonnegative")
-        si_db = self.rho_t_db + self.beta_si_db - self.alpha_anc_db
-        snrs = [("rho_ul_db", self.rho_ul_db),
-                ("rho_t_db + beta_ue_db", self.rho_t_db + self.beta_ue_db),
-                ("rho_t_db + beta_si_db", self.rho_t_db + self.beta_si_db),
-                ("rho_t_db + beta_si_db - alpha_anc_db", si_db)]
-        if self.nmse > 0.0:
-            snrs.append(("rho_t_db + beta_si_db - alpha_anc_db + 10 "
-                         "log10(nmse)", si_db + 10.0 * math.log10(self.nmse)))
-        for name, snr_db in snrs:
-            if snr_db > MAX_RECEIVED_SNR_DB:
-                raise ConfigError(
-                    f"{name} = {snr_db!r} dB is above the "
-                    f"{MAX_RECEIVED_SNR_DB:g} dB ceiling for a received SNR")
+        _check_received_snrs([
+            ("rho_ul_db", self.rho_ul_db),
+            ("rho_t_db + beta_ue_db", self.rho_t_db + self.beta_ue_db),
+            *_si_snrs(self, "beta_si_db", self.beta_si_db)])
         # The SI estimate's entries grow with sqrt(nmse) at any SI level.
         if self.nmse > db_to_linear(MAX_RECEIVED_SNR_DB):
             raise ConfigError(
@@ -184,10 +207,9 @@ class CorrelatedSampler:
     of factor KAPPA and amplitude SIGMA_SI, and each of its entries is
     scaled by si_amp, the free-space amplitude wavelength / (4 pi d) of
     its transmit/receive pair, which replaces the flat beta_si of the
-    i.i.d. model.  The closest pair, si_amp[0, -1], is wavelength/6 apart,
-    so no amplitude exceeds 3 / (2 pi), a power gain of -6.4 dB.  All of
-    this depends on M and N alone, so it is computed once here and reused
-    across trials.
+    i.i.d. model.  The closest pair, si_amp[0, -1], has the strongest
+    gain, STRONGEST_SI_GAIN_DB.  All of this depends on M and N alone, so
+    it is computed once here and reused across trials.
     """
 
     def __init__(self, config: SystemConfig) -> None:
@@ -206,34 +228,6 @@ class CorrelatedSampler:
         self._los = (np.sqrt(KAPPA / (KAPPA + 1.0)) * SIGMA_SI
                      * np.ones((config.N, config.M)))
         self._nlos_amp = np.sqrt(1.0 / (KAPPA + 1.0))
-
-    def check_si_snr(self, config: SystemConfig) -> None:
-        """Raise ConfigError if config puts the SI SNR of the strongest SI
-        path above the ceiling, after analog cancellation or after
-        subtraction.
-
-        These are the SI SNRs that SystemConfig checks, with the path gain
-        in place of beta_si_db, since the SI term scales with the raw
-        transmit SNR.
-        """
-        gain_db = 10.0 * math.log10(float(np.max(self.si_amp)) ** 2)
-        snr_db = config.rho_t_db + gain_db - config.alpha_anc_db
-        if snr_db > MAX_RECEIVED_SNR_DB:
-            raise ConfigError(
-                f"rho_t_db = {config.rho_t_db!r} with alpha_anc_db = "
-                f"{config.alpha_anc_db!r} puts the SI SNR of the strongest "
-                f"correlated SI path at {snr_db:.1f} dB, above the "
-                f"{MAX_RECEIVED_SNR_DB:g} dB ceiling for a received SNR")
-        if config.nmse > 0.0:
-            snr_db += 10.0 * math.log10(config.nmse)
-            if snr_db > MAX_RECEIVED_SNR_DB:
-                raise ConfigError(
-                    f"rho_t_db = {config.rho_t_db!r} with alpha_anc_db = "
-                    f"{config.alpha_anc_db!r} and nmse = {config.nmse!r} "
-                    f"puts the SI SNR left after subtraction on the "
-                    f"strongest correlated SI path at {snr_db:.1f} dB, above "
-                    f"the {MAX_RECEIVED_SNR_DB:g} dB ceiling for a received "
-                    f"SNR")
 
     def sample(self, streams: list[RngStream], h_dl: np.ndarray,
                h_ul: np.ndarray, h_si: np.ndarray) -> None:

@@ -29,6 +29,9 @@ _TRIALS_WARN_FLOOR = 100
 _CHECK_DESIGN_TRIALS = 10_000
 #: Share of failed trials from which a mode's rates are flagged on stderr.
 _FAILURE_WARN_SHARE = 1e-3
+#: Help of run and print-config for --scenario.
+_SCENARIO_HELP = ("named scenario (default: the --config file's scenario "
+                  "key, else custom; fig-perfect without --config)")
 
 
 class _UsageError(Exception):
@@ -49,8 +52,7 @@ def _build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="run a sweep scenario, emit CSV")
     run.add_argument("--scenario", choices=experiments.SCENARIO_NAMES,
-                     help="named scenario (default: from config file, else "
-                          "fig-perfect)")
+                     help=_SCENARIO_HELP)
     run.add_argument("--config", metavar="PATH",
                      help="key = value configuration file")
     run.add_argument("--trials", type=int, help="Monte Carlo trials per point")
@@ -72,8 +74,7 @@ def _build_parser() -> _Parser:
     prt = sub.add_parser("print-config",
                          help="print the resolved configuration")
     prt.add_argument("--scenario", choices=experiments.SCENARIO_NAMES,
-                     help="named scenario (default: from config file, else "
-                          "fig-perfect)")
+                     help=_SCENARIO_HELP)
     prt.add_argument("--config", metavar="PATH",
                      help="key = value configuration file")
     return parser

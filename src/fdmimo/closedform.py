@@ -90,12 +90,11 @@ def ul_sinr_imperfect(mode: SicMode, config: SystemConfig) -> float:
     assuming the user-link estimation variance 1/(K rho_ul + 1) and the
     SI estimation NMSE from the config.
     """
-    m = config  # alias keeps the expression readable
-    k, n = m.K, m.N
-    rho = m.rho_ul
-    chi = _chi(mode, m.nmse)
+    k, n, rho = config.K, config.N, config.rho_ul
+    chi = _chi(mode, config.nmse)
     num = k * rho * rho * (n - k)
-    den = 2.0 * k * rho + (m.rho_si / m.alpha_anc) * chi * (k * rho + 1.0) + 1.0
+    den = (2.0 * k * rho + (config.rho_si / config.alpha_anc) * chi
+           * (k * rho + 1.0) + 1.0)
     return num / den
 
 

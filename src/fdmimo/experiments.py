@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
 from . import closedform, metrics
-from .channel import ConfigError, CorrelatedSampler, SystemConfig
+from .channel import (ConfigError, CorrelatedSampler, SystemConfig,
+                      check_correlated_snrs)
 from .transceiver import SicMode
 
 #: Baseline row tag for the half-duplex reference curve.
@@ -244,7 +245,10 @@ def _point_config(config: SystemConfig, scenario: Scenario,
     else:
         rho_t_db = x_db - config.beta_si_db
     try:
-        return dataclasses.replace(config, rho_t_db=rho_t_db)
+        point = dataclasses.replace(config, rho_t_db=rho_t_db)
+        if scenario.name == "fig-correlated":
+            check_correlated_snrs(point)
+        return point
     except ConfigError as exc:
         raise ConfigError(f"sweep point {scenario.sweep_variable} = "
                           f"{x_db!r}: {exc}") from None

@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channel import (ConfigError, CorrelatedSampler, SystemConfig,
-                      _channel_stack, generate_iid)
+                      _channel_stack, check_correlated_snrs, generate_iid)
 from .estimation import error_variances, estimate
 from .numerics import RngStream, Workspace
 from .transceiver import SicMode, build
@@ -249,7 +249,7 @@ def monte_carlo_sweep(configs: Sequence[SystemConfig],
         # the raw transmit SNR.
         levels = [cfg.rho_t for cfg in configs]
         for cfg in configs:
-            sampler.check_si_snr(cfg)
+            check_correlated_snrs(cfg)
     else:
         levels = [cfg.rho_si for cfg in configs]
     pref = np.array([[0.0 if curve.si_free else s / cfg.alpha_anc

@@ -8,8 +8,9 @@ import scipy.special
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from fdmimo.channel import (ConfigError, CorrelatedSampler, SystemConfig,
-                            _channel_stack, db_to_linear, generate_iid)
+from fdmimo.channel import (STRONGEST_SI_GAIN_DB, ConfigError,
+                            CorrelatedSampler, SystemConfig, _channel_stack,
+                            db_to_linear, generate_iid)
 from fdmimo.numerics import RngStream
 
 
@@ -256,7 +257,7 @@ def test_si_pathloss_gains_shape_and_range():
     assert gains.min() == gains[-1, 0]
 
 
-@pytest.mark.parametrize("m, n", [(16, 6), (64, 20)])
+@pytest.mark.parametrize("m, n", [(7, 4), (16, 6), (64, 20), (256, 60)])
 def test_the_strongest_si_amplitude_is_three_over_two_pi(m, n):
     # lambda/6 is more than lambda / (4 pi), where the free-space gain
     # would reach 1, so the gains need no clamp: the strongest is
@@ -265,6 +266,8 @@ def test_the_strongest_si_amplitude_is_three_over_two_pi(m, n):
     assert np.unravel_index(np.argmax(amp), amp.shape) == (0, m - 1)
     assert amp[0, -1] == pytest.approx(3.0 / (2.0 * math.pi), rel=1e-12)
     assert 10.0 * math.log10(amp[0, -1] ** 2) == pytest.approx(-6.4, abs=0.05)
+    assert 10.0 * math.log10(np.max(amp) ** 2) == pytest.approx(
+        STRONGEST_SI_GAIN_DB, rel=1e-12)
 
 
 # --------------------------------------------------- correlated generation

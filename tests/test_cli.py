@@ -361,8 +361,22 @@ def test_a_subnormal_db_value_exits_1_before_any_trial(
     ("scenario = fig-imperfect-si\nM = 9\nN = 5\nK = 3\nnmse = 1e300\n"
      "alpha_anc_db = -88\n",
      "rho_t_db + beta_si_db - alpha_anc_db + 10 log10(nmse) = 3098.0"),
+    # fig-correlated scales the SI by rho_t and its strongest path gain,
+    # -6.42 dB, in place of beta_si: each sweep point is checked
+    ("scenario = fig-correlated\nalpha_anc_db = -150\n",
+     "sweep point rho_dl_db = 28.0: rho_t_db + strongest_si_gain_db - "
+     "alpha_anc_db = 251.57882772723093"),
+    ("scenario = fig-correlated\nbeta_si_db = -300\nnmse = 1e25\n",
+     "sweep point rho_dl_db = 0.0: rho_t_db + strongest_si_gain_db - "
+     "alpha_anc_db + 10 log10(nmse) = 283.57882772723093"),
+    ("scenario = fig-correlated\nbeta_ue_db = -300\nbeta_si_db = -300\n"
+     "alpha_anc_db = 300\n",
+     "sweep point rho_dl_db = 0.0: rho_t_db + strongest_si_gain_db = "
+     "293.57882772723093"),
 ], ids=["uplink", "downlink", "dl-sweep-point", "si-sweep-point",
-        "si-after-cancellation", "si-after-subtraction"])
+        "si-after-cancellation", "si-after-subtraction",
+        "correlated-si-after-cancellation", "correlated-si-after-subtraction",
+        "correlated-si-at-the-array"])
 def test_a_received_snr_above_the_ceiling_exits_1_before_any_trial(
         text, msg, monkeypatch, tmp_path, capsys):
     _no_draw(monkeypatch)
@@ -417,6 +431,8 @@ def test_print_config_reflects_file(small_conf, capsys):
     cfg, scn = parse_config(out)
     assert (cfg.M, cfg.N, cfg.K) == (9, 5, 3)
     assert scn.modes == ("stt", "sps")
+    # a file without a scenario key configures custom, not fig-perfect
+    assert scn.name == "custom"
 
 
 # ---------------------------------------------------------------- check

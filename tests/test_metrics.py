@@ -525,8 +525,8 @@ def test_curves_are_required_before_any_draw(monkeypatch):
 def test_a_correlated_si_level_above_the_ceiling_is_named_before_any_draw(
         monkeypatch):
     # the correlated model scales the SI by rho_t and the path gains, not
-    # by beta_si: 400 - 40 dB plus the strongest path gain is far above
-    # 250 dB, though every received SNR of the config itself is below it
+    # by beta_si: 400 dB plus the strongest path gain is far above 250 dB,
+    # though every received SNR of the config itself is below it
     cfg = dataclasses.replace(CFG_SMALL, rho_t_db=400.0, beta_ue_db=-380.0,
                               beta_si_db=-300.0)
     sampler = CorrelatedSampler(cfg)
@@ -535,10 +535,9 @@ def test_a_correlated_si_level_above_the_ceiling_is_named_before_any_draw(
         raise AssertionError("trials drawn before the SI level was checked")
 
     monkeypatch.setattr(metrics, "_trial_chunks", no_draws)
-    with pytest.raises(ConfigError, match="^rho_t_db = 400.0 with "
-                       "alpha_anc_db = 40.0 puts the SI SNR of the strongest "
-                       "correlated SI path at 3[0-9][0-9].[0-9] dB, above "
-                       "the 250 dB ceiling"):
+    with pytest.raises(ConfigError, match=(
+            r"^rho_t_db \+ strongest_si_gain_db = 393.57882772723093 dB is "
+            r"above the 250 dB ceiling for a received SNR$")):
         monte_carlo_sweep([cfg], [Curve(SicMode.SUBTRACTION)], trials=3,
                           master_seed=0, sampler=sampler)
 
@@ -558,9 +557,9 @@ def test_a_correlated_si_level_after_subtraction_above_the_ceiling_is_named(
 
     monkeypatch.setattr(metrics, "_trial_chunks", no_draws)
     with pytest.raises(ConfigError, match=(
-            r"^rho_t_db = 50.0 with alpha_anc_db = 40.0 and nmse = 1e\+25 "
-            r"puts the SI SNR left after subtraction on the strongest "
-            r"correlated SI path at 253.6 dB, above the 250 dB ceiling")):
+            r"^rho_t_db \+ strongest_si_gain_db - alpha_anc_db \+ 10 "
+            r"log10\(nmse\) = 253.57882772723093 dB is above the 250 dB "
+            r"ceiling for a received SNR$")):
         monte_carlo_sweep([cfg], [Curve(SicMode.SUBTRACTION)], trials=3,
                           master_seed=0, sampler=sampler)
 
