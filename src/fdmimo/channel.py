@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, _complex_gaussians, bessel_j0, hermitian_sqrt
+from .numerics import Streams, _complex_gaussians, bessel_j0, hermitian_sqrt
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -182,9 +182,9 @@ def _channel_stack(config: SystemConfig,
             np.empty((trials, n, m), dtype=complex))
 
 
-def generate_iid(streams: list[RngStream], h_dl: np.ndarray,
+def generate_iid(streams: Streams, h_dl: np.ndarray,
                  h_ul: np.ndarray, h_si: np.ndarray) -> None:
-    """Fill stacks of i.i.d. CN(0, 1) channels, trial i from streams[i].
+    """Fill stacks of i.i.d. CN(0, 1) channels, trial i from stream i.
 
     h_dl, h_ul and h_si are (trials, K, M), (trials, N, K) and (trials,
     N, M) complex stacks.  A trial's stream holds h_dl, h_ul and h_si in
@@ -229,10 +229,10 @@ class CorrelatedSampler:
                      * np.ones((config.N, config.M)))
         self._nlos_amp = np.sqrt(1.0 / (KAPPA + 1.0))
 
-    def sample(self, streams: list[RngStream], h_dl: np.ndarray,
+    def sample(self, streams: Streams, h_dl: np.ndarray,
                h_ul: np.ndarray, h_si: np.ndarray) -> None:
         """Fill stacks of correlated Rician realizations, trial i from
-        streams[i], which holds the three i.i.d. matrices of generate_iid.
+        stream i, which holds the three i.i.d. matrices of generate_iid.
 
         h_dl = H_iid R_tx^(1/2); h_ul = R_rx^(1/2) H_iid; the
         self-interference channel is R_rx^(1/2) (LOS + NLOS) R_tx^(1/2)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import SystemConfig
-from .numerics import RngStream, _complex_gaussians
+from .numerics import Streams, _complex_gaussians
 
 
 def error_variances(config: SystemConfig,
@@ -25,17 +25,17 @@ def error_variances(config: SystemConfig,
     return eps2, eps2, config.nmse
 
 
-def estimate(variances: tuple[float, float, float], streams: list[RngStream],
+def estimate(variances: tuple[float, float, float], streams: Streams,
              channels: tuple, hats: tuple,
              si_amp: np.ndarray | None = None) -> None:
     """Write estimates hats = channels + errors for a stack of trials.
 
     channels and hats are (h_dl, h_ul, h_si) stacks, and variances the
     error variances of error_variances.  The errors are i.i.d. CN(0, eps2)
-    per matrix, trial i's from streams[i], which holds the errors of
-    nonzero variance in the order dl, ul, si, in the layout of
+    per matrix, trial i's from stream i of streams, which holds the
+    errors of nonzero variance in the order dl, ul, si, in the layout of
     numerics._complex_gaussians; a zero-variance error is exactly zero
-    and takes no draws, and perfect CSI opens no stream at all.
+    and takes no draws, and perfect CSI draws from no stream at all.
     si_amp optionally multiplies the SI error entrywise.
     """
     if any(variances):

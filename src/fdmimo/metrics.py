@@ -34,7 +34,7 @@ import numpy as np
 from .channel import (ConfigError, CorrelatedSampler, SystemConfig,
                       _channel_stack, check_correlated_snrs, generate_iid)
 from .estimation import error_variances, estimate
-from .numerics import RngStream, Workspace
+from .numerics import Streams, Workspace
 from .transceiver import SicMode, build
 
 
@@ -151,16 +151,17 @@ def _chunk_trials(m: int, n: int, k: int) -> int:
     # Complex entries per trial: the true channels, the estimates
     # (downlink rows stacked over SI rows, uplink), the largest buffers
     # of the workspace, which are the suppression pseudo-inverse's (for
-    # its (K + N) x M input A: conj(A) and the inverse X, M x (K + N)
-    # each, and the Gram G and I - A X, (K + N) x (K + N) each), the G^-1
-    # that np.linalg.inv returns, and the SI estimation error of
-    # subtraction.  The workspace's other buffers are left out: the
-    # correction product X (I - A X), the combiner's and the zero-forcing
+    # its (K + N) x M input A: conj(A), (K + N) x M, the Gram G and the
+    # G^-1 that np.linalg.inv returns, (K + N) x (K + N) each, the kept
+    # columns X, M x K, and E_K - A X, (K + N) x K), and the SI
+    # estimation error of subtraction.  The workspace's other buffers are
+    # left out: the correction products G^-1 (E_K - A X) and
+    # A^H G^-1 (E_K - A X), the combiner's and the zero-forcing
     # precoder's buffers and the normalized precoders.  At 64/20/10 that
-    # makes 5 trials, whose buffers hold 1.22 MiB, 0.90 MiB of it the
+    # makes 6 trials, whose buffers hold 1.21 MiB, 0.82 MiB of it the
     # workspace.
     entries = (k * m + n * k + n * m) + ((k + n) * m + n * k) \
-        + 3 * (k + n) * (k + n) + 2 * (k + n) * m + n * m
+        + 2 * (k + n) * (k + n) + (k + n) * m + m * k + (k + n) * k + n * m
     return max(1, _CHUNK_BYTES // (16 * entries))
 
 
@@ -172,15 +173,17 @@ def _trial_chunks(config: SystemConfig, perfect: bool, master_seed: int,
     Trial t draws its channels from substream 2t of master_seed, i.i.d.
     or, with a sampler, correlated Rician, and the estimation errors of
     error_variances(config, perfect) from substream 2t+1, each stream in
-    one call.  Yields, per chunk of at most _chunk_trials(M, N, K)
-    trials, the chunk's trial indices, the stacked true channels h_dl,
-    h_ul, h_si, the estimates h_ext_hat (each downlink estimate over its
-    SI estimate) and h_ul_hat, and what build returns for the modes.  A
-    chunk is one generate_iid or CorrelatedSampler.sample call, one
-    estimate call and one build call, whose values depend on each
-    trial's streams alone, where a sampler's SI error is scaled by its
-    path-gain amplitude.  Every yielded array is a view of a buffer, one
-    set per call of this generator, that the next chunk overwrites.
+    one call.  The master seed is mixed once per call, and the keys of a
+    chunk's streams are derived together.  Yields, per chunk of at most
+    _chunk_trials(M, N, K) trials, the chunk's trial indices, the stacked
+    true channels h_dl, h_ul, h_si, the estimates h_ext_hat (each
+    downlink estimate over its SI estimate) and h_ul_hat, and what build
+    returns for the modes.  A chunk is one generate_iid or
+    CorrelatedSampler.sample call, one estimate call and one build call,
+    whose values depend on each trial's streams alone, where a sampler's
+    SI error is scaled by its path-gain amplitude.  Every yielded array
+    is a view of a buffer, one set per call of this generator, that the
+    next chunk overwrites.
     """
     m, n, k = config.M, config.N, config.K
     if sampler is None:
@@ -195,15 +198,16 @@ def _trial_chunks(config: SystemConfig, perfect: bool, master_seed: int,
     h_ext_hat = np.empty((size, k + n, m), dtype=complex)
     h_ul_hat = np.empty((size, n, k), dtype=complex)
     workspace = Workspace()
+    streams = Streams(master_seed)
     for start in range(0, len(trials), size):
         chunk = trials[start:start + size]
         c = len(chunk)
         channels = (h_dl[:c], h_ul[:c], h_si[:c])
-        fill([RngStream(master_seed, 2 * t) for t in chunk], *channels)
-        estimate(variances,
-                 [RngStream(master_seed, 2 * t + 1) for t in chunk],
-                 channels, (h_ext_hat[:c, :k], h_ul_hat[:c],
-                            h_ext_hat[:c, k:]), si_amp)
+        # The channel streams 2t, then the error streams 2t + 1.
+        drawn = streams.at([2 * t + s for s in (0, 1) for t in chunk])
+        fill(drawn[:c], *channels)
+        estimate(variances, drawn[c:], channels,
+                 (h_ext_hat[:c, :k], h_ul_hat[:c], h_ext_hat[:c, k:]), si_amp)
         hats = (h_ext_hat[:c], h_ul_hat[:c])
         yield (chunk, *channels, *hats, *build(modes, *hats, workspace))
 

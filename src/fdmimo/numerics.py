@@ -2,7 +2,8 @@
 
 Everything downstream (channel draws, precoders, combiners) is built on the
 small set of primitives in this module: seeded counter-based RNG substreams,
-complex Gaussian sampling in one stream layout, a clamping Hermitian square
+whose Philox keys are derived a batch of streams at a time, complex
+Gaussian sampling in one stream layout, a clamping Hermitian square
 root, rank-revealing one-sided pseudo-inverses that work in a reusable
 scratch workspace, and the zero-order Bessel function J0 used by the
 spatial-correlation model.
@@ -10,6 +11,7 @@ spatial-correlation model.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -22,6 +24,97 @@ GRAM_CONDITION_LIMIT = 1e12
 _J0_BLOCK = 1 << 15
 
 
+# SeedSequence's hash and mix constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(value, const, mult: int = _MULT_A):
+    """SeedSequence's hashmix of value under hash constant const, each a
+    32-bit word or a uint32 array: the hash and the next constant."""
+    nxt = const * mult & _MASK32
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words or arrays of them."""
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _seed_pool(master_seed: int) -> tuple[list[int], int]:
+    """The entropy pool of SeedSequence(master_seed, spawn_key=key) after
+    the master seed's words, and the hash constant its spawn-key words
+    continue with.  Neither depends on the key, so a run mixes them once.
+    """
+    words = [master_seed & _MASK32]
+    while master_seed >> 32 * len(words):
+        words.append(master_seed >> 32 * len(words) & _MASK32)
+    # A spawn key pads the seed's words with zeros to the pool size.
+    words += [0] * (4 - len(words))
+    const = _INIT_A
+    pool = []
+    for word in words[:4]:
+        h, const = _hashmix(word, const)
+        pool.append(h)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    for word in words[4:]:
+        for dst in range(4):
+            h, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], h)
+    return pool, const
+
+
+def _hash_consts(const: int, mult: int) -> tuple[np.ndarray, int]:
+    """The hash constants of four successive hashmix steps from const, as
+    a (4, 1) uint32 column, and the constant after them."""
+    seq = [const]
+    for _ in range(4):
+        seq.append(seq[-1] * mult & _MASK32)
+    return np.array(seq[:4], np.uint32)[:, None], seq[4]
+
+
+def _stream_keys(seed_pool: tuple[list[int], int], indices) -> np.ndarray:
+    """Philox keys of the substreams (master_seed, i), i in indices, of
+    the master seed that _seed_pool mixed, one row of two uint64 each.
+
+    Row r equals SeedSequence(master_seed, spawn_key=(indices[r],))
+    .generate_state(2, np.uint64), the key Philox takes from that
+    sequence, for every nonnegative index.  The pool is a (4, indices)
+    array, so all indices are mixed in at once, word by word, an index of
+    2^32 or more taking its further 32-bit words as SeedSequence does.
+    """
+    try:
+        rest = np.asarray(indices, dtype=np.uint64)
+    except OverflowError:       # an index of 2^64 or more, or a negative one
+        rest = np.asarray(indices, dtype=object)
+        if (rest < 0).any():
+            raise ValueError("stream indices must be nonnegative") from None
+    words, const = seed_pool
+    pool = np.array(words, np.uint32)[:, None]
+    top = int(rest.max(initial=0))
+    for shift in range(0, max(1, top.bit_length()), 32):
+        consts, const = _hash_consts(const, _MULT_A)
+        h, _ = _hashmix((rest >> shift & _MASK32).astype(np.uint32), consts)
+        mixed = _mix(pool, h)
+        # Every index has a first word; a further word only from 2^shift.
+        pool = mixed if not shift else np.where(rest >> shift != 0, mixed,
+                                                pool)
+    # SeedSequence.generate_state: the four pool words hashed under the
+    # other constants.
+    consts, _ = _hash_consts(_INIT_B, _MULT_B)
+    state, _ = _hashmix(pool, consts, _MULT_B)
+    # Two 32-bit words per uint64, the first the low one.
+    return (state[1::2].astype(np.uint64) << 32 | state[::2]).T
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Independent substream of a master seed.
@@ -30,7 +123,9 @@ class RngStream:
     (master_seed, stream_index), so any two streams with distinct indices are
     statistically independent by construction and a given (seed, index) pair
     always reproduces the same draw sequence, bit for bit, regardless of how
-    many other streams exist or in which order they are consumed.
+    many other streams exist or in which order they are consumed.  The key
+    is NumPy's for SeedSequence(master_seed, spawn_key=(stream_index,)),
+    from the one key derivation that Streams uses too.
     """
 
     master_seed: int
@@ -44,9 +139,58 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this substream."""
-        seq = np.random.SeedSequence(self.master_seed,
-                                     spawn_key=(self.stream_index,))
-        return np.random.Generator(np.random.Philox(seq))
+        key = _stream_keys(_seed_pool(self.master_seed),
+                           [self.stream_index])[0]
+        return np.random.Generator(np.random.Philox(key=key))
+
+
+class Streams:
+    """A batch of substreams of one master seed, drawn through one Philox.
+
+    Streams(master_seed) mixes the master seed once and holds no
+    streams.  at(indices) is the batch of the substreams
+    RngStream(master_seed, i), i in indices, in that order, whose Philox
+    keys it holds in keys: it mixes in only those indices.  batch[rows]
+    is the batch of a slice of a batch's streams.  normals draws each
+    stream by setting its key, at counter 0, on one Philox that all these
+    batches share, which gives the numbers of a fresh generator of that
+    stream bit for bit.  So they serve one caller at a time; threads each
+    use their own.
+    """
+
+    def __init__(self, master_seed: int) -> None:
+        if master_seed < 0:
+            raise ValueError("master_seed must be a nonnegative integer")
+        self._pool = _seed_pool(master_seed)
+        self._philox = np.random.Philox(key=0)
+        self._generator = np.random.Generator(self._philox)
+        self.keys = np.empty((0, 2), np.uint64)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def _with_keys(self, keys: np.ndarray) -> Streams:
+        batch = copy.copy(self)
+        batch.keys = keys
+        return batch
+
+    def at(self, indices) -> Streams:
+        return self._with_keys(_stream_keys(self._pool, indices))
+
+    def __getitem__(self, rows: slice) -> Streams:
+        return self._with_keys(self.keys[rows])
+
+    def normals(self, out: np.ndarray) -> None:
+        """Fill row i of the 2-D out with the first standard normals of
+        stream i."""
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": np.zeros(4, np.uint64), "key": None},
+                 "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        for row, key in zip(out, self.keys):
+            state["state"]["key"] = key
+            self._philox.state = state
+            self._generator.standard_normal(out=row)
 
 
 class Workspace:
@@ -80,22 +224,21 @@ class Workspace:
         return self._scopes[name]
 
 
-def _complex_gaussians(streams: list[RngStream], outs: list[np.ndarray],
+def _complex_gaussians(streams: Streams, outs: list[np.ndarray],
                        variances: list[float]) -> None:
     """Fill stacks of complex matrices with i.i.d. CN(0, variance) entries.
 
     Each out is a complex stack (trials, rows, cols); trial i's matrices
-    come from streams[i] in one standard_normal call, which, Philox being
-    counter-based, yields the same numbers as consecutive calls whose
-    sizes sum to it.  This is the layout of every stream: the matrices in
-    the order of outs, each as its real parts and then its imaginary
-    parts, row-major.  An entry is sqrt(variance / 2) (re + 1j im),
+    come from stream i of streams in one standard_normal call, which,
+    Philox being counter-based, yields the same numbers as consecutive
+    calls whose sizes sum to it.  This is the layout of every stream: the
+    matrices in the order of outs, each as its real parts and then its
+    imaginary parts, row-major.  An entry is sqrt(variance / 2) (re + 1j im),
     written part by part, which equals the complex product bit for bit.
     """
     sizes = [out.shape[-2] * out.shape[-1] for out in outs]
     normals = np.empty((len(streams), 2 * sum(sizes)))
-    for row, stream in zip(normals, streams):
-        stream.generator().standard_normal(out=row)
+    streams.normals(normals)
     start = 0
     for out, size, variance in zip(outs, sizes, variances):
         scale = np.sqrt(variance / 2.0)
@@ -175,27 +318,32 @@ def _gram_inverse(gram: np.ndarray) -> np.ndarray:
         return out
 
 
-def _pseudo_inverse(a: np.ndarray, wide: bool, workspace: Workspace | None
+def _pseudo_inverse(a: np.ndarray, wide: bool, keep: int,
+                    workspace: Workspace | None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Guarded Moore-Penrose inverse of a full-rank matrix or stack.
 
     wide picks the Gram matrix G to form, and so the side: A A^H gives the
     right inverse A^H (A A^H)^{-1} of a wide matrix, A^H A the left
-    inverse (A^H A)^{-1} A^H of a tall one.  Where G has a Frobenius
-    condition number ||G||_F ||G^{-1}||_F below _GRAM_FAST_LIMIT, the
-    inverse X0 from G^{-1} is refined once, X = X0 + X0 (I - A X0) (wide)
-    or X0 + (I - X0 A) X0 (tall), which squares its residual and keeps X
-    in A's row (column) space.  Every other matrix goes through
+    inverse (A^H A)^{-1} A^H of a tall one; only the right inverse's
+    first keep columns X_K are formed.  Where G has a Frobenius condition
+    number ||G||_F ||G^{-1}||_F below _GRAM_FAST_LIMIT, the inverse from
+    G^{-1} is refined once, X_K = A^H G^{-1} E_K plus A^H (G^{-1} (E_K -
+    A X_K)) (wide, E_K the first keep columns of I), which in exact
+    arithmetic is the first keep columns of X + X (I - A X), or X = X0 +
+    (I - X0 A) X0 (tall).  This squares the residual and keeps X in A's
+    row (column) space.  Every other matrix goes through
     _svd_pseudo_inverse, and so does the guard: since kappa_2 <= kappa_F,
     a matrix on the fast route always passes it (the factor 1/2 absorbs
     the rounding of kappa_F), and the returned failure mask is exactly
     the SVD's.  Each matrix's route and result depend on that matrix
     alone, so a stack's members equal their one-matrix calls bit for bit.
 
-    conj(A), G, X, I - A X (I - X A) and the correction product are
-    written into the workspace (a fresh one when None), so the returned
-    X is a view of its buffer "x".  Writing into a buffer changes no
-    arithmetic: X is bit for bit the one computed into fresh arrays.
+    conj(A), G, X, the residual E_K - A X_K (I - X A) and the correction
+    products are written into the workspace (a fresh one when None), so
+    the returned X is a view of its buffer "x".  Writing into a buffer
+    changes no arithmetic: X is bit for bit the one computed into fresh
+    arrays.
     """
     ws = Workspace() if workspace is None else workspace
     # a.conj() is a itself for a real a, and NumPy's product of a real
@@ -215,28 +363,33 @@ def _pseudo_inverse(a: np.ndarray, wide: bool, workspace: Workspace | None
                  * np.linalg.norm(gram_inv, axis=(-2, -1)))
     fast = kappa < min(_GRAM_FAST_LIMIT, 0.5 * GRAM_CONDITION_LIMIT)
     dtype = np.result_type(a, gram_inv)
-    x = ws.array("x", ah.shape, dtype)
-    resid = ws.array("resid", gram.shape, dtype)
-    corr = ws.array("corr", ah.shape, dtype)
-    eye = np.eye(side)
+    x = ws.array("x", (*ah.shape[:-1], keep), dtype)
+    corr = ws.array("corr", x.shape, dtype)
     if wide:
-        np.matmul(ah, gram_inv, out=x)
-        np.subtract(eye, np.matmul(a, x, out=resid), out=resid)
-        x += np.matmul(x, resid, out=corr)
+        resid = ws.array("resid", (*gram.shape[:-1], keep), dtype)
+        solved = ws.array("solved", resid.shape, dtype)
+        np.matmul(ah, gram_inv[..., :keep], out=x)
+        np.subtract(np.eye(side, keep), np.matmul(a, x, out=resid),
+                    out=resid)
+        x += np.matmul(ah, np.matmul(gram_inv, resid, out=solved), out=corr)
     else:
+        resid = ws.array("resid", gram.shape, dtype)
         np.matmul(gram_inv, ah, out=x)
-        np.subtract(eye, np.matmul(x, a, out=resid), out=resid)
+        np.subtract(np.eye(side), np.matmul(x, a, out=resid), out=resid)
         x += np.matmul(resid, x, out=corr)
     failed = np.zeros(fast.shape, dtype=bool)
     if not fast.all():
         slow = ~fast
-        x[slow], failed[slow] = _svd_pseudo_inverse(a[slow])
+        svd, failed[slow] = _svd_pseudo_inverse(a[slow])
+        x[slow] = svd[..., :keep]
     return x, failed
 
 
-def right_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None
+def right_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None,
+                         keep: int | None = None
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Right inverse A^H (A A^H)^{-1} of a full-row-rank wide matrix.
+    """First keep columns of the right inverse A^H (A A^H)^{-1} of a
+    full-row-rank wide matrix; all of them when keep is None.
 
     a is one matrix or a stack of matrices along leading axes.  Taken
     from the inverse of the Gram matrix plus one refinement step where
@@ -252,7 +405,8 @@ def right_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-2] > a.shape[-1]:
         raise ValueError("right inverse needs matrices with rows <= cols")
-    return _pseudo_inverse(a, True, workspace)
+    return _pseudo_inverse(a, True, a.shape[-2] if keep is None else keep,
+                           workspace)
 
 
 def left_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None
@@ -262,7 +416,7 @@ def left_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
         raise ValueError("left inverse needs matrices with rows >= cols")
-    return _pseudo_inverse(a, False, workspace)
+    return _pseudo_inverse(a, False, a.shape[-2], workspace)
 
 
 def bessel_j0(x):

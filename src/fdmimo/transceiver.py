@@ -69,8 +69,8 @@ def build(modes, h_ext_hat: np.ndarray, h_ul_hat: np.ndarray,
 
     def precoder(rows, name):
         scope = ws.scope(name)
-        full, failed = right_pseudo_inverse(rows, scope)
-        g, degenerate = _normalize(full[..., :k], scope)
+        f, failed = right_pseudo_inverse(rows, scope, k)
+        g, degenerate = _normalize(f, scope)
         return g, failed | degenerate | w_failed
 
     sps = SicMode.SPATIAL_SUPPRESSION

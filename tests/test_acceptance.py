@@ -24,7 +24,7 @@ from fdmimo.channel import (CorrelatedSampler, SystemConfig, _channel_stack,
                             generate_iid)
 from fdmimo.estimation import error_variances, estimate
 from fdmimo.metrics import residual_si
-from fdmimo.numerics import RngStream
+from fdmimo.numerics import RngStream, Streams
 from fdmimo.transceiver import SicMode, build
 
 BASE_TRIALS = 10_000
@@ -90,9 +90,9 @@ def _trial(variances, seed, t, sampler=None):
     error is scaled by its path gains, as the correlated engine does."""
     truth = _channel_stack(SMALL, 1)
     fill = generate_iid if sampler is None else sampler.sample
-    fill([RngStream(seed, 2 * t)], *truth)
+    fill(Streams(seed).at([2 * t]), *truth)
     hats = tuple(np.empty_like(h) for h in truth)
-    estimate(variances, [RngStream(seed, 2 * t + 1)], truth, hats,
+    estimate(variances, Streams(seed).at([2 * t + 1]), truth, hats,
              None if sampler is None else sampler.si_amp)
     return tuple(h[0] for h in truth), tuple(h[0] for h in hats)
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fdmimo.channel import (STRONGEST_SI_GAIN_DB, ConfigError,
                             CorrelatedSampler, SystemConfig, _channel_stack,
                             db_to_linear, generate_iid)
-from fdmimo.numerics import RngStream
+from fdmimo.numerics import Streams
 
 
 def small_config(**kw):
@@ -24,7 +24,7 @@ def _draw(fill, cfg, seed, indices):
     """Stacks (h_dl, h_ul, h_si) that fill (generate_iid or a sampler's
     sample) draws from the substreams of seed with the given indices."""
     h = _channel_stack(cfg, len(indices))
-    fill([RngStream(seed, i) for i in indices], *h)
+    fill(Streams(seed).at(indices), *h)
     return h
 
 

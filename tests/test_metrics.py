@@ -20,9 +20,10 @@ from fdmimo.channel import (ConfigError, CorrelatedSampler, SystemConfig,
                             _channel_stack, generate_iid)
 from fdmimo.closedform import rate_half_duplex, rate_perfect
 from fdmimo.estimation import error_variances, estimate
+from fdmimo.experiments import default_scenario, run_scenario
 from fdmimo.metrics import (Curve, dl_sinr, monte_carlo, monte_carlo_sweep,
                             residual_si, sum_rate, ul_sinr)
-from fdmimo.numerics import RngStream
+from fdmimo.numerics import RngStream, Streams
 from fdmimo.transceiver import SicMode, build
 
 CFG_SMALL = SystemConfig(M=9, N=5, K=3)
@@ -36,9 +37,9 @@ def _trial(seed=0, variances=(0.0, 0.0, 0.0), t=0, cfg=CFG_SMALL,
     engine draws it."""
     truth = _channel_stack(cfg, 1)
     fill = generate_iid if sampler is None else sampler.sample
-    fill([RngStream(seed, 2 * t)], *truth)
+    fill(Streams(seed).at([2 * t]), *truth)
     hats = tuple(np.empty_like(h) for h in truth)
-    estimate(variances, [RngStream(seed, 2 * t + 1)], truth, hats,
+    estimate(variances, Streams(seed).at([2 * t + 1]), truth, hats,
              None if sampler is None else sampler.si_amp)
     return tuple(h[0] for h in truth), tuple(h[0] for h in hats)
 
@@ -215,8 +216,8 @@ def _failing_precoders(monkeypatch, doomed, rows=None):
     real = transceiver.right_pseudo_inverse
     seen = {"n": 0}
 
-    def flaky(a, workspace=None):
-        x, failed = real(a, workspace)
+    def flaky(a, workspace=None, keep=None):
+        x, failed = real(a, workspace, keep)
         if rows in (None, a.shape[-2]):
             index = seen["n"] + np.arange(failed.size)
             seen["n"] += failed.size
@@ -377,12 +378,12 @@ def test_trial_chunks_equal_the_per_trial_draw_bit_for_bit(
     want = {t: _reference_trial(cfg, variances, seed, t, rician, sampler)
             for t in trials}
     opened = []
-    generator = RngStream.generator
+    normals = Streams.normals
 
-    def counted(stream):
-        opened.append(stream.stream_index)
-        return generator(stream)
-    monkeypatch.setattr(RngStream, "generator", counted)
+    def counted(streams, out):
+        opened.extend(map(tuple, streams.keys))
+        return normals(streams, out)
+    monkeypatch.setattr(Streams, "normals", counted)
     chunks = []
     for chunk, *arrays in metrics._trial_chunks(cfg, perfect, seed, trials,
                                                 (), sampler):
@@ -392,9 +393,31 @@ def test_trial_chunks_equal_the_per_trial_draw_bit_for_bit(
                 assert np.array_equal(got[i], ref), t
         chunks.append(list(chunk))
     assert chunks == [[2, 3, 4], [5, 6, 7], [8]]    # a partial last chunk
-    # one generator per stream; perfect CSI opens no error stream
+    # each stream drawn once; perfect CSI draws from no error stream
     errors = [] if perfect else [2 * t + 1 for t in trials]
-    assert sorted(opened) == sorted([2 * t for t in trials] + errors)
+    keys = Streams(seed).at([2 * t for t in trials] + errors).keys
+    assert sorted(opened) == sorted(map(tuple, keys))
+
+
+def test_stream_set_up_does_not_grow_with_the_trial_count(monkeypatch):
+    # a sweep mixes its master seed and builds its one Philox once, and
+    # derives each chunk's keys from them, so 4x the trials (2 and 7
+    # chunks at the default sizes) build no more SeedSequence or Philox
+    counts = []
+    for trials in (10, 40):
+        made = dict.fromkeys(("SeedSequence", "Philox"), 0)
+        with pytest.MonkeyPatch.context() as mp:
+            for name in made:
+                def counted(*args, _name=name, _real=getattr(np.random, name),
+                            **kwargs):
+                    made[_name] += 1
+                    return _real(*args, **kwargs)
+                mp.setattr(np.random, name, counted)
+            run_scenario(SystemConfig(), dataclasses.replace(
+                default_scenario("custom"), trials=trials))
+        counts.append(made)
+    assert counts[0]["Philox"] > 0     # the counters see the sweep's Philox
+    assert counts[0] == counts[1]
 
 
 @settings(max_examples=15, deadline=None)

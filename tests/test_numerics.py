@@ -5,10 +5,12 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from fdmimo.numerics import (GRAM_CONDITION_LIMIT, RngStream,
+import fdmimo.numerics as numerics
+from fdmimo.numerics import (GRAM_CONDITION_LIMIT, RngStream, Streams,
                              _GRAM_FAST_LIMIT, _complex_gaussians,
-                             _svd_pseudo_inverse, bessel_j0, hermitian_sqrt,
-                             left_pseudo_inverse, right_pseudo_inverse)
+                             _seed_pool, _stream_keys, _svd_pseudo_inverse,
+                             bessel_j0, hermitian_sqrt, left_pseudo_inverse,
+                             right_pseudo_inverse)
 
 
 # ---------------------------------------------------------------- RngStream
@@ -41,6 +43,61 @@ def test_stream_defaults_to_index_zero():
     assert RngStream(7).stream_index == 0
 
 
+def _numpy_key(seed, index):
+    return np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(
+        2, np.uint64)
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 11]
+# from 2^32 an index takes two spawn words, from 2^64 three
+INDICES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 9]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stream_keys_equal_numpys_seed_sequence(seed):
+    # one pass over indices of every word count, and each index alone
+    keys = _stream_keys(_seed_pool(seed), INDICES)
+    assert keys.shape == (len(INDICES), 2) and keys.dtype == np.uint64
+    for key, index in zip(keys, INDICES):
+        assert np.array_equal(key, _numpy_key(seed, index))
+        assert np.array_equal(_stream_keys(_seed_pool(seed), [index])[0], key)
+    assert _stream_keys(_seed_pool(seed), []).shape == (0, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**160),
+       st.integers(min_value=0, max_value=2**70))
+def test_stream_key_property(seed, index):
+    assert np.array_equal(_stream_keys(_seed_pool(seed), [index])[0],
+                          _numpy_key(seed, index))
+
+
+def test_stream_keys_reject_negative_indices():
+    with pytest.raises(ValueError, match="nonnegative"):
+        _stream_keys(_seed_pool(3), [2**64, -1])
+    with pytest.raises(ValueError):
+        Streams(-1)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 3])
+def test_rekeyed_philox_draws_the_seed_sequence_streams(seed):
+    # the re-keyed Philox of a batch, its at and its slices, and
+    # RngStream.generator all draw a fresh SeedSequence generator's normals
+    indices = [3, 2**32 + 1, 0]
+    batch = Streams(seed).at([7])
+    for streams in (Streams(seed).at(indices), batch.at(indices),
+                    batch.at([5, *indices])[1:]):
+        out = np.empty((len(indices), 11))
+        streams.normals(out)
+        for row, index in zip(out, indices):
+            fresh = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(seed, spawn_key=(index,))))
+            want = fresh.standard_normal(11)
+            assert np.array_equal(row, want)
+            assert np.array_equal(
+                RngStream(seed, index).generator().standard_normal(11), want)
+
+
 # ------------------------------------------------------- complex Gaussians
 
 def _complex_stack(*shape):
@@ -49,13 +106,13 @@ def _complex_stack(*shape):
 
 def test_complex_gaussian_zero_variance_is_exact_zero():
     z = _complex_stack(1, 3, 5)
-    _complex_gaussians([RngStream(1)], [z], [0.0])
+    _complex_gaussians(Streams(1).at([0]), [z], [0.0])
     assert np.all(z == 0.0)
 
 
 def test_complex_gaussian_moments():
     z = _complex_stack(1, 400, 500)
-    _complex_gaussians([RngStream(11)], [z], [2.5])
+    _complex_gaussians(Streams(11).at([0]), [z], [2.5])
     power = np.mean(np.abs(z) ** 2)
     assert abs(power - 2.5) < 0.02
     # circular symmetry: real and imaginary parts carry half the power each
@@ -67,11 +124,10 @@ def test_complex_gaussians_follow_the_stream_layout():
     # one draw per stream, one row per stream: matrix after matrix, each
     # its real parts then its imaginary parts, row-major; equal bit for bit
     # to separate draws of each part and the complex product
-    streams = [RngStream(5, 2), RngStream(5, 9)]
     a, b = _complex_stack(2, 2, 3), _complex_stack(2, 4, 1)
-    _complex_gaussians(streams, [a, b], [1.0, 0.3])
-    for i, stream in enumerate(streams):
-        gen = stream.generator()
+    _complex_gaussians(Streams(5).at([2, 9]), [a, b], [1.0, 0.3])
+    for i, index in enumerate([2, 9]):
+        gen = RngStream(5, index).generator()
         for out, variance in ((a, 1.0), (b, 0.3)):
             rows, cols = out.shape[1:]
             re = gen.standard_normal((rows, cols))
@@ -198,12 +254,24 @@ def test_stacked_pseudo_inverse_flags_only_the_failing_matrix():
     # singular values 1, 1, 1e-5: Gram condition about 1e10, past the
     # Gram route's limit but inside the guard, so the SVD takes it
     a[4] = np.diag([1.0, 1.0, 1e-5]) @ _unitary(3, 7, seed=9)
-    x, failed = right_pseudo_inverse(a)
-    assert failed.tolist() == [False, False, True, False, False]
-    assert np.array_equal(x[4], _svd_pseudo_inverse(a[4])[0])
-    assert not np.array_equal(x[0], _svd_pseudo_inverse(a[0])[0])
-    for i in (0, 1, 3, 4):
-        assert np.array_equal(x[i], right_pseudo_inverse(a[i])[0])
+    for keep in (None, 1, 2, 3):
+        cols = slice(None, keep)
+        x, failed = right_pseudo_inverse(a, keep=keep)
+        assert x.shape == (5, 7, 3 if keep is None else keep)
+        assert failed.tolist() == [False, False, True, False, False]
+        assert np.array_equal(x[4], _svd_pseudo_inverse(a[4])[0][:, cols])
+        assert not np.array_equal(x[0],
+                                  _svd_pseudo_inverse(a[0])[0][:, cols])
+        for i in (0, 1, 3, 4):
+            assert np.array_equal(x[i],
+                                  right_pseudo_inverse(a[i], keep=keep)[0])
+        # every member on the SVD route keeps the SVD inverse's first
+        # columns
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_GRAM_FAST_LIMIT", 0.0)
+            x, failed = right_pseudo_inverse(a, keep=keep)
+        assert failed.tolist() == [False, False, True, False, False]
+        assert np.array_equal(x, _svd_pseudo_inverse(a)[0][..., cols])
 
 
 def test_exactly_singular_gram_keeps_the_rest_of_the_stack():
@@ -234,19 +302,26 @@ def _with_spread(rows, cols, decades, seed):
                           # Gram condition within 2.5% of GRAM_CONDITION_LIMIT
                           st.floats(5.995, 6.005)),
                 min_size=1, max_size=4),
-       st.integers(min_value=0, max_value=10_000))
+       st.integers(min_value=0, max_value=10_000), st.data())
 def test_pseudo_inverse_routes_agree_with_the_svd(rows, extra, tall, spreads,
-                                                  seed):
+                                                  seed, data):
     members = [_with_spread(rows, rows + extra, d, seed + 2 * i)
                for i, d in enumerate(spreads)]
     a = np.stack([m for m, _ in members])
+    # the right inverse's first keep columns, the left inverse whole
+    keep = None if tall else data.draw(st.integers(1, rows), label="keep")
     if tall:
         a = a.conj().swapaxes(-1, -2).copy()
-    inverse = left_pseudo_inverse if tall else right_pseudo_inverse
+        inverse = left_pseudo_inverse
+    else:
+        def inverse(a):
+            return right_pseudo_inverse(a, keep=keep)
     x, failed = inverse(a)
     ref, ref_failed = _svd_pseudo_inverse(a)
+    ref = ref[..., :keep]
+    full = right_pseudo_inverse(a)[0][..., :keep] if not tall else x
     assert np.array_equal(failed, ref_failed)
-    eye = np.eye(rows)
+    eye = np.eye(rows)[:, :keep]
     for i, (_, s) in enumerate(members):
         if not failed[i]:
             assert np.array_equal(x[i], inverse(a[i])[0])
@@ -258,8 +333,12 @@ def test_pseudo_inverse_routes_agree_with_the_svd(rows, extra, tall, spreads,
         # Both routes carry a forward error of order eps kappa(A), the
         # SVD's being the larger against the exact inverse, so beyond
         # kappa(A) = 1e3 the agreement bound grows with kappa(A).
+        bound = 1e-12 * max(1.0, kappa_a / 1e3)
         err = np.linalg.norm(x[i] - ref[i]) / np.linalg.norm(ref[i])
-        assert err <= 1e-12 * max(1.0, kappa_a / 1e3)
+        assert err <= bound
+        # the kept columns are the full inverse's first columns
+        err = np.linalg.norm(x[i] - full[i]) / np.linalg.norm(full[i])
+        assert err <= bound
         if kappa_f < 0.5 * _GRAM_FAST_LIMIT:
             res = x[i] @ a[i] if tall else a[i] @ x[i]
             assert np.linalg.norm(res - eye) < 1e-12
