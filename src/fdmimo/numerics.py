@@ -4,9 +4,9 @@ Everything downstream (channel draws, precoders, combiners) is built on the
 small set of primitives in this module: seeded counter-based RNG substreams,
 whose Philox keys are derived a batch of streams at a time, complex
 Gaussian sampling in one stream layout, a clamping Hermitian square
-root, rank-revealing one-sided pseudo-inverses that work in a reusable
-scratch workspace, and the zero-order Bessel function J0 used by the
-spatial-correlation model.
+root, one rank-revealing pseudo-inverse kernel that works in a reusable
+scratch workspace (the left inverse is the transpose of a right one), and
+the zero-order Bessel function J0 used by the spatial-correlation model.
 """
 
 from __future__ import annotations
@@ -318,45 +318,41 @@ def _gram_inverse(gram: np.ndarray) -> np.ndarray:
         return out
 
 
-def _pseudo_inverse(a: np.ndarray, wide: bool, keep: int,
-                    workspace: Workspace | None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Guarded Moore-Penrose inverse of a full-rank matrix or stack.
+def right_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None,
+                         keep: int | None = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """First keep columns X_K of the right inverse A^H (A A^H)^{-1} of a
+    full-row-rank wide matrix or stack; all of them when keep is None.
 
-    wide picks the Gram matrix G to form, and so the side: A A^H gives the
-    right inverse A^H (A A^H)^{-1} of a wide matrix, A^H A the left
-    inverse (A^H A)^{-1} A^H of a tall one; only the right inverse's
-    first keep columns X_K are formed.  Where G has a Frobenius condition
-    number ||G||_F ||G^{-1}||_F below _GRAM_FAST_LIMIT, the inverse from
-    G^{-1} is refined once, X_K = A^H G^{-1} E_K plus A^H (G^{-1} (E_K -
-    A X_K)) (wide, E_K the first keep columns of I), which in exact
-    arithmetic is the first keep columns of X + X (I - A X), or X = X0 +
-    (I - X0 A) X0 (tall).  This squares the residual and keeps X in A's
-    row (column) space.  Every other matrix goes through
-    _svd_pseudo_inverse, and so does the guard: since kappa_2 <= kappa_F,
-    a matrix on the fast route always passes it (the factor 1/2 absorbs
-    the rounding of kappa_F), and the returned failure mask is exactly
-    the SVD's.  Each matrix's route and result depend on that matrix
-    alone, so a stack's members equal their one-matrix calls bit for bit.
+    Where the Gram G = A A^H has a Frobenius condition number
+    ||G||_F ||G^{-1}||_F below _GRAM_FAST_LIMIT, X_K = A^H G^{-1} E_K (E_K
+    the first keep columns of I) is refined once, X_K += A^H (G^{-1} (E_K -
+    A X_K)), the first keep columns of X + X (I - A X): this squares the
+    residual ||A X - I|| and keeps X in A's row space.  Every other matrix
+    goes through _svd_pseudo_inverse, and so does the guard: since
+    kappa_2 <= kappa_F, a matrix on the fast route always passes it (the
+    factor 1/2 absorbs the rounding of kappa_F).  Returns the inverses and
+    a mask over the leading axes of the matrices whose Gram is singular or
+    has a condition number at or above GRAM_CONDITION_LIMIT; the inverses
+    of those are meaningless.  A matrix's route and result depend on that
+    matrix alone, so a stack's members equal their one-matrix calls bit
+    for bit.
 
-    conj(A), G, X, the residual E_K - A X_K (I - X A) and the correction
-    products are written into the workspace (a fresh one when None), so
-    the returned X is a view of its buffer "x".  Writing into a buffer
-    changes no arithmetic: X is bit for bit the one computed into fresh
-    arrays.
+    conj(A), G, X, the residual and the correction products are written
+    into the workspace (a fresh one when None); the returned X is a view
+    of its buffer "x", which the next call with that workspace
+    overwrites.  Writing into a buffer changes no arithmetic.
     """
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-2] > a.shape[-1]:
+        raise ValueError("right inverse needs matrices with rows <= cols")
+    rows = a.shape[-2]
+    keep = rows if keep is None else keep
     ws = Workspace() if workspace is None else workspace
-    # a.conj() is a itself for a real a, and NumPy's product of a real
-    # matrix with its own transpose takes another kernel; keep both so.
-    conj = (np.conjugate(a, out=ws.array("conj", a.shape, a.dtype))
-            if np.iscomplexobj(a) else a)
-    ah = conj.swapaxes(-1, -2)
-    side = a.shape[-2] if wide else a.shape[-1]
-    gram = ws.array("gram", (*a.shape[:-2], side, side), a.dtype)
-    if wide:
-        np.matmul(a, ah, out=gram)
-    else:
-        np.matmul(ah, a, out=gram)
+    ah = np.conjugate(a, out=ws.array("conj", a.shape, a.dtype)
+                      ).swapaxes(-1, -2)
+    gram = np.matmul(a, ah, out=ws.array("gram", (*a.shape[:-2], rows, rows),
+                                         a.dtype))
     gram_inv = _gram_inverse(gram)
     with np.errstate(over="ignore", invalid="ignore"):
         kappa = (np.linalg.norm(gram, axis=(-2, -1))
@@ -364,19 +360,12 @@ def _pseudo_inverse(a: np.ndarray, wide: bool, keep: int,
     fast = kappa < min(_GRAM_FAST_LIMIT, 0.5 * GRAM_CONDITION_LIMIT)
     dtype = np.result_type(a, gram_inv)
     x = ws.array("x", (*ah.shape[:-1], keep), dtype)
-    corr = ws.array("corr", x.shape, dtype)
-    if wide:
-        resid = ws.array("resid", (*gram.shape[:-1], keep), dtype)
-        solved = ws.array("solved", resid.shape, dtype)
-        np.matmul(ah, gram_inv[..., :keep], out=x)
-        np.subtract(np.eye(side, keep), np.matmul(a, x, out=resid),
-                    out=resid)
-        x += np.matmul(ah, np.matmul(gram_inv, resid, out=solved), out=corr)
-    else:
-        resid = ws.array("resid", gram.shape, dtype)
-        np.matmul(gram_inv, ah, out=x)
-        np.subtract(np.eye(side), np.matmul(x, a, out=resid), out=resid)
-        x += np.matmul(resid, x, out=corr)
+    resid = ws.array("resid", (*gram.shape[:-1], keep), dtype)
+    np.matmul(ah, gram_inv[..., :keep], out=x)
+    np.subtract(np.eye(rows, keep), np.matmul(a, x, out=resid), out=resid)
+    solved = np.matmul(gram_inv, resid,
+                       out=ws.array("solved", resid.shape, dtype))
+    x += np.matmul(ah, solved, out=ws.array("corr", x.shape, dtype))
     failed = np.zeros(fast.shape, dtype=bool)
     if not fast.all():
         slow = ~fast
@@ -385,38 +374,18 @@ def _pseudo_inverse(a: np.ndarray, wide: bool, keep: int,
     return x, failed
 
 
-def right_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None,
-                         keep: int | None = None
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """First keep columns of the right inverse A^H (A A^H)^{-1} of a
-    full-row-rank wide matrix; all of them when keep is None.
-
-    a is one matrix or a stack of matrices along leading axes.  Taken
-    from the inverse of the Gram matrix plus one refinement step where
-    that Gram is well conditioned, and from a rank-revealing SVD
-    otherwise, so the residual ||A X - I|| stays near machine precision
-    even for moderately ill-conditioned inputs.  Returns the inverses and
-    a boolean mask over the leading axes of the matrices whose Gram is
-    singular or has a condition number at or above GRAM_CONDITION_LIMIT;
-    the inverses of those are meaningless.  With a workspace, the
-    inverses are a view of its buffer, which the next call with the same
-    workspace overwrites; without one, a fresh workspace is used.
-    """
-    a = np.asarray(a)
-    if a.ndim < 2 or a.shape[-2] > a.shape[-1]:
-        raise ValueError("right inverse needs matrices with rows <= cols")
-    return _pseudo_inverse(a, True, a.shape[-2] if keep is None else keep,
-                           workspace)
-
-
 def left_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Left inverse (A^H A)^{-1} A^H of a full-column-rank tall matrix or
-    stack, with the failure mask and workspace of right_pseudo_inverse."""
+    stack, with the failure mask and workspace of right_pseudo_inverse:
+    the transpose of the right inverse of A^T, which, conjugation being
+    exact, is the conjugate of the right inverse of A^H.
+    """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
         raise ValueError("left inverse needs matrices with rows >= cols")
-    return _pseudo_inverse(a, False, a.shape[-2], workspace)
+    x, failed = right_pseudo_inverse(a.swapaxes(-1, -2), workspace)
+    return x.swapaxes(-1, -2), failed
 
 
 def bessel_j0(x):

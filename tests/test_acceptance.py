@@ -8,10 +8,12 @@ the end check criterion internals on small configs.
 """
 
 import math
+import re
 import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +79,23 @@ def test_criterion_8_correlated_orderings(results, capsys):
 
 def test_criterion_9_csv_determinism(results, capsys):
     _require(results, 9, capsys)
+
+
+def _masked(line):
+    """A criterion line with criterion 4's two residual figures, which sit
+    at rounding level and move with any change in arithmetic order,
+    masked."""
+    return re.sub(r"(max (?:null-space|combiner) residual) [-+.e0-9]+",
+                  r"\1 *", line)
+
+
+def test_run_all_lines_match_the_golden(results):
+    # tests/data/acceptance-10000-seed1.txt holds the nine lines of
+    # run_all(10_000, 1), one per criterion in order
+    golden = (Path(__file__).parent / "data" /
+              f"acceptance-{BASE_TRIALS}-seed{SEED}.txt").read_text()
+    got = [_masked(results[n].line()) for n in sorted(results)]
+    assert got == [_masked(line) for line in golden.splitlines()]
 
 
 # ------------------------------------------------- criterion internals

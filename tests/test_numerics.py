@@ -283,6 +283,16 @@ def test_exactly_singular_gram_keeps_the_rest_of_the_stack():
     for i in (0, 2):
         assert np.array_equal(x[i], left_pseudo_inverse(a[i])[0])
     assert left_pseudo_inverse(a[1])[1]
+    # the left inverse is the right inverse of A^H, conjugated and
+    # transposed, bit for bit on both routes: singular values of a[2]
+    # about 1e-5 and 1 put its Gram condition past the Gram route's limit
+    # but inside the guard, so the SVD takes it
+    a[2][:, 0] *= 1e-5
+    x, failed = left_pseudo_inverse(a)
+    y, y_failed = right_pseudo_inverse(a.conj().swapaxes(-1, -2))
+    assert failed.tolist() == y_failed.tolist() == [False, True, False]
+    for i in (0, 2):
+        assert np.array_equal(x[i], y[i].conj().swapaxes(-1, -2))
 
 
 def _with_spread(rows, cols, decades, seed):
@@ -317,8 +327,13 @@ def test_pseudo_inverse_routes_agree_with_the_svd(rows, extra, tall, spreads,
         def inverse(a):
             return right_pseudo_inverse(a, keep=keep)
     x, failed = inverse(a)
-    ref, ref_failed = _svd_pseudo_inverse(a)
-    ref = ref[..., :keep]
+    if tall:
+        # the left inverse is the transpose of the right inverse of A^T
+        ref, ref_failed = _svd_pseudo_inverse(a.swapaxes(-1, -2))
+        ref = ref.swapaxes(-1, -2)
+    else:
+        ref, ref_failed = _svd_pseudo_inverse(a)
+        ref = ref[..., :keep]
     full = right_pseudo_inverse(a)[0][..., :keep] if not tall else x
     assert np.array_equal(failed, ref_failed)
     eye = np.eye(rows)[:, :keep]
