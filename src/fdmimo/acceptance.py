@@ -35,8 +35,9 @@ _Z99 = 2.3263478740408408
 
 #: Matrices that criterion 3 draws and reduces at a time.
 _GROUP_DRAWS = 64
-#: Matrices of a group whose imaginary parts criterion 3 draws at a time.
-_SLICE_DRAWS = 8
+#: Matrices of a group whose imaginary parts criterion 3 draws, and whose
+#: Grams it forms and solves, at a time.
+_SLICE_DRAWS = 32
 
 
 @dataclass(frozen=True)
@@ -139,30 +140,36 @@ def _mean_inv_gram_diag(gen: np.random.Generator, rows: int, cols: int,
     With C = X Y^T, G = 2 A A^H has real part X X^T + Y Y^T and imaginary
     part C^T - C, so no complex copy of A is made.  The imaginary parts are
     drawn _SLICE_DRAWS matrices at a time, which yields the same normals
-    as one draw, and G is filled slice by slice.  Only the kept columns of
-    G^{-1} are solved for, and 1 / [(A A^H)^{-1}]_kk = 1 / (2 [G^{-1}]_kk).
+    as one draw; each slice's G is formed from whole-slice products in
+    preallocated buffers and solved for the kept columns of G^{-1} only.
+    The kept diagonals of a group are summed once, and
+    1 / [(A A^H)^{-1}]_kk = 1 / (2 [G^{-1}]_kk).
     """
     # 3-D, so that NumPy < 2.0 also reads it as a stack of matrices
     unit = np.eye(rows, keep)[None]
     x_buf = np.empty((_GROUP_DRAWS, rows, cols))
     y_buf = np.empty((_SLICE_DRAWS, rows, cols))
-    gram_buf = np.empty((_GROUP_DRAWS, rows, rows), dtype=complex)
+    prod_bufs = np.empty((2, _SLICE_DRAWS, rows, rows))
+    gram_buf = np.empty((_SLICE_DRAWS, rows, rows), dtype=complex)
+    diag_buf = np.empty((_GROUP_DRAWS, keep))
     total = 0.0
     for start in range(0, draws, _GROUP_DRAWS):
         group = min(_GROUP_DRAWS, draws - start)
         x = gen.standard_normal(out=x_buf[:group])
-        gram = gram_buf[:group]
         for lo in range(0, group, _SLICE_DRAWS):
             hi = min(lo + _SLICE_DRAWS, group)
             xs = x[lo:hi]
             y = gen.standard_normal(out=y_buf[:hi - lo])
-            c = xs @ y.transpose(0, 2, 1)
-            gram.real[lo:hi] = (xs @ xs.transpose(0, 2, 1)
-                                + y @ y.transpose(0, 2, 1))
-            gram.imag[lo:hi] = c.transpose(0, 2, 1) - c
-        sol = np.linalg.solve(gram, unit)
-        diag = np.diagonal(sol, axis1=1, axis2=2).real
-        total += float(np.sum(1.0 / diag))
+            p, q = prod_bufs[:, :hi - lo]
+            gram = gram_buf[:hi - lo]
+            np.matmul(xs, xs.transpose(0, 2, 1), out=p)
+            np.add(p, np.matmul(y, y.transpose(0, 2, 1), out=q),
+                   out=gram.real)
+            c = np.matmul(xs, y.transpose(0, 2, 1), out=p)
+            np.subtract(c.transpose(0, 2, 1), c, out=gram.imag)
+            diag_buf[lo:hi] = np.diagonal(np.linalg.solve(gram, unit),
+                                          axis1=1, axis2=2).real
+        total += float(np.sum(1.0 / diag_buf[:group]))
     return total / (2 * draws * keep)
 
 

@@ -105,25 +105,29 @@ def sum_rate(sinrs: np.ndarray):
 
 class _Welford:
     """Streaming mean/variance accumulator (fixed accumulation order),
-    elementwise over arrays of a fixed shape."""
+    elementwise over arrays of a fixed shape, with a count per element."""
 
     __slots__ = ("n", "mean", "m2")
 
     def __init__(self, shape: tuple[int, ...] = ()) -> None:
-        self.n = 0
+        self.n = np.zeros(shape, dtype=np.int64)
         self.mean = np.zeros(shape)
         self.m2 = np.zeros(shape)
 
-    def add(self, x) -> None:
-        self.n += 1
+    def add(self, x, where=True) -> None:
+        """Add the sample x to the elements that where selects.  The others
+        take their own mean in place of x, so that, whatever x holds
+        there, their update adds zeros and changes no bit."""
+        self.n += where
+        x = np.where(where, x, self.mean)
         delta = x - self.mean
-        self.mean += delta / self.n
+        self.mean += delta / np.maximum(self.n, 1)
         self.m2 += delta * (x - self.mean)
 
     def ci95(self) -> np.ndarray:
-        if self.n < 2:
-            return np.full(self.mean.shape, math.nan)
-        return 1.96 * np.sqrt(self.m2 / (self.n - 1) / self.n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            half = 1.96 * np.sqrt(self.m2 / (self.n - 1) / self.n)
+        return np.where(self.n < 2, math.nan, half)
 
 
 class Curve(NamedTuple):
@@ -143,25 +147,26 @@ class Curve(NamedTuple):
 #: estimates and the workspace that build writes into are allocated once
 #: per run and reused by every chunk, so this bounds what the engine adds
 #: to peak memory.
-_CHUNK_BYTES = 1 << 20
+_CHUNK_BYTES = 2 << 20
 
 
 def _chunk_trials(m: int, n: int, k: int) -> int:
     """Trials per chunk that keep the working set within _CHUNK_BYTES."""
-    # Complex entries per trial: the true channels, the estimates
-    # (downlink rows stacked over SI rows, uplink), the largest buffers
-    # of the workspace, which are the suppression pseudo-inverse's (for
-    # its (K + N) x M input A: conj(A), (K + N) x M, the Gram G and the
-    # G^-1 that np.linalg.inv returns, (K + N) x (K + N) each, the kept
-    # columns X, M x K, and E_K - A X, (K + N) x K), and the SI
-    # estimation error of subtraction.  The workspace's other buffers are
-    # left out: the correction products G^-1 (E_K - A X) and
-    # A^H G^-1 (E_K - A X), the combiner's and the zero-forcing
-    # precoder's buffers and the normalized precoders.  At 64/20/10 that
-    # makes 6 trials, whose buffers hold 1.21 MiB, 0.82 MiB of it the
-    # workspace.
+    # Complex entries per trial of the buffers a chunk holds: the true
+    # channels; the estimates (downlink rows stacked over SI rows,
+    # uplink); each pseudo-inverse's kept columns X (the combiner's
+    # N x K, the zero-forcing and the suppression precoder's M x K); and
+    # the scratch the three share, which the suppression pseudo-inverse
+    # sizes (for its (K + N) x M input A: conj(A), (K + N) x M, the Gram G
+    # and the G^-1 that np.linalg.inv returns, (K + N) x (K + N) each,
+    # E_K - A X and G^-1 (E_K - A X), (K + N) x K each, and
+    # A^H G^-1 (E_K - A X), M x K).  The SINR evaluation's temporaries,
+    # such as subtraction's SI estimation error, are left out.  At
+    # 64/20/10 that makes 12 trials, whose buffers hold 1.96 MiB, 1.01 MiB
+    # of it the workspace.
     entries = (k * m + n * k + n * m) + ((k + n) * m + n * k) \
-        + 2 * (k + n) * (k + n) + (k + n) * m + m * k + (k + n) * k + n * m
+        + (n * k + 2 * m * k) \
+        + ((k + n) * m + 2 * (k + n) * (k + n) + 2 * (k + n) * k + m * k)
     return max(1, _CHUNK_BYTES // (16 * entries))
 
 
@@ -264,8 +269,9 @@ def monte_carlo_sweep(configs: Sequence[SystemConfig],
     modes = {curve.mode for curve in curves}
 
     k = base.K
-    acc = [_Welford((2, len(configs))) for _ in curves]
-    failures = [0] * len(curves)
+    # Axes: curve, (dl, ul), point.
+    acc = _Welford((len(curves), 2, len(configs)))
+    failures = np.zeros(len(curves), dtype=np.int64)
     for _, h_dl, h_ul, h_si, h_ext_hat, _, w, built in _trial_chunks(
             base, perfect, master_seed, range(trials), modes, sampler):
         # Axes: trial, [curve,] point, user.  The downlink rates depend on
@@ -280,26 +286,22 @@ def monte_carlo_sweep(configs: Sequence[SystemConfig],
         omega = np.stack([omegas[curve.mode] for curve in curves], axis=1)
         ul_rates = sum_rate(ul_sinr(h_ul[:, None, None], w[:, None, None],
                                     omega[:, :, None], rho_ul, pref))
-        for q, curve in enumerate(curves):
-            g, failed = built[curve.mode]
-            rates = np.stack((dl_rates[id(g)], ul_rates[:, q]), axis=1)
-            for i in range(len(rates)):
-                if failed[i]:
-                    failures[q] += 1
-                else:
-                    acc[q].add(rates[i])
-    reports = []
-    for a, failed in zip(acc, failures):
-        # With no successful trial, Welford's initial zero is no rate.
-        mean = a.mean if a.n else np.full_like(a.mean, math.nan)
-        ci = a.ci95()
-        reports.append([
-            RateReport(dl_sum_rate=float(mean[0, j]),
-                       ul_sum_rate=float(mean[1, j]),
-                       dl_ci95=float(ci[0, j]), ul_ci95=float(ci[1, j]),
-                       trials=trials, failures=failed)
-            for j in range(len(configs))])
-    return reports
+        dl = np.stack([dl_rates[id(built[curve.mode][0])]
+                       for curve in curves], axis=1)
+        rates = np.stack((dl, ul_rates), axis=2)
+        ok = ~np.stack([built[curve.mode][1] for curve in curves], axis=1)
+        failures += len(ok) - ok.sum(axis=0)
+        for i in range(len(rates)):
+            acc.add(rates[i], ok[i, :, None, None])
+    # With no successful trial, Welford's initial zero is no rate.
+    mean = np.where(acc.n > 0, acc.mean, math.nan)
+    ci = acc.ci95()
+    return [[RateReport(dl_sum_rate=float(mean[q, 0, j]),
+                        ul_sum_rate=float(mean[q, 1, j]),
+                        dl_ci95=float(ci[q, 0, j]), ul_ci95=float(ci[q, 1, j]),
+                        trials=trials, failures=int(failures[q]))
+             for j in range(len(configs))]
+            for q in range(len(curves))]
 
 
 def monte_carlo(config: SystemConfig, mode: SicMode, *, trials: int,

@@ -201,14 +201,28 @@ class Workspace:
     again only when a request needs more elements or another dtype, so a
     loop whose shapes do not grow allocates it once, and its pages are not
     handed back to the system and faulted in again on every pass.  The
-    array stays valid until the next request for its name.  scope(name)
-    is a nested workspace with names of its own.  A workspace serves one
-    caller at a time; threads each use their own.
+    array stays valid until the next request for its name.  scratch is
+    the workspace for what a call uses only while it runs: a top-level
+    workspace's own, made on first use, and for a scope, its parent's.
+    scope(name) is a nested workspace with names of its own, so calls
+    that each write into a scope of one workspace keep their results
+    apart and their temporaries in one set of buffers.  A workspace
+    serves one caller at a time; threads each use their own.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, scratch: Workspace | None = None) -> None:
         self._buffers: dict[str, np.ndarray] = {}
         self._scopes: dict[str, Workspace] = {}
+        self._scratch = scratch
+
+    @property
+    def scratch(self) -> Workspace:
+        # A separate workspace, not self: a scope that held its parent
+        # would make a reference cycle, and the buffers would outlive the
+        # run until the cyclic garbage collector found them.
+        if self._scratch is None:
+            self._scratch = Workspace()
+        return self._scratch
 
     def array(self, name: str, shape: tuple[int, ...],
               dtype) -> np.ndarray:
@@ -220,7 +234,7 @@ class Workspace:
 
     def scope(self, name: str) -> Workspace:
         if name not in self._scopes:
-            self._scopes[name] = Workspace()
+            self._scopes[name] = Workspace(self.scratch)
         return self._scopes[name]
 
 
@@ -293,11 +307,16 @@ def _svd_pseudo_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: Frobenius condition number of the Gram matrix below which a
-#: pseudo-inverse is taken from the Gram inverse plus one refinement step.
-#: The residual after that step is about (eps kappa)^2 + eps kappa(A), at
-#: most 1e-12 here (Higham, Accuracy and Stability of Numerical
-#: Algorithms, ch. 12 and 20).
+#: pseudo-inverse is taken from the Gram inverse.  The residual after one
+#: refinement step is about (eps kappa)^2 + eps kappa(A), at most 1e-12
+#: here (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12
+#: and 20).
 _GRAM_FAST_LIMIT = 1e8
+
+#: Frobenius condition number of the Gram matrix from which on a Gram-route
+#: pseudo-inverse takes that refinement step.  Below it the residual of the
+#: unrefined A^H G^{-1} E_K, about eps kappa, already stays within 1e-12.
+_REFINE_LIMIT = 1e4
 
 
 def _gram_inverse(gram: np.ndarray) -> np.ndarray:
@@ -318,6 +337,20 @@ def _gram_inverse(gram: np.ndarray) -> np.ndarray:
         return out
 
 
+def _refine(a: np.ndarray, ah: np.ndarray, gram_inv: np.ndarray,
+            x: np.ndarray, scratch: Workspace) -> None:
+    """One refinement step X_K += A^H (G^{-1} (E_K - A X_K)) in place,
+    the residual and the correction products written into scratch."""
+    dtype = x.dtype
+    resid = scratch.array("resid", (*x.shape[:-2], a.shape[-2], x.shape[-1]),
+                          dtype)
+    np.subtract(np.eye(*resid.shape[-2:]), np.matmul(a, x, out=resid),
+                out=resid)
+    solved = np.matmul(gram_inv, resid,
+                       out=scratch.array("solved", resid.shape, dtype))
+    x += np.matmul(ah, solved, out=scratch.array("corr", x.shape, dtype))
+
+
 def right_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None,
                          keep: int | None = None
                          ) -> tuple[np.ndarray, np.ndarray]:
@@ -325,23 +358,25 @@ def right_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None,
     full-row-rank wide matrix or stack; all of them when keep is None.
 
     Where the Gram G = A A^H has a Frobenius condition number
-    ||G||_F ||G^{-1}||_F below _GRAM_FAST_LIMIT, X_K = A^H G^{-1} E_K (E_K
-    the first keep columns of I) is refined once, X_K += A^H (G^{-1} (E_K -
-    A X_K)), the first keep columns of X + X (I - A X): this squares the
-    residual ||A X - I|| and keeps X in A's row space.  Every other matrix
-    goes through _svd_pseudo_inverse, and so does the guard: since
+    kappa = ||G||_F ||G^{-1}||_F below _GRAM_FAST_LIMIT, X_K = A^H G^{-1}
+    E_K (E_K the first keep columns of I).  From kappa = _REFINE_LIMIT on
+    it is refined once, X_K += A^H (G^{-1} (E_K - A X_K)), the first keep
+    columns of X + X (I - A X): this squares the residual ||A X - I|| and
+    keeps X in A's row space.  Below that limit the residual of the
+    unrefined X_K, about eps kappa, is already within 1e-12.  Every other
+    matrix goes through _svd_pseudo_inverse, and so does the guard: since
     kappa_2 <= kappa_F, a matrix on the fast route always passes it (the
     factor 1/2 absorbs the rounding of kappa_F).  Returns the inverses and
     a mask over the leading axes of the matrices whose Gram is singular or
     has a condition number at or above GRAM_CONDITION_LIMIT; the inverses
     of those are meaningless.  A matrix's route and result depend on that
     matrix alone, so a stack's members equal their one-matrix calls bit
-    for bit.
+    for bit: a stack with some members to refine refines those gathered.
 
-    conj(A), G, X, the residual and the correction products are written
-    into the workspace (a fresh one when None); the returned X is a view
-    of its buffer "x", which the next call with that workspace
-    overwrites.  Writing into a buffer changes no arithmetic.
+    X is written into the workspace (a fresh one when None), and conj(A),
+    G, the residual and the correction products into its scratch; the
+    returned X is a view of its buffer "x", which the next call with that
+    workspace overwrites.  Writing into a buffer changes no arithmetic.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-2] > a.shape[-1]:
@@ -349,23 +384,25 @@ def right_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None,
     rows = a.shape[-2]
     keep = rows if keep is None else keep
     ws = Workspace() if workspace is None else workspace
-    ah = np.conjugate(a, out=ws.array("conj", a.shape, a.dtype)
+    scratch = ws.scratch
+    ah = np.conjugate(a, out=scratch.array("conj", a.shape, a.dtype)
                       ).swapaxes(-1, -2)
-    gram = np.matmul(a, ah, out=ws.array("gram", (*a.shape[:-2], rows, rows),
-                                         a.dtype))
+    gram = np.matmul(a, ah, out=scratch.array(
+        "gram", (*a.shape[:-2], rows, rows), a.dtype))
     gram_inv = _gram_inverse(gram)
     with np.errstate(over="ignore", invalid="ignore"):
         kappa = (np.linalg.norm(gram, axis=(-2, -1))
                  * np.linalg.norm(gram_inv, axis=(-2, -1)))
     fast = kappa < min(_GRAM_FAST_LIMIT, 0.5 * GRAM_CONDITION_LIMIT)
-    dtype = np.result_type(a, gram_inv)
-    x = ws.array("x", (*ah.shape[:-1], keep), dtype)
-    resid = ws.array("resid", (*gram.shape[:-1], keep), dtype)
+    x = ws.array("x", (*ah.shape[:-1], keep), np.result_type(a, gram_inv))
     np.matmul(ah, gram_inv[..., :keep], out=x)
-    np.subtract(np.eye(rows, keep), np.matmul(a, x, out=resid), out=resid)
-    solved = np.matmul(gram_inv, resid,
-                       out=ws.array("solved", resid.shape, dtype))
-    x += np.matmul(ah, solved, out=ws.array("corr", x.shape, dtype))
+    refine = fast & (kappa >= _REFINE_LIMIT)
+    if refine.all():
+        _refine(a, ah, gram_inv, x, scratch)
+    elif refine.any():
+        sub = x[refine]
+        _refine(a[refine], ah[refine], gram_inv[refine], sub, scratch)
+        x[refine] = sub
     failed = np.zeros(fast.shape, dtype=bool)
     if not fast.all():
         slow = ~fast

@@ -31,19 +31,16 @@ class SicMode(enum.Enum):
     SPATIAL_SUPPRESSION = "sps"
 
 
-def _normalize(f_raw: np.ndarray, workspace: Workspace
-               ) -> tuple[np.ndarray, np.ndarray]:
+def _normalize(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-user normalization g_k = f_k / (sqrt(K) ||f_k||) over leading
-    axes, so that every precoder has unit total power, plus a mask of the
-    matrices with a zero column (whose normalization is meaningless).
-    The precoders are written into the workspace's buffer "g"."""
-    norms = np.linalg.norm(f_raw, axis=-2)
+    axes, in place, so that every precoder has unit total power, plus a
+    mask of the matrices with a zero column (whose normalization is
+    meaningless)."""
+    norms = np.linalg.norm(f, axis=-2)
     degenerate = np.any(norms == 0.0, axis=-1)
     norms = np.where(degenerate[..., None], 1.0, norms)
-    k = f_raw.shape[-1]
-    scale = np.sqrt(k) * norms[..., None, :]
-    g = workspace.array("g", f_raw.shape, np.result_type(f_raw, scale))
-    return np.divide(f_raw, scale, out=g), degenerate
+    k = f.shape[-1]
+    return np.divide(f, np.sqrt(k) * norms[..., None, :], out=f), degenerate
 
 
 def build(modes, h_ext_hat: np.ndarray, h_ul_hat: np.ndarray,
@@ -58,19 +55,19 @@ def build(modes, h_ext_hat: np.ndarray, h_ul_hat: np.ndarray,
     column is zero.  NO_SIC and SUBTRACTION share one zero-forcing
     precoder.  Each draw's matrices depend on that draw alone.
 
-    The combiners and precoders, and every pseudo-inverse temporary, are
-    views of buffers in the workspace (a fresh one when None): the next
-    build with the same workspace overwrites them, and a loop over chunks
-    of one size allocates none after its first build.
+    The combiners and precoders are views of buffers in scopes of the
+    workspace (a fresh one when None), one per pseudo-inverse, whose
+    temporaries share the workspace's scratch: the next build with the
+    same workspace overwrites them, and a loop over chunks of one size
+    allocates none after its first build.
     """
     ws = Workspace() if workspace is None else workspace
     k = h_ul_hat.shape[-1]
     w, w_failed = left_pseudo_inverse(h_ul_hat, ws.scope("combiner"))
 
     def precoder(rows, name):
-        scope = ws.scope(name)
-        f, failed = right_pseudo_inverse(rows, scope, k)
-        g, degenerate = _normalize(f, scope)
+        f, failed = right_pseudo_inverse(rows, ws.scope(name), k)
+        g, degenerate = _normalize(f)
         return g, failed | degenerate | w_failed
 
     sps = SicMode.SPATIAL_SUPPRESSION

@@ -269,9 +269,9 @@ def test_criterion_3_kernel_matches_the_complex_inverse(draws, wide, keep):
 
 def test_criterion_3_kernel_peak_memory():
     # 2000 draws of the SPS target at the default sizes: one group's real
-    # parts, a slice of imaginary parts and one group's Gram and solve;
-    # the one-draw kernel peaked at 5.4 MiB, whole-stack complex copies
-    # and inverses near 200 MiB
+    # parts, a slice of imaginary parts and that slice's products, Gram
+    # and solve; the one-draw kernel peaked at 5.4 MiB, whole-stack
+    # complex copies and inverses near 200 MiB
     gen = RngStream(1, 1).generator()
     tracemalloc.start()
     try:

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import math
 import os
 import platform
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -644,6 +646,38 @@ def test_concurrent_sweeps_equal_sequential_ones(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == want
+
+
+def test_the_engine_peak_memory_is_bounded():
+    # fig-correlated at the default 64/20/10 holds the engine's largest
+    # working set: two modes, 16 points, two chunks of trials.  Its peak
+    # is 2.66 MiB in chunks of 12 trials; in chunks of 18 it is 3.95 MiB,
+    # so a larger chunk budget fails here.  With the cyclic garbage
+    # collector off, whatever the sweep leaves in a reference cycle stays
+    # allocated after it returns: a workspace whose scopes referred back
+    # to it left 1.02 MiB.
+    cfg = SystemConfig()
+    scenario = default_scenario("fig-correlated")
+    configs = [dataclasses.replace(cfg, rho_t_db=x - cfg.beta_ue_db)
+               for x in scenario.sweep_values()]
+    sampler = CorrelatedSampler(cfg)
+    curves = [Curve(SicMode(token)) for token in scenario.modes]
+
+    def sweep(trials):
+        monte_carlo_sweep(configs, curves, trials=trials, master_seed=1,
+                          perfect=False, sampler=sampler)
+
+    sweep(1)    # NumPy's first-call allocations are not the engine's
+    gc.disable()
+    tracemalloc.start()
+    try:
+        sweep(2 * metrics._chunk_trials(cfg.M, cfg.N, cfg.K))
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak < 3.25 * 2**20
+    assert left < 0.1 * 2**20
 
 
 #: Minor page faults of the second of two 600-trial sweeps at the default

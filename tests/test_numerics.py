@@ -359,6 +359,67 @@ def test_pseudo_inverse_routes_agree_with_the_svd(rows, extra, tall, spreads,
             assert np.linalg.norm(res - eye) < 1e-12
 
 
+def _at_gram_condition(rows, cols, kappa_f, seed):
+    """A rows x cols matrix of _with_spread whose Gram's Frobenius
+    condition number is kappa_f."""
+    def kappa(decades):
+        s = np.logspace(0.0, -decades, rows)
+        return math.sqrt(np.sum(s ** 4) * np.sum(s ** -4.0))
+    lo, hi = 0.0, 10.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if kappa(mid) < kappa_f else (lo, mid)
+    return _with_spread(rows, cols, lo, seed)[0]
+
+
+@pytest.mark.parametrize("rows, cols", [(30, 64), (10, 20)])
+@pytest.mark.parametrize("keep", [None, 3])
+def test_only_a_gram_condition_past_the_refine_limit_is_refined(rows, cols,
+                                                                 keep):
+    eye = np.eye(rows, keep)
+    for factor, refined in ((0.9, False), (1.1, True)):
+        a = _at_gram_condition(rows, cols, factor * numerics._REFINE_LIMIT,
+                               seed=rows)
+        x, failed = right_pseudo_inverse(a, keep=keep)
+        assert not failed
+        ah = a.conj().T
+        gram_inv = np.linalg.inv(a @ ah)
+        unrefined = ah @ gram_inv[:, :keep]
+        if refined:
+            assert np.array_equal(
+                x, unrefined + ah @ (gram_inv @ (eye - a @ unrefined)))
+            assert not np.array_equal(x, unrefined)
+        else:
+            assert np.array_equal(x, unrefined)
+        assert np.max(np.abs(a @ x - eye)) <= 1e-12
+
+
+def test_a_stack_refines_only_its_members_past_the_refine_limit():
+    # below and past the limit, a failing member and one on the SVD route
+    # (Gram condition 1e10): each member is what its one-matrix call gives
+    rows, cols = 10, 20
+    limit = numerics._REFINE_LIMIT
+    a = np.stack([_at_gram_condition(rows, cols, 0.9 * limit, 1),
+                  _at_gram_condition(rows, cols, 1.1 * limit, 3),
+                  np.ones((rows, cols), dtype=complex),
+                  _at_gram_condition(rows, cols, 0.1 * limit, 5),
+                  _at_gram_condition(rows, cols, 1e10, 7),
+                  _at_gram_condition(rows, cols, 1e3 * limit, 9)])
+    kept = (0, 1, 3, 4, 5)
+    for keep in (None, 4):
+        x, failed = right_pseudo_inverse(a, keep=keep)
+        assert failed.tolist() == [False, False, True, False, False, False]
+        for i in kept:
+            assert np.array_equal(x[i],
+                                  right_pseudo_inverse(a[i], keep=keep)[0])
+    # the left inverse takes the right inverse of a transposed view
+    tall = a.conj().swapaxes(-1, -2).copy()
+    x, failed = left_pseudo_inverse(tall)
+    assert failed.tolist() == [False, False, True, False, False, False]
+    for i in kept:
+        assert np.array_equal(x[i], left_pseudo_inverse(tall[i])[0])
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=6),
        st.integers(min_value=0, max_value=10_000))
