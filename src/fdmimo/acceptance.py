@@ -1,7 +1,9 @@
 """Release acceptance checks: simulation against closed forms and contracts.
 
 Each criterion is a standalone function returning a CriterionResult; run_all
-executes the lot, criteria 3 and 9 on a background thread.  The same
+executes the lot: criterion 3 in a forked child process, since its NumPy
+normal draws hold the GIL, then criterion 9, which waits on child
+processes, on a thread, and the rest on the calling thread.  The same
 checks back both the ``fdmimo check`` CLI subcommand and the acceptance
 test module.  base_trials scales the Monte Carlo effort (the documented
 tolerances assume the default 10000).
@@ -12,7 +14,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -451,11 +455,20 @@ _CRITERIA: tuple[Callable[[SystemConfig, int, int], CriterionResult], ...] = (
 )
 
 
-#: Indices into _CRITERIA that run_all runs on one background thread, in
-#: this order.  Criterion 3 spends its time in NumPy's RNG, BLAS and
-#: LAPACK, and criterion 9 waiting on child processes; both release the
-#: GIL, so they overlap the other criteria.
-_BACKGROUND = (2, 8)
+class CriterionError(RuntimeError):
+    """A criterion gave no result: its child process failed or could not
+    be started."""
+
+
+#: Index into _CRITERIA of criterion 3, which run_all runs in a forked
+#: child process.  Most of its time goes to NumPy's normal draws, which
+#: hold the GIL; the child draws the same Philox numbers from the same
+#: keys and shares no lock with the calling thread.
+_CHILD = 2
+#: Index into _CRITERIA of criterion 9, which run_all runs on a thread of
+#: its own once criterion 3 has ended: it waits on child processes, which
+#: releases the GIL.
+_THREAD = 8
 
 
 def _background_job(criterion, config: SystemConfig, base_trials: int,
@@ -471,34 +484,92 @@ def _background_job(criterion, config: SystemConfig, base_trials: int,
     return lambda: criterion(config, base_trials, seed)
 
 
+def _send_outcome(job: Callable[[], CriterionResult], number: int,
+                  conn) -> None:
+    """In the child: run criterion number's job and send its pickled
+    result, or what it raised, through conn.
+
+    An exception that does not survive a pickle round trip is replaced by
+    a CriterionError naming its type and message.  Nothing escapes, so the
+    child writes nothing to stdout or stderr; a child that cannot send
+    exits with code 1.
+    """
+    try:
+        try:
+            outcome = job()
+        except BaseException as exc:
+            outcome = exc
+        try:
+            data = pickle.dumps(outcome)
+            pickle.loads(data)
+        except Exception:
+            data = pickle.dumps(CriterionError(
+                f"criterion {number} raised {type(outcome).__qualname__}: "
+                f"{outcome}"))
+        conn.send_bytes(data)
+        conn.close()
+    except BaseException:
+        os._exit(1)
+
+
+def _receive(conn, child, number: int) -> CriterionResult | BaseException:
+    """Criterion number's outcome from its child process; conn is closed
+    and the child reaped."""
+    try:
+        with conn:
+            data = conn.recv_bytes()
+    except EOFError:
+        child.join()
+        raise CriterionError(
+            f"criterion {number}'s child process exited with code "
+            f"{child.exitcode} and sent no result") from None
+    child.join()
+    return pickle.loads(data)
+
+
 def run_all(base_trials: int = 10_000, seed: int = 1,
             config: SystemConfig | None = None,
             report: Callable[[str], None] | None = None
             ) -> list[CriterionResult]:
     """Run all criteria; report (if given) receives one line per result.
 
-    The _BACKGROUND criteria run one after another on a daemon thread
-    while the others run on the calling thread.  Results are returned and
-    reported in criterion order, from the calling thread, each as soon as
-    it and all before it are done.  An exception in a background criterion
-    ends the thread and is raised at its position; one on the calling
-    thread is raised at once.
+    Criterion 3 runs in a child process, forked before anything else
+    starts.  Criterion 9 runs on a daemon thread, started once criterion
+    3's result has been collected, so that its three runs take the core
+    the child leaves.  The others run one after another on the calling
+    thread.  Results are returned and reported in criterion order, from
+    the calling thread, each as soon as it and all before it are done;
+    criterion 3's result is collected whenever a criterion on the calling
+    thread ends.  An exception in criterion 3 or 9, or a child that ends
+    without a result, is raised at its criterion's position; one on the
+    calling thread is raised at once.  The child is reaped on every exit,
+    and stopped first unless it has sent its result.  Needs os.fork:
+    without it a CriterionError is raised before any criterion runs.
     """
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        raise CriterionError(
+            "run_all runs criterion 3 in a forked child process, and this "
+            "platform has no os.fork") from None
     cfg = config if config is not None else SystemConfig()
     jobs = {i: _background_job(_CRITERIA[i], cfg, base_trials,
-                               seed + 1000 * i) for i in _BACKGROUND}
+                               seed + 1000 * i) for i in (_CHILD, _THREAD)}
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_send_outcome,
+                            args=(jobs[_CHILD], _CHILD + 1, sender),
+                            daemon=True)
+    child.start()
+    sender.close()
     outcomes: dict[int, CriterionResult | BaseException] = {}
 
     def work() -> None:
-        for i, job in jobs.items():
-            try:
-                outcomes[i] = job()
-            except BaseException as exc:
-                outcomes[i] = exc
-                return
+        try:
+            outcomes[_THREAD] = jobs[_THREAD]()
+        except BaseException as exc:
+            outcomes[_THREAD] = exc
 
     background = threading.Thread(target=work, daemon=True)
-    background.start()
     results: list[CriterionResult] = []
 
     def flush() -> None:
@@ -511,10 +582,25 @@ def run_all(base_trials: int = 10_000, seed: int = 1,
             if report is not None:
                 report(outcome.line())
 
-    for i, criterion in enumerate(_CRITERIA):
-        if i not in jobs:
-            outcomes[i] = criterion(cfg, base_trials, seed + 1000 * i)
+    try:
+        for i, criterion in enumerate(_CRITERIA):
+            if i not in jobs:
+                outcomes[i] = criterion(cfg, base_trials, seed + 1000 * i)
+            if not receiver.closed and (i + 1 == len(_CRITERIA)
+                                        or receiver.poll()):
+                outcome = outcomes[_CHILD] = _receive(receiver, child,
+                                                      _CHILD + 1)
+                # criterion 9's runs take the core the child leaves; after
+                # a failed criterion 3, flush raises before the join
+                if not isinstance(outcome, BaseException):
+                    background.start()
             flush()
-    background.join()
-    flush()
+        background.join()
+        flush()
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        receiver.close()
+        child.join()
     return results

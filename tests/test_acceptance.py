@@ -8,7 +8,11 @@ the end check criterion internals on small configs.
 """
 
 import math
+import multiprocessing
+import os
 import re
+import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -346,10 +350,17 @@ def test_a_failing_background_criterion_raises_at_its_position(monkeypatch):
 
 
 def test_a_failing_foreground_criterion_does_not_wait(monkeypatch):
-    started = threading.Event()
-    release = threading.Event()
+    # criterion 3 runs in a forked child, so the events are shared across
+    # processes
+    context = multiprocessing.get_context("fork")
+    started = context.Event()
+    release = context.Event()
 
     def block():
+        # run_all stops the child with SIGTERM; killed inside Event.wait,
+        # it would leave release's condition waiting for it forever in
+        # release.set(), so the signal unwinds the wait as an exception
+        signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
         started.set()
         release.wait(60.0)
 
@@ -370,3 +381,116 @@ def test_a_failing_foreground_criterion_does_not_wait(monkeypatch):
         assert time.monotonic() - t0 < 30.0
     finally:
         release.set()
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupt_on_the_calling_thread_reaps_the_child(monkeypatch):
+    context = multiprocessing.get_context("fork")
+    started = context.Event()
+
+    def interrupt():
+        assert started.wait(60.0)
+        raise KeyboardInterrupt
+
+    fakes = [_fake(i + 1) for i in range(9)]
+    fakes[0] = _fake(1, interrupt)
+    fakes[2] = _fake(3, lambda: (started.set(), time.sleep(60.0)))
+    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_all(base_trials=1, seed=0, config=SMALL)
+    assert time.monotonic() - t0 < 30.0
+    assert multiprocessing.active_children() == []
+
+
+def test_criterion_3_that_exits_is_a_named_error(monkeypatch):
+    fakes = [_fake(i + 1) for i in range(9)]
+    fakes[2] = _fake(3, lambda: os._exit(3))
+    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
+    lines = []
+    with pytest.raises(acceptance.CriterionError,
+                       match="criterion 3's child process exited with code 3 "
+                             "and sent no result"):
+        run_all(base_trials=1, seed=0, config=SMALL, report=lines.append)
+    assert lines == ["PASS criterion 1 (fake 1): 0",
+                     "PASS criterion 2 (fake 2): 1000"]
+    assert multiprocessing.active_children() == []
+
+
+def test_criterion_3_raising_what_cannot_be_pickled_is_a_named_error(
+        monkeypatch):
+    class LocalError(Exception):
+        pass
+
+    def boom():
+        raise LocalError("kernel broke")
+
+    fakes = [_fake(i + 1) for i in range(9)]
+    fakes[2] = _fake(3, boom)
+    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
+    lines = []
+    with pytest.raises(acceptance.CriterionError) as info:
+        run_all(base_trials=1, seed=0, config=SMALL, report=lines.append)
+    assert str(info.value) == ("criterion 3 raised test_criterion_3_raising_"
+                               "what_cannot_be_pickled_is_a_named_error."
+                               "<locals>.LocalError: kernel broke")
+    assert lines == ["PASS criterion 1 (fake 1): 0",
+                     "PASS criterion 2 (fake 2): 1000"]
+    assert multiprocessing.active_children() == []
+
+
+def test_criterion_3_runs_in_another_process(monkeypatch):
+    fakes = [_fake(i + 1) for i in range(9)]
+    fakes[2] = lambda config, base_trials, seed: CriterionResult(
+        3, "fake 3", True, str(os.getpid()))
+    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
+    results = run_all(base_trials=1, seed=0, config=SMALL)
+    assert [r.number for r in results] == list(range(1, 10))
+    assert int(results[2].detail) != os.getpid()
+    assert multiprocessing.active_children() == []
+
+
+def test_criterion_9_starts_after_criterion_3_has_ended(monkeypatch):
+    # criterion 9's three runs would otherwise compete with criterion 3's
+    # child for the cores
+    ended = multiprocessing.get_context("fork").Event()
+    started_after = []
+
+    def criterion_9(config, base_trials, seed):
+        started_after.append(ended.is_set())
+        return CriterionResult(9, "fake 9", True, str(seed))
+
+    fakes = [_fake(i + 1) for i in range(9)]
+    fakes[2] = _fake(3, lambda: (time.sleep(0.5), ended.set()))
+    fakes[8] = criterion_9
+    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
+    results = run_all(base_trials=1, seed=0, config=SMALL)
+    assert [r.number for r in results] == list(range(1, 10))
+    assert started_after == [True]
+
+
+def test_run_all_leaves_no_child_running(small_run):
+    assert multiprocessing.active_children() == []
+
+
+def test_run_all_without_fork_runs_no_criterion(monkeypatch):
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    ran = []
+    monkeypatch.setattr(acceptance, "_CRITERIA",
+                        tuple(_fake(i + 1, lambda: ran.append(1))
+                              for i in range(9)))
+    monkeypatch.setattr(acceptance.multiprocessing, "get_context", no_fork)
+    with pytest.raises(acceptance.CriterionError, match="os.fork"):
+        run_all(base_trials=1, seed=0, config=SMALL)
+    assert ran == []
+
+
+def test_run_all_raises_no_warning():
+    # Python 3.12 and later warn when a process with several OS threads
+    # forks, as one with unpinned OpenBLAS threads does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = run_all(base_trials=4, seed=11, config=SMALL)
+    assert [r.number for r in results] == list(range(1, 10))
