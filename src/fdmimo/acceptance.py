@@ -2,8 +2,8 @@
 
 Each criterion is a standalone function returning a CriterionResult; run_all
 executes the lot: criterion 3 in a forked child process, since its NumPy
-normal draws hold the GIL, then criterion 9, which waits on child
-processes, on a thread, and the rest on the calling thread.  The same
+normal draws hold the GIL, then criterion 9, which waits on runs of its
+own, in a second one, and the rest on the calling thread.  The same
 checks back both the ``fdmimo check`` CLI subcommand and the acceptance
 test module.  base_trials scales the Monte Carlo effort (the documented
 tolerances assume the default 10000).
@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import math
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import tempfile
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -177,33 +178,6 @@ def _mean_inv_gram_diag(gen: np.random.Generator, rows: int, cols: int,
     return total / (2 * draws * keep)
 
 
-def _inverse_norm_generators(seed: int) -> list[np.random.Generator]:
-    return [RngStream(seed, i).generator() for i in range(3)]
-
-
-def _inverse_norm_result(config: SystemConfig, base_trials: int,
-                         gens: Sequence[np.random.Generator]
-                         ) -> CriterionResult:
-    """Criterion 3 from its zf, sps and combiner generators, in that
-    order; it creates no generator, so it may run off the calling thread."""
-    draws = 10 * base_trials
-    m, n, k = config.M, config.N, config.K
-    # The combiner's norms come from (H^H H)^{-1} of the N x K uplink
-    # channel H, so its K x N draw is H^H, again i.i.d. CN(0, 1).
-    shapes = {"zf": (k, m), "sps": (n + k, m), "combiner": (k, n)}
-    worst = 0.0
-    parts = []
-    for (name, (rows, cols)), gen, expect in zip(
-            shapes.items(), gens, closedform.inverse_norm_gains(config)):
-        got = _mean_inv_gram_diag(gen, rows, cols, draws, k)
-        err = abs(got - expect) / expect
-        worst = max(worst, err)
-        parts.append(f"{name} {got:.3f} vs {expect}")
-    return CriterionResult(
-        3, "inverse-norm expectations", worst < 0.02,
-        ", ".join(parts) + f"; max relative error {worst:.5f}, tolerance 0.02")
-
-
 def criterion_expected_inverse_norms(config: SystemConfig, base_trials: int,
                                      seed: int) -> CriterionResult:
     """3: Wishart expectations of the inverse precoder/combiner norms.
@@ -212,8 +186,23 @@ def criterion_expected_inverse_norms(config: SystemConfig, base_trials: int,
     solutions (verified against the transceiver in the unit tests) to
     evaluate the sample means in large batches.
     """
-    return _inverse_norm_result(config, base_trials,
-                                _inverse_norm_generators(seed))
+    draws = 10 * base_trials
+    m, n, k = config.M, config.N, config.K
+    # The combiner's norms come from (H^H H)^{-1} of the N x K uplink
+    # channel H, so its K x N draw is H^H, again i.i.d. CN(0, 1).
+    shapes = {"zf": (k, m), "sps": (n + k, m), "combiner": (k, n)}
+    worst = 0.0
+    parts = []
+    for i, ((name, (rows, cols)), expect) in enumerate(zip(
+            shapes.items(), closedform.inverse_norm_gains(config))):
+        got = _mean_inv_gram_diag(RngStream(seed, i).generator(), rows, cols,
+                                  draws, k)
+        err = abs(got - expect) / expect
+        worst = max(worst, err)
+        parts.append(f"{name} {got:.3f} vs {expect}")
+    return CriterionResult(
+        3, "inverse-norm expectations", worst < 0.02,
+        ", ".join(parts) + f"; max relative error {worst:.5f}, tolerance 0.02")
 
 
 def criterion_zero_forcing_residuals(config: SystemConfig, base_trials: int,
@@ -460,28 +449,20 @@ class CriterionError(RuntimeError):
     be started."""
 
 
-#: Index into _CRITERIA of criterion 3, which run_all runs in a forked
-#: child process.  Most of its time goes to NumPy's normal draws, which
-#: hold the GIL; the child draws the same Philox numbers from the same
-#: keys and shares no lock with the calling thread.
-_CHILD = 2
-#: Index into _CRITERIA of criterion 9, which run_all runs on a thread of
-#: its own once criterion 3 has ended: it waits on child processes, which
-#: releases the GIL.
-_THREAD = 8
+#: Indices into _CRITERIA of the criteria that run_all runs in forked
+#: child processes, one after the other.  Criterion 3 spends most of its
+#: time in NumPy's normal draws, which hold the GIL; its child draws the
+#: same Philox numbers from the same keys and shares no lock with the
+#: calling thread.  Criterion 9 waits on three runs of its own, which take
+#: the core that criterion 3's child frees.
+_FORKED = (2, 8)
 
 
-def _background_job(criterion, config: SystemConfig, base_trials: int,
-                    seed: int) -> Callable[[], CriterionResult]:
-    """The criterion as a call that may run off the calling thread.
-
-    Criterion 3's generators are created here, on the calling thread, so
-    that a wrapper around RngStream.generator sees every call there.
-    """
-    if criterion is criterion_expected_inverse_norms:
-        gens = _inverse_norm_generators(seed)
-        return lambda: _inverse_norm_result(config, base_trials, gens)
-    return lambda: criterion(config, base_trials, seed)
+def _unwind(signum, frame) -> None:
+    """SIGTERM in a criterion's child: raise SystemExit, so that the
+    criterion's with statements wait for its runs and remove its files."""
+    del signum, frame
+    raise SystemExit(1)
 
 
 def _send_outcome(job: Callable[[], CriterionResult], number: int,
@@ -489,12 +470,13 @@ def _send_outcome(job: Callable[[], CriterionResult], number: int,
     """In the child: run criterion number's job and send its pickled
     result, or what it raised, through conn.
 
-    An exception that does not survive a pickle round trip is replaced by
-    a CriterionError naming its type and message.  Nothing escapes, so the
-    child writes nothing to stdout or stderr; a child that cannot send
-    exits with code 1.
+    SIGTERM unwinds the job.  An exception that does not survive a pickle
+    round trip is replaced by a CriterionError naming its type and
+    message.  Nothing escapes, so the child writes nothing to stdout or
+    stderr; a child that cannot send exits with code 1.
     """
     try:
+        signal.signal(signal.SIGTERM, _unwind)
         try:
             outcome = job()
         except BaseException as exc:
@@ -513,16 +495,17 @@ def _send_outcome(job: Callable[[], CriterionResult], number: int,
 
 
 def _receive(conn, child, number: int) -> CriterionResult | BaseException:
-    """Criterion number's outcome from its child process; conn is closed
-    and the child reaped."""
+    """Criterion number's outcome from its child process, or a
+    CriterionError if the child sent none; conn is closed and the child
+    reaped."""
     try:
         with conn:
             data = conn.recv_bytes()
     except EOFError:
         child.join()
-        raise CriterionError(
+        return CriterionError(
             f"criterion {number}'s child process exited with code "
-            f"{child.exitcode} and sent no result") from None
+            f"{child.exitcode} and sent no result")
     child.join()
     return pickle.loads(data)
 
@@ -534,42 +517,43 @@ def run_all(base_trials: int = 10_000, seed: int = 1,
     """Run all criteria; report (if given) receives one line per result.
 
     Criterion 3 runs in a child process, forked before anything else
-    starts.  Criterion 9 runs on a daemon thread, started once criterion
+    starts.  Criterion 9 runs in a second child, forked once criterion
     3's result has been collected, so that its three runs take the core
-    the child leaves.  The others run one after another on the calling
-    thread.  Results are returned and reported in criterion order, from
-    the calling thread, each as soon as it and all before it are done;
-    criterion 3's result is collected whenever a criterion on the calling
-    thread ends.  An exception in criterion 3 or 9, or a child that ends
-    without a result, is raised at its criterion's position; one on the
-    calling thread is raised at once.  The child is reaped on every exit,
-    and stopped first unless it has sent its result.  Needs os.fork:
-    without it a CriterionError is raised before any criterion runs.
+    the first child leaves.  The others run one after another on the
+    calling thread.  Results are returned and reported in criterion
+    order, from the calling thread, each as soon as it and all before it
+    are done; a child's result is collected whenever a criterion on the
+    calling thread ends.  An exception in criterion 3 or 9, or a child
+    that ends without a result, is raised at its criterion's position,
+    and after one in criterion 3 criterion 9 never starts; one on the
+    calling thread is raised at once.  The running child is reaped on
+    every exit, and stopped first unless it has sent its result; a
+    stopped child unwinds its criterion.  Needs os.fork: without it a
+    CriterionError is raised before any criterion runs.
     """
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:
         raise CriterionError(
-            "run_all runs criterion 3 in a forked child process, and this "
-            "platform has no os.fork") from None
+            "run_all runs criteria 3 and 9 in forked child processes, and "
+            "this platform has no os.fork") from None
     cfg = config if config is not None else SystemConfig()
-    jobs = {i: _background_job(_CRITERIA[i], cfg, base_trials,
-                               seed + 1000 * i) for i in (_CHILD, _THREAD)}
-    receiver, sender = context.Pipe(duplex=False)
-    child = context.Process(target=_send_outcome,
-                            args=(jobs[_CHILD], _CHILD + 1, sender),
-                            daemon=True)
-    child.start()
-    sender.close()
+
+    def fork(i: int):
+        """Criterion i + 1 started in a child: i, the receiving end of its
+        pipe and the child."""
+        receiver, sender = context.Pipe(duplex=False)
+        job = functools.partial(_CRITERIA[i], cfg, base_trials,
+                                seed + 1000 * i)
+        child = context.Process(target=_send_outcome,
+                                args=(job, i + 1, sender), daemon=True)
+        child.start()
+        sender.close()
+        return i, receiver, child
+
+    queued = list(_FORKED)
+    running = fork(queued.pop(0))
     outcomes: dict[int, CriterionResult | BaseException] = {}
-
-    def work() -> None:
-        try:
-            outcomes[_THREAD] = jobs[_THREAD]()
-        except BaseException as exc:
-            outcomes[_THREAD] = exc
-
-    background = threading.Thread(target=work, daemon=True)
     results: list[CriterionResult] = []
 
     def flush() -> None:
@@ -584,23 +568,24 @@ def run_all(base_trials: int = 10_000, seed: int = 1,
 
     try:
         for i, criterion in enumerate(_CRITERIA):
-            if i not in jobs:
+            if i not in _FORKED:
                 outcomes[i] = criterion(cfg, base_trials, seed + 1000 * i)
-            if not receiver.closed and (i + 1 == len(_CRITERIA)
-                                        or receiver.poll()):
-                outcome = outcomes[_CHILD] = _receive(receiver, child,
-                                                      _CHILD + 1)
-                # criterion 9's runs take the core the child leaves; after
-                # a failed criterion 3, flush raises before the join
-                if not isinstance(outcome, BaseException):
-                    background.start()
+            while running is not None and (i + 1 == len(_CRITERIA)
+                                           or running[1].poll()):
+                j, receiver, child = running
+                outcome = outcomes[j] = _receive(receiver, child, j + 1)
+                running = None
+                # a failed criterion starts no later child; flush raises
+                # it at its position
+                if queued and not isinstance(outcome, BaseException):
+                    running = fork(queued.pop(0))
             flush()
-        background.join()
-        flush()
     except BaseException:
-        child.terminate()
+        if running is not None:
+            running[2].terminate()
         raise
     finally:
-        receiver.close()
-        child.join()
+        if running is not None:
+            running[1].close()
+            running[2].join()
     return results

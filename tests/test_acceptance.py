@@ -13,6 +13,7 @@ import os
 import re
 import signal
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -439,26 +440,34 @@ def test_criterion_3_raising_what_cannot_be_pickled_is_a_named_error(
     assert multiprocessing.active_children() == []
 
 
+def _pid(number):
+    def criterion(config, base_trials, seed):
+        return CriterionResult(number, f"fake {number}", True,
+                               str(os.getpid()))
+    return criterion
+
+
 def test_criterion_3_runs_in_another_process(monkeypatch):
+    # and so does criterion 9
     fakes = [_fake(i + 1) for i in range(9)]
-    fakes[2] = lambda config, base_trials, seed: CriterionResult(
-        3, "fake 3", True, str(os.getpid()))
+    fakes[2] = _pid(3)
+    fakes[8] = _pid(9)
     monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
     results = run_all(base_trials=1, seed=0, config=SMALL)
     assert [r.number for r in results] == list(range(1, 10))
     assert int(results[2].detail) != os.getpid()
+    assert int(results[8].detail) != os.getpid()
     assert multiprocessing.active_children() == []
 
 
 def test_criterion_9_starts_after_criterion_3_has_ended(monkeypatch):
     # criterion 9's three runs would otherwise compete with criterion 3's
-    # child for the cores
+    # child for the cores; criterion 9 runs in a child too, so it reports
+    # what it saw in its detail
     ended = multiprocessing.get_context("fork").Event()
-    started_after = []
 
     def criterion_9(config, base_trials, seed):
-        started_after.append(ended.is_set())
-        return CriterionResult(9, "fake 9", True, str(seed))
+        return CriterionResult(9, "fake 9", True, str(ended.is_set()))
 
     fakes = [_fake(i + 1) for i in range(9)]
     fakes[2] = _fake(3, lambda: (time.sleep(0.5), ended.set()))
@@ -466,7 +475,72 @@ def test_criterion_9_starts_after_criterion_3_has_ended(monkeypatch):
     monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
     results = run_all(base_trials=1, seed=0, config=SMALL)
     assert [r.number for r in results] == list(range(1, 10))
-    assert started_after == [True]
+    assert results[8].detail == "True"
+
+
+def test_a_stopped_criterion_9_unwinds(monkeypatch, tmp_path):
+    # run_all stops criterion 9's child with SIGTERM when criterion 8
+    # raises; the child unwinds, so criterion 9's temporary directory is
+    # removed, as its three runs' would be
+    context = multiprocessing.get_context("fork")
+    started = context.Event()
+
+    def await_criterion_3():
+        # its child exits after sending its result, which run_all then
+        # collects, and starts criterion 9
+        deadline = time.monotonic() + 60.0
+        while multiprocessing.active_children():
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+
+    def hold_a_directory():
+        with tempfile.TemporaryDirectory(dir=tmp_path):
+            started.set()
+            time.sleep(60.0)
+
+    def boom():
+        assert started.wait(60.0)
+        raise RuntimeError("criterion 8 broke")
+
+    fakes = [_fake(i + 1) for i in range(9)]
+    fakes[0] = _fake(1, await_criterion_3)
+    fakes[7] = _fake(8, boom)
+    fakes[8] = _fake(9, hold_a_directory)
+    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="criterion 8 broke"):
+        run_all(base_trials=1, seed=0, config=SMALL)
+    assert time.monotonic() - t0 < 30.0
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def _raise_what_cannot_be_pickled():
+    class LocalError(Exception):
+        pass
+
+    raise LocalError("runs broke")
+
+
+@pytest.mark.parametrize("action, message", [
+    (lambda: os._exit(4),
+     "criterion 9's child process exited with code 4 and sent no result"),
+    (_raise_what_cannot_be_pickled,
+     "criterion 9 raised _raise_what_cannot_be_pickled.<locals>.LocalError: "
+     "runs broke"),
+])
+def test_criterion_9_failures_are_named_errors_at_its_position(
+        monkeypatch, action, message):
+    fakes = [_fake(i + 1) for i in range(9)]
+    fakes[8] = _fake(9, action)
+    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
+    lines = []
+    with pytest.raises(acceptance.CriterionError) as info:
+        run_all(base_trials=1, seed=0, config=SMALL, report=lines.append)
+    assert str(info.value) == message
+    assert lines == [f"PASS criterion {n} (fake {n}): {1000 * (n - 1)}"
+                     for n in range(1, 9)]
+    assert multiprocessing.active_children() == []
 
 
 def test_run_all_leaves_no_child_running(small_run):
