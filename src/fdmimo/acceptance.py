@@ -23,7 +23,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -55,11 +55,6 @@ class CriterionResult:
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"{tag} criterion {self.number} ({self.name}): {self.detail}"
-
-
-def _si_configs(config: SystemConfig, rho_si_dbs: Sequence[float]):
-    return [dataclasses.replace(config, rho_t_db=x - config.beta_si_db)
-            for x in rho_si_dbs]
 
 
 def _build_failure(number: int, name: str, mode: SicMode, chunk: range,
@@ -113,7 +108,8 @@ def criterion_imperfect_ul_match(config: SystemConfig, base_trials: int,
     """
     offsets = (-10.0, -5.0, 0.0, 5.0, 10.0)
     points = [config.alpha_anc_db + off for off in offsets]
-    configs = _si_configs(config, points)
+    scenario = experiments.default_scenario("fig-imperfect-si")
+    configs = [experiments._point_config(config, scenario, x) for x in points]
     ok = True
     worst_desc = ""
     worst_margin = -math.inf

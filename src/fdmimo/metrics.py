@@ -156,7 +156,7 @@ def _chunk_trials(m: int, n: int, k: int) -> int:
     # channels; the estimates (downlink rows stacked over SI rows,
     # uplink); each pseudo-inverse's kept columns X (the combiner's
     # N x K, the zero-forcing and the suppression precoder's M x K); and
-    # the scratch the three share, which the suppression pseudo-inverse
+    # the temporaries the three share, which the suppression pseudo-inverse
     # sizes (for its (K + N) x M input A: conj(A), (K + N) x M, the Gram G
     # and the G^-1 that np.linalg.inv returns, (K + N) x (K + N) each,
     # E_K - A X and G^-1 (E_K - A X), (K + N) x K each, and
@@ -271,7 +271,6 @@ def monte_carlo_sweep(configs: Sequence[SystemConfig],
     k = base.K
     # Axes: curve, (dl, ul), point.
     acc = _Welford((len(curves), 2, len(configs)))
-    failures = np.zeros(len(curves), dtype=np.int64)
     for _, h_dl, h_ul, h_si, h_ext_hat, _, w, built in _trial_chunks(
             base, perfect, master_seed, range(trials), modes, sampler):
         # Axes: trial, [curve,] point, user.  The downlink rates depend on
@@ -290,7 +289,6 @@ def monte_carlo_sweep(configs: Sequence[SystemConfig],
                        for curve in curves], axis=1)
         rates = np.stack((dl, ul_rates), axis=2)
         ok = ~np.stack([built[curve.mode][1] for curve in curves], axis=1)
-        failures += len(ok) - ok.sum(axis=0)
         for i in range(len(rates)):
             acc.add(rates[i], ok[i, :, None, None])
     # With no successful trial, Welford's initial zero is no rate.
@@ -299,7 +297,7 @@ def monte_carlo_sweep(configs: Sequence[SystemConfig],
     return [[RateReport(dl_sum_rate=float(mean[q, 0, j]),
                         ul_sum_rate=float(mean[q, 1, j]),
                         dl_ci95=float(ci[q, 0, j]), ul_ci95=float(ci[q, 1, j]),
-                        trials=trials, failures=int(failures[q]))
+                        trials=trials, failures=trials - int(acc.n[q, 0, 0]))
              for j in range(len(configs))]
             for q in range(len(curves))]
 

@@ -5,7 +5,7 @@ small set of primitives in this module: seeded counter-based RNG substreams,
 whose Philox keys are derived a batch of streams at a time, complex
 Gaussian sampling in one stream layout, a clamping Hermitian square
 root, one rank-revealing pseudo-inverse kernel that works in a reusable
-scratch workspace (the left inverse is the transpose of a right one), and
+workspace (the left inverse is the transpose of a right one), and
 the zero-order Bessel function J0 used by the spatial-correlation model.
 """
 
@@ -201,28 +201,13 @@ class Workspace:
     again only when a request needs more elements or another dtype, so a
     loop whose shapes do not grow allocates it once, and its pages are not
     handed back to the system and faulted in again on every pass.  The
-    array stays valid until the next request for its name.  scratch is
-    the workspace for what a call uses only while it runs: a top-level
-    workspace's own, made on first use, and for a scope, its parent's.
-    scope(name) is a nested workspace with names of its own, so calls
-    that each write into a scope of one workspace keep their results
-    apart and their temporaries in one set of buffers.  A workspace
-    serves one caller at a time; threads each use their own.
+    array stays valid until the next request for its name, so calls that
+    share a workspace keep their results apart under distinct names.  A
+    workspace serves one caller at a time; threads each use their own.
     """
 
-    def __init__(self, scratch: Workspace | None = None) -> None:
+    def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
-        self._scopes: dict[str, Workspace] = {}
-        self._scratch = scratch
-
-    @property
-    def scratch(self) -> Workspace:
-        # A separate workspace, not self: a scope that held its parent
-        # would make a reference cycle, and the buffers would outlive the
-        # run until the cyclic garbage collector found them.
-        if self._scratch is None:
-            self._scratch = Workspace()
-        return self._scratch
 
     def array(self, name: str, shape: tuple[int, ...],
               dtype) -> np.ndarray:
@@ -231,11 +216,6 @@ class Workspace:
         if buf is None or buf.size < size or buf.dtype != dtype:
             buf = self._buffers[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
-
-    def scope(self, name: str) -> Workspace:
-        if name not in self._scopes:
-            self._scopes[name] = Workspace(self.scratch)
-        return self._scopes[name]
 
 
 def _complex_gaussians(streams: Streams, outs: list[np.ndarray],
@@ -338,21 +318,21 @@ def _gram_inverse(gram: np.ndarray) -> np.ndarray:
 
 
 def _refine(a: np.ndarray, ah: np.ndarray, gram_inv: np.ndarray,
-            x: np.ndarray, scratch: Workspace) -> None:
+            x: np.ndarray, ws: Workspace) -> None:
     """One refinement step X_K += A^H (G^{-1} (E_K - A X_K)) in place,
-    the residual and the correction products written into scratch."""
+    the residual and the correction products written into ws."""
     dtype = x.dtype
-    resid = scratch.array("resid", (*x.shape[:-2], a.shape[-2], x.shape[-1]),
-                          dtype)
+    resid = ws.array("resid", (*x.shape[:-2], a.shape[-2], x.shape[-1]),
+                     dtype)
     np.subtract(np.eye(*resid.shape[-2:]), np.matmul(a, x, out=resid),
                 out=resid)
     solved = np.matmul(gram_inv, resid,
-                       out=scratch.array("solved", resid.shape, dtype))
-    x += np.matmul(ah, solved, out=scratch.array("corr", x.shape, dtype))
+                       out=ws.array("solved", resid.shape, dtype))
+    x += np.matmul(ah, solved, out=ws.array("corr", x.shape, dtype))
 
 
 def right_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None,
-                         keep: int | None = None
+                         keep: int | None = None, name: str = "x"
                          ) -> tuple[np.ndarray, np.ndarray]:
     """First keep columns X_K of the right inverse A^H (A A^H)^{-1} of a
     full-row-rank wide matrix or stack; all of them when keep is None.
@@ -373,10 +353,11 @@ def right_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None,
     matrix alone, so a stack's members equal their one-matrix calls bit
     for bit: a stack with some members to refine refines those gathered.
 
-    X is written into the workspace (a fresh one when None), and conj(A),
-    G, the residual and the correction products into its scratch; the
-    returned X is a view of its buffer "x", which the next call with that
-    workspace overwrites.  Writing into a buffer changes no arithmetic.
+    X is written into the workspace (a fresh one when None) under name,
+    conj(A), G, the residual and the correction products under "conj",
+    "gram", "resid", "solved" and "corr", which all calls share; X is a
+    view of its buffer, which the next call with that name overwrites.
+    Writing into a buffer changes no arithmetic.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-2] > a.shape[-1]:
@@ -384,24 +365,23 @@ def right_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None,
     rows = a.shape[-2]
     keep = rows if keep is None else keep
     ws = Workspace() if workspace is None else workspace
-    scratch = ws.scratch
-    ah = np.conjugate(a, out=scratch.array("conj", a.shape, a.dtype)
+    ah = np.conjugate(a, out=ws.array("conj", a.shape, a.dtype)
                       ).swapaxes(-1, -2)
-    gram = np.matmul(a, ah, out=scratch.array(
+    gram = np.matmul(a, ah, out=ws.array(
         "gram", (*a.shape[:-2], rows, rows), a.dtype))
     gram_inv = _gram_inverse(gram)
     with np.errstate(over="ignore", invalid="ignore"):
         kappa = (np.linalg.norm(gram, axis=(-2, -1))
                  * np.linalg.norm(gram_inv, axis=(-2, -1)))
     fast = kappa < min(_GRAM_FAST_LIMIT, 0.5 * GRAM_CONDITION_LIMIT)
-    x = ws.array("x", (*ah.shape[:-1], keep), np.result_type(a, gram_inv))
+    x = ws.array(name, (*ah.shape[:-1], keep), np.result_type(a, gram_inv))
     np.matmul(ah, gram_inv[..., :keep], out=x)
     refine = fast & (kappa >= _REFINE_LIMIT)
     if refine.all():
-        _refine(a, ah, gram_inv, x, scratch)
+        _refine(a, ah, gram_inv, x, ws)
     elif refine.any():
         sub = x[refine]
-        _refine(a[refine], ah[refine], gram_inv[refine], sub, scratch)
+        _refine(a[refine], ah[refine], gram_inv[refine], sub, ws)
         x[refine] = sub
     failed = np.zeros(fast.shape, dtype=bool)
     if not fast.all():
@@ -411,17 +391,17 @@ def right_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None,
     return x, failed
 
 
-def left_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None
-                        ) -> tuple[np.ndarray, np.ndarray]:
+def left_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None,
+                        name: str = "x") -> tuple[np.ndarray, np.ndarray]:
     """Left inverse (A^H A)^{-1} A^H of a full-column-rank tall matrix or
-    stack, with the failure mask and workspace of right_pseudo_inverse:
+    stack, with the failure mask, workspace and name of right_pseudo_inverse:
     the transpose of the right inverse of A^T, which, conjugation being
     exact, is the conjugate of the right inverse of A^H.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
         raise ValueError("left inverse needs matrices with rows >= cols")
-    x, failed = right_pseudo_inverse(a.swapaxes(-1, -2), workspace)
+    x, failed = right_pseudo_inverse(a.swapaxes(-1, -2), workspace, name=name)
     return x.swapaxes(-1, -2), failed
 
 

@@ -55,18 +55,18 @@ def build(modes, h_ext_hat: np.ndarray, h_ul_hat: np.ndarray,
     column is zero.  NO_SIC and SUBTRACTION share one zero-forcing
     precoder.  Each draw's matrices depend on that draw alone.
 
-    The combiners and precoders are views of buffers in scopes of the
-    workspace (a fresh one when None), one per pseudo-inverse, whose
-    temporaries share the workspace's scratch: the next build with the
-    same workspace overwrites them, and a loop over chunks of one size
-    allocates none after its first build.
+    The combiners and precoders are views of the workspace's buffers
+    "combiner", "zf" and "sps" (a fresh workspace when None), and the
+    three pseudo-inverses share their temporaries' buffers: the next
+    build with the same workspace overwrites them all, and a loop over
+    chunks of one size allocates none after its first build.
     """
     ws = Workspace() if workspace is None else workspace
     k = h_ul_hat.shape[-1]
-    w, w_failed = left_pseudo_inverse(h_ul_hat, ws.scope("combiner"))
+    w, w_failed = left_pseudo_inverse(h_ul_hat, ws, "combiner")
 
     def precoder(rows, name):
-        f, failed = right_pseudo_inverse(rows, ws.scope(name), k)
+        f, failed = right_pseudo_inverse(rows, ws, k, name)
         g, degenerate = _normalize(f)
         return g, failed | degenerate | w_failed
 

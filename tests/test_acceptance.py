@@ -137,9 +137,9 @@ def test_criterion_4_matches_a_per_trial_build_loop(monkeypatch):
     monkeypatch.setattr("fdmimo.metrics._chunk_trials", lambda m, n, k: 3)
     built = []
 
-    def recording_build(modes, h_ext_hat, h_ul_hat, workspace=None):
+    def recording_build(modes, h_ext_hat, h_ul_hat, *args, **kwargs):
         built.extend(zip(h_ext_hat.copy(), h_ul_hat.copy()))
-        return build(modes, h_ext_hat, h_ul_hat, workspace)
+        return build(modes, h_ext_hat, h_ul_hat, *args, **kwargs)
 
     monkeypatch.setattr(metrics, "build", recording_build)
     base_trials, seed = 100, 3001

@@ -94,8 +94,8 @@ def _stacked(draws):
 def test_a_zero_precoder_column_fails_the_draw(monkeypatch):
     real = transceiver.right_pseudo_inverse
 
-    def zero_column(a, workspace=None, keep=None):
-        x, failed = real(a, workspace, keep)
+    def zero_column(a, *args, **kwargs):
+        x, failed = real(a, *args, **kwargs)
         x[1, :, 2] = 0.0       # draw 1, user 2's precoder column
         return x, failed
 
