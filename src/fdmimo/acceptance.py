@@ -1,8 +1,9 @@
 """Release acceptance checks: simulation against closed forms and contracts.
 
 Each criterion is a standalone function returning a CriterionResult; run_all
-executes the lot: criterion 3 in a forked child process, since its NumPy
-normal draws hold the GIL, then criterion 9, which waits on runs of its
+executes the lot: criterion 3 in a forked child process, since on a
+thread each of its many short NumPy calls waits to take the GIL back
+from the calling thread, then criterion 9, which waits on runs of its
 own, in a second one, and the rest on the calling thread.  The same
 checks back both the ``fdmimo check`` CLI subcommand and the acceptance
 test module.  base_trials scales the Monte Carlo effort (the documented
@@ -446,11 +447,15 @@ class CriterionError(RuntimeError):
 
 
 #: Indices into _CRITERIA of the criteria that run_all runs in forked
-#: child processes, one after the other.  Criterion 3 spends most of its
-#: time in NumPy's normal draws, which hold the GIL; its child draws the
-#: same Philox numbers from the same keys and shares no lock with the
-#: calling thread.  Criterion 9 waits on three runs of its own, which take
-#: the core that criterion 3's child frees.
+#: child processes, one after the other.  Criterion 3 is a loop of short
+#: NumPy calls (normal draws, Gram products, solves) on slices of a few
+#: matrices.  Each call releases the GIL, but on a thread each one then
+#: waited to take it back from the Python-heavy criteria on the calling
+#: thread, up to the 5 ms switch interval, so there it ran about 1.7
+#: times slower than alone.  Its child draws the same Philox numbers from
+#: the same keys and shares no lock with the calling thread.  Criterion 9
+#: waits on three runs of its own, which take the core that criterion
+#: 3's child frees.
 _FORKED = (2, 8)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Streams, _complex_gaussians, bessel_j0, hermitian_sqrt
+from .numerics import _complex_gaussians, bessel_j0, hermitian_sqrt
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -182,17 +182,18 @@ def _channel_stack(config: SystemConfig,
             np.empty((trials, n, m), dtype=complex))
 
 
-def generate_iid(streams: Streams, h_dl: np.ndarray,
+def generate_iid(normals: np.ndarray, h_dl: np.ndarray,
                  h_ul: np.ndarray, h_si: np.ndarray) -> None:
-    """Fill stacks of i.i.d. CN(0, 1) channels, trial i from stream i.
+    """Fill stacks of i.i.d. CN(0, 1) channels, trial i from row i of
+    normals, its stream's drawn standard normals.
 
     h_dl, h_ul and h_si are (trials, K, M), (trials, N, K) and (trials,
-    N, M) complex stacks.  A trial's stream holds h_dl, h_ul and h_si in
-    that order, in the layout of numerics._complex_gaussians, so a given
-    stream always yields the same realization, whatever else the stack
-    holds.
+    N, M) complex stacks, and normals a (trials, width) float array.  A
+    trial's stream holds h_dl, h_ul and h_si in that order, in the layout
+    of numerics._complex_gaussians, so a given stream always yields the
+    same realization, whatever else the stack holds.
     """
-    _complex_gaussians(streams, [h_dl, h_ul, h_si], [1.0, 1.0, 1.0])
+    _complex_gaussians(normals, [h_dl, h_ul, h_si], [1.0, 1.0, 1.0])
 
 
 class CorrelatedSampler:
@@ -229,10 +230,11 @@ class CorrelatedSampler:
                      * np.ones((config.N, config.M)))
         self._nlos_amp = np.sqrt(1.0 / (KAPPA + 1.0))
 
-    def sample(self, streams: Streams, h_dl: np.ndarray,
+    def sample(self, normals: np.ndarray, h_dl: np.ndarray,
                h_ul: np.ndarray, h_si: np.ndarray) -> None:
         """Fill stacks of correlated Rician realizations, trial i from
-        stream i, which holds the three i.i.d. matrices of generate_iid.
+        row i of normals, its stream's drawn standard normals, which hold
+        the three i.i.d. matrices of generate_iid.
 
         h_dl = H_iid R_tx^(1/2); h_ul = R_rx^(1/2) H_iid; the
         self-interference channel is R_rx^(1/2) (LOS + NLOS) R_tx^(1/2)
@@ -242,7 +244,7 @@ class CorrelatedSampler:
         grouping, since distributing it changes the last bits.
         """
         x_dl, x_ul, x_si = (np.empty_like(h) for h in (h_dl, h_ul, h_si))
-        generate_iid(streams, x_dl, x_ul, x_si)
+        generate_iid(normals, x_dl, x_ul, x_si)
         np.matmul(x_dl, self.r_tx_sqrt, out=h_dl)
         np.matmul(self.r_rx_sqrt, x_ul, out=h_ul)
         x_si *= self._nlos_amp

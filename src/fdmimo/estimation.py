@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import SystemConfig
-from .numerics import Streams, _complex_gaussians
+from .numerics import _complex_gaussians
 
 
 def error_variances(config: SystemConfig,
@@ -25,21 +25,23 @@ def error_variances(config: SystemConfig,
     return eps2, eps2, config.nmse
 
 
-def estimate(variances: tuple[float, float, float], streams: Streams,
+def estimate(variances: tuple[float, float, float], normals: np.ndarray,
              channels: tuple, hats: tuple,
              si_amp: np.ndarray | None = None) -> None:
     """Write estimates hats = channels + errors for a stack of trials.
 
     channels and hats are (h_dl, h_ul, h_si) stacks, and variances the
     error variances of error_variances.  The errors are i.i.d. CN(0, eps2)
-    per matrix, trial i's from stream i of streams, which holds the
-    errors of nonzero variance in the order dl, ul, si, in the layout of
-    numerics._complex_gaussians; a zero-variance error is exactly zero
-    and takes no draws, and perfect CSI draws from no stream at all.
-    si_amp optionally multiplies the SI error entrywise.
+    per matrix, trial i's from row i of normals, a (trials, width) float
+    array of its error stream's drawn standard normals.  That stream
+    holds the errors of nonzero variance in the order dl, ul, si, in the
+    layout of numerics._complex_gaussians; a zero-variance error is
+    exactly zero and takes no normals, so under perfect CSI the rows are
+    empty and nothing is drawn for them.  si_amp optionally multiplies
+    the SI error entrywise.
     """
     if any(variances):
-        _complex_gaussians(streams,
+        _complex_gaussians(normals,
                            [hat for hat, v in zip(hats, variances) if v],
                            [v for v in variances if v])
     if si_amp is not None and variances[2]:

@@ -26,6 +26,7 @@ estimated SI rows.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -34,7 +35,7 @@ import numpy as np
 from .channel import (ConfigError, CorrelatedSampler, SystemConfig,
                       _channel_stack, check_correlated_snrs, generate_iid)
 from .estimation import error_variances, estimate
-from .numerics import Streams, Workspace
+from .numerics import Streams, Workspace, _stream_width
 from .transceiver import SicMode, build
 
 
@@ -143,16 +144,18 @@ class Curve(NamedTuple):
     si_free: bool = False
 
 
-#: Working-set budget of one chunk of trials.  A chunk's channels and
-#: estimates and the workspace that build writes into are allocated once
-#: per run and reused by every chunk, so this bounds what the engine adds
-#: to peak memory.
-_CHUNK_BYTES = 2 << 20
+#: Working-set budget of one chunk of trials, 2.625 MiB.  A chunk's drawn
+#: normals, channels and estimates and the workspace that build writes
+#: into are allocated once per run and reused by every chunk, so this
+#: bounds what the engine adds to peak memory.
+_CHUNK_BYTES = 21 << 17
 
 
 def _chunk_trials(m: int, n: int, k: int) -> int:
     """Trials per chunk that keep the working set within _CHUNK_BYTES."""
-    # Complex entries per trial of the buffers a chunk holds: the true
+    # Complex entries per trial of the buffers a chunk holds, two drawn
+    # normals counting as one: the row buffer of drawn normals (the
+    # channel stream and an error stream at most as wide); the true
     # channels; the estimates (downlink rows stacked over SI rows,
     # uplink); each pseudo-inverse's kept columns X (the combiner's
     # N x K, the zero-forcing and the suppression precoder's M x K); and
@@ -162,12 +165,87 @@ def _chunk_trials(m: int, n: int, k: int) -> int:
     # E_K - A X and G^-1 (E_K - A X), (K + N) x K each, and
     # A^H G^-1 (E_K - A X), M x K).  The SINR evaluation's temporaries,
     # such as subtraction's SI estimation error, are left out.  At
-    # 64/20/10 that makes 12 trials, whose buffers hold 1.96 MiB, 1.01 MiB
-    # of it the workspace.
-    entries = (k * m + n * k + n * m) + ((k + n) * m + n * k) \
+    # 64/20/10 that makes 11 trials, whose buffers hold 2.50 MiB: 0.71 MiB
+    # of drawn normals and 1.08 MiB of workspace.
+    entries = 2 * (k * m + n * k + n * m) \
+        + (k * m + n * k + n * m) + ((k + n) * m + n * k) \
         + (n * k + 2 * m * k) \
         + ((k + n) * m + 2 * (k + n) * (k + n) + 2 * (k + n) * k + m * k)
     return max(1, _CHUNK_BYTES // (16 * entries))
+
+
+class _ChunkDraws:
+    """The standard normals of a run's chunks of trials, each chunk drawn
+    on a thread of its own while the caller works on the chunk before.
+
+    One row buffer, allocated here, holds a chunk's channel rows (one per
+    trial, from substream 2t, widths[0] normals each) and then its error
+    rows (from substream 2t + 1, widths[1] each; none under perfect CSI).
+    The thread draws them through Streams(master_seed) and nothing else:
+    wait(c) blocks until the next chunk's rows are in and returns them,
+    and release() hands the buffer back for the chunk after, one handoff
+    per chunk.  What the thread raises is raised by wait.  Used as a
+    context manager, which starts the thread and, on every exit, stops
+    and joins it.  The numbers depend on the stream keys alone, so they
+    are the same whenever the thread runs.
+    """
+
+    def __init__(self, master_seed: int, chunks: list[range],
+                 widths: tuple[int, int]) -> None:
+        self._chunks = chunks
+        self._widths = widths
+        self._rows = np.empty(max(map(len, chunks), default=0) * sum(widths))
+        self._free = threading.Semaphore(1)
+        self._drawn = threading.Semaphore(0)
+        self._stop = False
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(target=self._draw,
+                                        args=(master_seed,), daemon=True)
+
+    def _views(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        channel, error = self._widths
+        return (self._rows[:c * channel].reshape(c, channel),
+                self._rows[c * channel:c * (channel + error)].reshape(c, error))
+
+    def _draw(self, master_seed: int) -> None:
+        try:
+            streams = Streams(master_seed)
+            for chunk in self._chunks:
+                self._free.acquire()
+                if self._stop:
+                    return
+                c = len(chunk)
+                channel_rows, error_rows = self._views(c)
+                # The channel streams 2t, then any error streams 2t + 1.
+                indices = [2 * t for t in chunk]
+                if error_rows.size:
+                    indices += [2 * t + 1 for t in chunk]
+                drawn = streams.at(indices)
+                drawn[:c].normals(channel_rows)
+                drawn[c:].normals(error_rows)
+                self._drawn.release()
+        except BaseException as exc:    # re-raised by wait in the caller
+            self._error = exc
+            self._drawn.release()
+
+    def wait(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        self._drawn.acquire()
+        if self._error is not None:
+            raise self._error
+        return self._views(c)
+
+    def release(self) -> None:
+        self._free.release()
+
+    def __enter__(self) -> _ChunkDraws:
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        del exc_info
+        self._stop = True
+        self._free.release()
+        self._thread.join()
 
 
 def _trial_chunks(config: SystemConfig, perfect: bool, master_seed: int,
@@ -178,17 +256,23 @@ def _trial_chunks(config: SystemConfig, perfect: bool, master_seed: int,
     Trial t draws its channels from substream 2t of master_seed, i.i.d.
     or, with a sampler, correlated Rician, and the estimation errors of
     error_variances(config, perfect) from substream 2t+1, each stream in
-    one call.  The master seed is mixed once per call, and the keys of a
-    chunk's streams are derived together.  Yields, per chunk of at most
-    _chunk_trials(M, N, K) trials, the chunk's trial indices, the stacked
-    true channels h_dl, h_ul, h_si, the estimates h_ext_hat (each
-    downlink estimate over its SI estimate) and h_ul_hat, and what build
-    returns for the modes.  A chunk is one generate_iid or
-    CorrelatedSampler.sample call, one estimate call and one build call,
-    whose values depend on each trial's streams alone, where a sampler's
-    SI error is scaled by its path-gain amplitude.  Every yielded array
-    is a view of a buffer, one set per call of this generator, that the
-    next chunk overwrites.
+    one call; perfect CSI draws no error stream.  The master seed is
+    mixed once per call, and the keys of a chunk's streams are derived
+    together.  A helper thread draws the next chunk's normals
+    (_ChunkDraws) while this one builds the chunk before and its caller
+    evaluates it; the thread only draws, so the fills, the estimates and
+    the builds all run on the calling thread, and the thread is joined
+    on every exit of this generator, closed early or raising included.
+    Yields, per chunk of at most _chunk_trials(M, N, K) trials, the
+    chunk's trial indices, the stacked true channels h_dl, h_ul, h_si,
+    the estimates h_ext_hat (each downlink estimate over its SI estimate)
+    and h_ul_hat, and what build returns for the modes.  A chunk is one
+    generate_iid or CorrelatedSampler.sample call, one estimate call and
+    one build call on the chunk's drawn rows, whose values depend on each
+    trial's streams alone, where a sampler's SI error is scaled by its
+    path-gain amplitude; nothing depends on when the rows were drawn.
+    Every yielded array is a view of a buffer, one set per call of this
+    generator, that the next chunk overwrites.
     """
     m, n, k = config.M, config.N, config.K
     if sampler is None:
@@ -198,23 +282,28 @@ def _trial_chunks(config: SystemConfig, perfect: bool, master_seed: int,
         # the NMSE meaningful per element.
         fill, si_amp = sampler.sample, sampler.si_amp
     variances = error_variances(config, perfect)
+    shapes = [(k, m), (n, k), (n, m)]
+    widths = (_stream_width(shapes),
+              _stream_width([s for s, v in zip(shapes, variances) if v]))
     size = max(1, min(len(trials), _chunk_trials(m, n, k)))
+    chunks = [trials[start:start + size]
+              for start in range(0, len(trials), size)]
     h_dl, h_ul, h_si = _channel_stack(config, size)
     h_ext_hat = np.empty((size, k + n, m), dtype=complex)
     h_ul_hat = np.empty((size, n, k), dtype=complex)
     workspace = Workspace()
-    streams = Streams(master_seed)
-    for start in range(0, len(trials), size):
-        chunk = trials[start:start + size]
-        c = len(chunk)
-        channels = (h_dl[:c], h_ul[:c], h_si[:c])
-        # The channel streams 2t, then the error streams 2t + 1.
-        drawn = streams.at([2 * t + s for s in (0, 1) for t in chunk])
-        fill(drawn[:c], *channels)
-        estimate(variances, drawn[c:], channels,
-                 (h_ext_hat[:c, :k], h_ul_hat[:c], h_ext_hat[:c, k:]), si_amp)
-        hats = (h_ext_hat[:c], h_ul_hat[:c])
-        yield (chunk, *channels, *hats, *build(modes, *hats, workspace))
+    with _ChunkDraws(master_seed, chunks, widths) as draws:
+        for chunk in chunks:
+            c = len(chunk)
+            channels = (h_dl[:c], h_ul[:c], h_si[:c])
+            channel_rows, error_rows = draws.wait(c)
+            fill(channel_rows, *channels)
+            estimate(variances, error_rows, channels,
+                     (h_ext_hat[:c, :k], h_ul_hat[:c], h_ext_hat[:c, k:]),
+                     si_amp)
+            draws.release()
+            hats = (h_ext_hat[:c], h_ul_hat[:c])
+            yield (chunk, *channels, *hats, *build(modes, *hats, workspace))
 
 
 def monte_carlo_sweep(configs: Sequence[SystemConfig],

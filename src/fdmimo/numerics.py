@@ -3,9 +3,10 @@
 Everything downstream (channel draws, precoders, combiners) is built on the
 small set of primitives in this module: seeded counter-based RNG substreams,
 whose Philox keys are derived a batch of streams at a time, complex
-Gaussian sampling in one stream layout, a clamping Hermitian square
-root, one rank-revealing pseudo-inverse kernel that works in a reusable
-workspace (the left inverse is the transpose of a right one), and
+Gaussian stacks scattered from drawn rows in one stream layout, a
+clamping Hermitian square root, one rank-revealing pseudo-inverse kernel
+that works in a reusable workspace (the left inverse is the transpose of
+a right one), and
 the zero-order Bessel function J0 used by the spatial-correlation model.
 """
 
@@ -155,7 +156,11 @@ class Streams:
     stream by setting its key, at counter 0, on one Philox that all these
     batches share, which gives the numbers of a fresh generator of that
     stream bit for bit.  So they serve one caller at a time; threads each
-    use their own.
+    use their own.  The numbers depend on the keys alone, not on which
+    thread draws them or when, and standard_normal releases the GIL while
+    it fills a row: the engine (metrics._trial_chunks) draws each chunk's
+    rows on a thread of its own, with its own Streams, while the calling
+    thread builds and evaluates the chunk before.
     """
 
     def __init__(self, master_seed: int) -> None:
@@ -218,23 +223,35 @@ class Workspace:
         return buf[:size].reshape(shape)
 
 
-def _complex_gaussians(streams: Streams, outs: list[np.ndarray],
-                       variances: list[float]) -> None:
-    """Fill stacks of complex matrices with i.i.d. CN(0, variance) entries.
+def _stream_width(shapes) -> int:
+    """Standard normals that complex matrices of the given (rows, cols)
+    shapes take from one stream in the layout of _complex_gaussians."""
+    return 2 * sum(rows * cols for rows, cols in shapes)
 
-    Each out is a complex stack (trials, rows, cols); trial i's matrices
-    come from stream i of streams in one standard_normal call, which,
-    Philox being counter-based, yields the same numbers as consecutive
-    calls whose sizes sum to it.  This is the layout of every stream: the
-    matrices in the order of outs, each as its real parts and then its
-    imaginary parts, row-major.  An entry is sqrt(variance / 2) (re + 1j im),
-    written part by part, which equals the complex product bit for bit.
+
+def _complex_gaussians(normals: np.ndarray, outs: list[np.ndarray],
+                       variances: list[float]) -> None:
+    """Fill stacks of complex matrices with i.i.d. CN(0, variance) entries
+    from drawn standard normals.
+
+    Each out is a complex stack (trials, rows, cols), and normals a
+    (trials, width) float array whose row i holds the first standard
+    normals of trial i's stream, as Streams.normals draws them.  This is
+    the layout of every stream: the matrices in the order of outs, each
+    as its real parts and then its imaginary parts, row-major, width
+    _stream_width of their shapes in all.  Philox being counter-based,
+    one draw of a row yields the same numbers as consecutive draws whose
+    sizes sum to it.  An entry is sqrt(variance / 2) (re + 1j im), written
+    part by part, which equals the complex product bit for bit.  Only
+    scatters and scales: nothing is drawn or allocated here.
     """
-    sizes = [out.shape[-2] * out.shape[-1] for out in outs]
-    normals = np.empty((len(streams), 2 * sum(sizes)))
-    streams.normals(normals)
+    shapes = [out.shape[-2:] for out in outs]
+    if normals.shape[-1] != _stream_width(shapes):
+        raise ValueError(f"{normals.shape[-1]} normals per stream do not "
+                         f"fill complex matrices of shapes {shapes}")
     start = 0
-    for out, size, variance in zip(outs, sizes, variances):
+    for out, (rows, cols), variance in zip(outs, shapes, variances):
+        size = rows * cols
         scale = np.sqrt(variance / 2.0)
         for part in (out.real, out.imag):
             np.multiply(normals[:, start:start + size].reshape(out.shape),

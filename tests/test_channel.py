@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fdmimo.channel import (STRONGEST_SI_GAIN_DB, ConfigError,
                             CorrelatedSampler, SystemConfig, _channel_stack,
                             db_to_linear, generate_iid)
-from fdmimo.numerics import Streams
+from fdmimo.numerics import Streams, _stream_width
 
 
 def small_config(**kw):
@@ -22,9 +22,12 @@ def small_config(**kw):
 
 def _draw(fill, cfg, seed, indices):
     """Stacks (h_dl, h_ul, h_si) that fill (generate_iid or a sampler's
-    sample) draws from the substreams of seed with the given indices."""
+    sample) makes from the normals drawn from the substreams of seed with
+    the given indices."""
     h = _channel_stack(cfg, len(indices))
-    fill(Streams(seed).at(indices), *h)
+    normals = np.empty((len(indices), _stream_width(x.shape[1:] for x in h)))
+    Streams(seed).at(indices).normals(normals)
+    fill(normals, *h)
     return h
 
 

@@ -8,22 +8,32 @@ from fdmimo.channel import (CorrelatedSampler, SystemConfig, _channel_stack,
                             generate_iid)
 from fdmimo.estimation import error_variances, estimate
 from fdmimo.metrics import _trial_chunks
-from fdmimo.numerics import RngStream, Streams
+from fdmimo.numerics import RngStream, Streams, _stream_width
+
+
+def _normals(seed, indices, stacks):
+    """Rows of the standard normals that the complex stacks take from the
+    substreams of seed with the given indices."""
+    normals = np.empty((len(indices),
+                        _stream_width(h.shape[1:] for h in stacks)))
+    Streams(seed).at(indices).normals(normals)
+    return normals
 
 
 def _draw(seed=0, trials=1, cfg=SystemConfig(M=16, N=6, K=3)):
     """Stacks (h_dl, h_ul, h_si) of i.i.d. channels, trial i from
     substream i of seed."""
     truth = _channel_stack(cfg, trials)
-    generate_iid(Streams(seed).at(range(trials)), *truth)
+    generate_iid(_normals(seed, range(trials), truth), *truth)
     return truth
 
 
-def _estimate(truth, variances, streams):
-    """Estimates of the channel stacks truth, trial i's errors from
-    streams[i]."""
+def _estimate(truth, variances, seed, indices):
+    """Estimates of the channel stacks truth, trial i's errors from the
+    substream of seed with index indices[i]."""
     hats = tuple(np.empty_like(h) for h in truth)
-    estimate(variances, streams, truth, hats)
+    drawn = [h for h, v in zip(truth, variances) if v]
+    estimate(variances, _normals(seed, indices, drawn), truth, hats)
     return hats
 
 
@@ -62,7 +72,7 @@ def test_estimate_is_truth_plus_error_bitwise():
     # zero-variance error takes no draws and leaves the truth exact
     truth = _draw()
     for variances in ((0.1, 0.2, 0.3), (0.1, 0.0, 0.3), (0.0, 0.0, 0.3)):
-        hats = _estimate(truth, variances, Streams(1).at([1]))
+        hats = _estimate(truth, variances, 1, [1])
         gen = RngStream(1, 1).generator()
         for h, hat, v in zip(truth, hats, variances):
             if v:
@@ -74,13 +84,11 @@ def test_estimate_is_truth_plus_error_bitwise():
                 assert np.array_equal(hat, h)
 
 
-def test_perfect_estimation_is_exact(monkeypatch):
+def test_perfect_estimation_is_exact():
+    # perfect CSI takes no normals: its error rows are empty
     truth = _draw()
-
-    def no_stream(self, out):
-        raise AssertionError("perfect CSI drew from its error stream")
-    monkeypatch.setattr(Streams, "normals", no_stream)
-    hats = _estimate(truth, (0.0, 0.0, 0.0), Streams(1).at([1]))
+    hats = tuple(np.empty_like(h) for h in truth)
+    estimate((0.0, 0.0, 0.0), np.empty((1, 0)), truth, hats)
     for h, hat in zip(truth, hats):
         assert np.array_equal(hat, h)
 
@@ -88,14 +96,14 @@ def test_perfect_estimation_is_exact(monkeypatch):
 def test_estimate_deterministic_per_stream():
     truth = _draw()
     variances = (0.1, 0.1, 0.1)
-    a = _estimate(truth, variances, Streams(4).at([9]))
-    b = _estimate(truth, variances, Streams(4).at([9]))
+    a = _estimate(truth, variances, 4, [9])
+    b = _estimate(truth, variances, 4, [9])
     assert np.array_equal(a[2], b[2])
-    c = _estimate(truth, variances, Streams(4).at([11]))
+    c = _estimate(truth, variances, 4, [11])
     assert not np.array_equal(a[2], c[2])
     # a trial's errors depend on its own stream alone, not on the stack
     both = _estimate(tuple(np.concatenate([h, h]) for h in truth), variances,
-                     Streams(4).at([11, 9]))
+                     4, [11, 9])
     for x, y, z in zip(both, c, a):
         assert np.array_equal(x[0], y[0]) and np.array_equal(x[1], z[0])
 
@@ -105,8 +113,7 @@ def test_error_statistics_match_variances():
     trials = 300
     truth = tuple(np.repeat(h, trials, axis=0)
                   for h in _draw(2, cfg=SystemConfig()))
-    hats = _estimate(truth, (0.05, 0.3, 0.2),
-                     Streams(2).at(range(trials)))
+    hats = _estimate(truth, (0.05, 0.3, 0.2), 2, range(trials))
     for h, hat, v in zip(truth, hats, (0.05, 0.3, 0.2)):
         assert np.mean(np.abs(hat - h) ** 2) == pytest.approx(v, rel=0.05)
 
@@ -131,8 +138,7 @@ def test_correlated_si_error_variance_follows_the_path_gains():
 @given(st.integers(min_value=0, max_value=5000))
 def test_errors_uncorrelated_with_channel(seed):
     truth = _draw(seed)
-    hats = _estimate(truth, (1.0, 1.0, 1.0),
-                     Streams(seed).at([1]))
+    hats = _estimate(truth, (1.0, 1.0, 1.0), seed, [1])
     # independence by stream separation; a single draw's correlation is
     # noisy, so only rule out gross coupling
     h_si = truth[2]

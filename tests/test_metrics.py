@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -25,10 +26,18 @@ from fdmimo.estimation import error_variances, estimate
 from fdmimo.experiments import default_scenario, run_scenario
 from fdmimo.metrics import (Curve, dl_sinr, monte_carlo, monte_carlo_sweep,
                             residual_si, sum_rate, ul_sinr)
-from fdmimo.numerics import RngStream, Streams
+from fdmimo.numerics import RngStream, Streams, _stream_width
 from fdmimo.transceiver import SicMode, build
 
 CFG_SMALL = SystemConfig(M=9, N=5, K=3)
+
+
+def _normals(seed, index, shapes):
+    """One row of the standard normals that complex matrices of the given
+    shapes take from substream index of seed."""
+    normals = np.empty((1, _stream_width(shapes)))
+    Streams(seed).at([index]).normals(normals)
+    return normals
 
 
 def _trial(seed=0, variances=(0.0, 0.0, 0.0), t=0, cfg=CFG_SMALL,
@@ -38,10 +47,12 @@ def _trial(seed=0, variances=(0.0, 0.0, 0.0), t=0, cfg=CFG_SMALL,
     as a stack of one trial from substreams 2t and 2t+1 of seed, as the
     engine draws it."""
     truth = _channel_stack(cfg, 1)
+    shapes = [h.shape[1:] for h in truth]
     fill = generate_iid if sampler is None else sampler.sample
-    fill(Streams(seed).at([2 * t]), *truth)
+    fill(_normals(seed, 2 * t, shapes), *truth)
     hats = tuple(np.empty_like(h) for h in truth)
-    estimate(variances, Streams(seed).at([2 * t + 1]), truth, hats,
+    drawn = [shape for shape, v in zip(shapes, variances) if v]
+    estimate(variances, _normals(seed, 2 * t + 1, drawn), truth, hats,
              None if sampler is None else sampler.si_amp)
     return tuple(h[0] for h in truth), tuple(h[0] for h in hats)
 
@@ -648,11 +659,88 @@ def test_concurrent_sweeps_equal_sequential_ones(monkeypatch):
     assert got == want
 
 
+# ----------------------------------------------------------- draw thread
+
+def _paired_sweep(perfect=False):
+    return monte_carlo_sweep(
+        [CFG_SMALL, dataclasses.replace(CFG_SMALL, rho_t_db=60.0)],
+        [Curve(SicMode.SUBTRACTION), Curve(SicMode.SPATIAL_SUPPRESSION)],
+        trials=30, master_seed=3, perfect=perfect)
+
+
+def test_a_sweep_leaves_no_draw_thread_behind(monkeypatch):
+    _chunks_of(monkeypatch, 4)
+    before = threading.active_count()
+    _paired_sweep()
+    assert threading.active_count() == before
+
+
+def test_closing_the_trial_chunks_early_joins_the_draw_thread(monkeypatch):
+    # criteria 4 and 5 return mid-loop, which closes the generator; no
+    # thread may then be left for run_all's next fork
+    _chunks_of(monkeypatch, 4)
+    before = threading.active_count()
+    chunks = metrics._trial_chunks(CFG_SMALL, False, 3, range(30), ())
+    next(chunks)
+    assert threading.active_count() == before + 1
+    chunks.close()
+    assert threading.active_count() == before
+
+
+def test_a_draw_error_reaches_the_caller_and_ends_the_thread(monkeypatch):
+    # the second draw is the second chunk's, made while the caller
+    # works on the first; a hang here would fail on the timeout
+    _chunks_of(monkeypatch, 4)
+    normals = Streams.normals
+    calls = []
+
+    def second_fails(streams, out):
+        calls.append(len(streams))
+        if len(calls) == 2:
+            raise RuntimeError("the second draw failed")
+        return normals(streams, out)
+    monkeypatch.setattr(Streams, "normals", second_fails)
+    before = threading.active_count()
+    raised = []
+
+    def sweep():
+        try:
+            _paired_sweep(perfect=True)
+        except RuntimeError as exc:
+            raised.append(str(exc))
+    runner = threading.Thread(target=sweep, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert raised == ["the second draw failed"]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("slowed", ["draws", "builds"])
+def test_sweep_reports_do_not_depend_on_the_draw_timing(monkeypatch,
+                                                        slowed):
+    # slow draws keep the caller waiting for every chunk; slow builds let
+    # the thread finish each chunk's draw long before the caller asks
+    _chunks_of(monkeypatch, 4)
+    want = _paired_sweep()
+    owner, name = ((Streams, "normals") if slowed == "draws"
+                   else (metrics, "build"))
+    real = getattr(owner, name)
+
+    def slow(*args, **kwargs):
+        time.sleep(0.002)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, slow)
+    assert _paired_sweep() == want
+
+
 def test_the_engine_peak_memory_is_bounded():
     # fig-correlated at the default 64/20/10 holds the engine's largest
     # working set: two modes, 16 points, two chunks of trials.  Its peak
-    # is 2.66 MiB in chunks of 12 trials; in chunks of 18 it is 3.95 MiB,
-    # so a larger chunk budget fails here.  With the cyclic garbage
+    # is 3.02 MiB in chunks of 11 trials, the row buffer of drawn normals
+    # included (without that buffer it was 2.66 MiB in chunks of 12); in
+    # chunks of 12 it is 3.29 MiB, so a larger chunk budget fails here,
+    # and so does a second row buffer.  With the cyclic garbage
     # collector off, whatever the sweep leaves in a reference cycle stays
     # allocated after it returns.  The workspace's buffers, about 1 MiB,
     # must not be among it; what is left is about 2 KiB of the
@@ -709,25 +797,35 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="counts the page faults of glibc's allocator")
-@pytest.mark.parametrize("modes, correlated, bound", [
-    (("sps",), False, 1000),
-    # every suppression Gram is refined, so the refinement temporaries
-    # are churned too: with a fresh workspace per build this case reads
-    # about 16 100 faults, and the i.i.d. one only about 470
-    (("stt", "sps"), True, 2000),
-], ids=["iid-sps", "correlated-stt-sps"])
-def test_a_warmed_sweep_does_not_fault_its_pages_in_again(modes, correlated,
-                                                          bound):
+@pytest.mark.parametrize("modes, correlated, mmap_threshold, bound", [
+    # 322 faults; with a fresh workspace per build 456
+    (("sps",), False, None, 400),
+    # 589 faults, and 554 with a fresh workspace per build: the freed
+    # chunk buffers of the first sweep raise glibc's thresholds enough
+    # that this case no longer tells the two apart
+    (("stt", "sps"), True, None, 2000),
+    # with the thresholds pinned, every freed buffer of 128 KiB or more
+    # goes back to the system, so each one allocated again faults again:
+    # 15 071 faults, 21 692 with a fresh workspace per build and 24 847
+    # with a fresh buffer of drawn normals per chunk
+    (("sps",), False, 128 << 10, 18_000),
+], ids=["iid-sps", "correlated-stt-sps", "iid-sps-pinned-threshold"])
+def test_a_warmed_sweep_does_not_fault_its_pages_in_again(
+        modes, correlated, mmap_threshold, bound):
     # A chunk's pseudo-inverse temporaries are large enough that glibc
     # hands them back to the system when they are freed, and every chunk
     # faulted them in again: about 17 400 minor faults for 600 i.i.d.
     # suppression trials.  In one reused workspace they fault once.  The
     # sweep runs in a fresh interpreter, as under the CLI, because the
-    # allocator's thresholds adapt to what the process freed before.
+    # allocator's thresholds adapt to what the process freed before;
+    # setting glibc's mmap threshold also stops them adapting.
     src = str(Path(fdmimo.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("MALLOC_MMAP_THRESHOLD_", None)
+    if mmap_threshold is not None:
+        env["MALLOC_MMAP_THRESHOLD_"] = str(mmap_threshold)
     script = _WARMED_SWEEP_FAULTS.format(modes=modes, correlated=correlated)
     proc = subprocess.run([sys.executable, "-c", script],
                           env=env, capture_output=True, text=True,

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import fdmimo.numerics as numerics
 from fdmimo.numerics import (GRAM_CONDITION_LIMIT, RngStream, Streams,
                              _GRAM_FAST_LIMIT, _complex_gaussians,
-                             _seed_pool, _stream_keys, _svd_pseudo_inverse,
+                             _seed_pool, _stream_keys, _stream_width,
+                             _svd_pseudo_inverse,
                              bessel_j0, hermitian_sqrt, left_pseudo_inverse,
                              right_pseudo_inverse)
 
@@ -104,15 +105,24 @@ def _complex_stack(*shape):
     return np.full(shape, np.nan, dtype=complex)
 
 
+def _normals(seed, indices, outs):
+    """Rows of the standard normals that the complex stacks outs take
+    from the substreams of seed with the given indices."""
+    normals = np.empty((len(indices),
+                        _stream_width(out.shape[1:] for out in outs)))
+    Streams(seed).at(indices).normals(normals)
+    return normals
+
+
 def test_complex_gaussian_zero_variance_is_exact_zero():
     z = _complex_stack(1, 3, 5)
-    _complex_gaussians(Streams(1).at([0]), [z], [0.0])
+    _complex_gaussians(_normals(1, [0], [z]), [z], [0.0])
     assert np.all(z == 0.0)
 
 
 def test_complex_gaussian_moments():
     z = _complex_stack(1, 400, 500)
-    _complex_gaussians(Streams(11).at([0]), [z], [2.5])
+    _complex_gaussians(_normals(11, [0], [z]), [z], [2.5])
     power = np.mean(np.abs(z) ** 2)
     assert abs(power - 2.5) < 0.02
     # circular symmetry: real and imaginary parts carry half the power each
@@ -125,7 +135,7 @@ def test_complex_gaussians_follow_the_stream_layout():
     # its real parts then its imaginary parts, row-major; equal bit for bit
     # to separate draws of each part and the complex product
     a, b = _complex_stack(2, 2, 3), _complex_stack(2, 4, 1)
-    _complex_gaussians(Streams(5).at([2, 9]), [a, b], [1.0, 0.3])
+    _complex_gaussians(_normals(5, [2, 9], [a, b]), [a, b], [1.0, 0.3])
     for i, index in enumerate([2, 9]):
         gen = RngStream(5, index).generator()
         for out, variance in ((a, 1.0), (b, 0.3)):
@@ -136,6 +146,17 @@ def test_complex_gaussians_follow_the_stream_layout():
             assert np.array_equal(out[i], want)
             assert np.array_equal(np.signbit(out[i].real),
                                   np.signbit(want.real))
+
+
+def test_complex_gaussians_reject_rows_of_another_width():
+    # a row too narrow or too wide for the stacks would shift every
+    # matrix after the first off its stream's layout
+    z = _complex_stack(2, 3, 5)
+    for width in (29, 31):
+        with pytest.raises(ValueError, match=r"^%d normals per stream do "
+                           r"not fill complex matrices of shapes "
+                           r"\[\(3, 5\)\]$" % width):
+            _complex_gaussians(np.zeros((2, width)), [z], [1.0])
 
 
 # --------------------------------------------------------- hermitian_sqrt

@@ -17,12 +17,19 @@ away.  The checks walk the syntax tree of every module:
   (whose tracer also names the attributes it wraps in strings).  A
   method that overrides an inherited one is read by its base class.
   Public API that only the tests use is dead API.
+
+One more check runs the package: importing it, as every run and
+perfbench's ``setup_s`` do, loads no module that only ``fdmimo check``
+needs and no executor machinery.
 """
 
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -200,3 +207,21 @@ def test_the_checks_find_what_they_look_for():
     tree = ast.parse(source)
     assert sorted(unread_parameters(tree)) == ["<lambda>.y", "f.b", "f.d"]
     assert unused_imports(tree, source.splitlines()) == ["os", "pi"]
+
+
+def test_importing_the_package_loads_no_module_it_does_not_need():
+    # concurrent.futures alone takes about 9 ms to import, about a tenth
+    # of a run's set-up; acceptance and multiprocessing are fdmimo
+    # check's.  The engine's draw thread needs threading, which NumPy
+    # imports anyway.
+    unwanted = ("concurrent.futures", "multiprocessing", "fdmimo.acceptance")
+    code = ("import sys\nimport fdmimo\n"
+            f"print(sorted(m for m in sys.modules if m in {unwanted!r} "
+            "or m.startswith(('concurrent.futures.', "
+            "'multiprocessing.'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import fdmimo.transceiver as transceiver
 from fdmimo.channel import SystemConfig, _channel_stack, generate_iid
 from fdmimo.estimation import estimate
-from fdmimo.numerics import (RngStream, Streams, Workspace,
+from fdmimo.numerics import (RngStream, Streams, Workspace, _stream_width,
                              left_pseudo_inverse, right_pseudo_inverse)
 from fdmimo.transceiver import SicMode, build
 
@@ -14,9 +14,13 @@ def _hats(m=16, n=6, k=3, seed=0, variances=(0.0, 0.0, 0.0)):
     """One draw's estimates (h_dl_hat, h_ul_hat, h_si_hat) with the given
     error variances, drawn as a stack of one trial."""
     truth = _channel_stack(SystemConfig(M=m, N=n, K=k), 1)
-    generate_iid(Streams(seed).at([0]), *truth)
+    shapes = [h.shape[1:] for h in truth]
+    normals = np.empty((2, _stream_width(shapes)))
+    Streams(seed).at([0, 1]).normals(normals)
+    generate_iid(normals[:1], *truth)
     hats = tuple(np.empty_like(h) for h in truth)
-    estimate(variances, Streams(seed).at([1]), truth, hats)
+    drawn = [shape for shape, v in zip(shapes, variances) if v]
+    estimate(variances, normals[1:, :_stream_width(drawn)], truth, hats)
     return tuple(h[0] for h in hats)
 
 
