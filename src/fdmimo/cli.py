@@ -132,8 +132,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         elif row.failures / row.trials >= _FAILURE_WARN_SHARE:
             print(f"warning: mode {row.mode}: {row.failures} of {row.trials} "
                   f"trials failed; its rates average the other "
-                  f"{row.trials - row.failures}, the well-conditioned draws "
-                  f"only", file=sys.stderr)
+                  f"{row.trials - row.failures}, the draws whose transceiver "
+                  f"was built", file=sys.stderr)
     experiments.emit_csv(rows, sys.stdout if args.output == "-"
                          else args.output)
     return 0

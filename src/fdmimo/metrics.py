@@ -38,6 +38,9 @@ from .estimation import error_variances, estimate
 from .numerics import Streams, Workspace, _stream_width
 from .transceiver import SicMode, build
 
+#: Least SI NMSE at which the correlated model sets the SPS rate (README).
+_SPS_MIN_NMSE = 1e-12
+
 
 @dataclass(frozen=True)
 class RateReport:
@@ -342,7 +345,13 @@ def monte_carlo_sweep(configs: Sequence[SystemConfig],
         raise ConfigError("imperfect-CSI sweep configs must share "
                           "rho_ul_db and nmse")
 
+    modes = {curve.mode for curve in curves}
     if sampler is not None:
+        if SicMode.SPATIAL_SUPPRESSION in modes and (
+                perfect or base.nmse < _SPS_MIN_NMSE):
+            raise ConfigError(f"sps under the correlated model needs "
+                              f"imperfect CSI with nmse >= {_SPS_MIN_NMSE:g}: "
+                              f"below it the rate is not determined")
         # Path gains replace the flat beta_si, so the SI term scales with
         # the raw transmit SNR.
         levels = [cfg.rho_t for cfg in configs]
@@ -355,7 +364,6 @@ def monte_carlo_sweep(configs: Sequence[SystemConfig],
                      for curve in curves])
     rho_dl = np.array([cfg.rho_dl for cfg in configs])
     rho_ul = np.array([cfg.rho_ul for cfg in configs])
-    modes = {curve.mode for curve in curves}
 
     k = base.K
     # Axes: curve, (dl, ul), point.

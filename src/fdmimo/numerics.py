@@ -18,9 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Condition-number ceiling for the Gram matrix of a pseudo-inverse input.
-GRAM_CONDITION_LIMIT = 1e12
-
 #: Node-argument pairs bessel_j0 evaluates per block.
 _J0_BLOCK = 1 << 15
 
@@ -279,28 +276,28 @@ def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"matrix is indefinite: eigenvalue {vals[0]:.3e} below "
             f"-1e-8 * {scale:.3e}")
-    clamped = np.clip(vals, 0.0, None)
-    root = (vecs * np.sqrt(clamped)) @ vecs.conj().T
-    return root
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
-def _svd_pseudo_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Moore-Penrose inverse via SVD with a condition guard on the Gram.
+#: Largest residual ||A X_K - E_K||_F of an SVD-route pseudo-inverse, as
+#: criterion 4's; about eps kappa_2(A), as the SVD forms no Gram.
+_SVD_RESIDUAL_LIMIT = 1e-9
 
-    a is one matrix or a stack of matrices along leading axes.  Returns the
-    inverses and a boolean mask over the leading axes that marks every
-    matrix whose Gram matrix is singular or has a condition number at or
-    above GRAM_CONDITION_LIMIT; the inverses of those are meaningless.
-    """
+
+def _svd_pseudo_inverse(a: np.ndarray, keep: int | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """First keep columns X_K of the Moore-Penrose inverse of a wide matrix
+    or stack via SVD (all when keep is None), and the mask of the matrices
+    whose residual ||A X_K - E_K||_F is above _SVD_RESIDUAL_LIMIT or not
+    finite.  Their X_K stay finite: a zero singular value scales no row."""
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond_gram = (s[..., 0] / s[..., -1]) ** 2
-    failed = ~(cond_gram < GRAM_CONDITION_LIMIT)
     # x = (V / s) U^H, with the conjugates and the scaling done in place.
     np.conjugate(vh, out=vh)
-    vh /= np.where(failed[..., None], 1.0, s)[..., None]
+    np.divide(vh, s[..., None], out=vh, where=s[..., None] > 0.0)
     x = vh.swapaxes(-1, -2) @ np.conjugate(u, out=u).swapaxes(-1, -2)
-    return x, failed
+    x = x[..., :keep]
+    resid = a @ x - np.eye(a.shape[-2], x.shape[-1])
+    return x, ~(np.linalg.norm(resid, axis=(-2, -1)) <= _SVD_RESIDUAL_LIMIT)
 
 
 #: Frobenius condition number of the Gram matrix below which a
@@ -361,14 +358,11 @@ def right_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None,
     columns of X + X (I - A X): this squares the residual ||A X - I|| and
     keeps X in A's row space.  Below that limit the residual of the
     unrefined X_K, about eps kappa, is already within 1e-12.  Every other
-    matrix goes through _svd_pseudo_inverse, and so does the guard: since
-    kappa_2 <= kappa_F, a matrix on the fast route always passes it (the
-    factor 1/2 absorbs the rounding of kappa_F).  Returns the inverses and
-    a mask over the leading axes of the matrices whose Gram is singular or
-    has a condition number at or above GRAM_CONDITION_LIMIT; the inverses
-    of those are meaningless.  A matrix's route and result depend on that
-    matrix alone, so a stack's members equal their one-matrix calls bit
-    for bit: a stack with some members to refine refines those gathered.
+    matrix goes through _svd_pseudo_inverse, and only those can fail: the
+    returned mask marks a residual ||A X_K - E_K||_F above 1e-9 or not
+    finite.  A matrix's route and result depend on that matrix alone, so
+    a stack's members equal their one-matrix calls bit for bit: a stack
+    with some members to refine refines those gathered.
 
     X is written into the workspace (a fresh one when None) under name,
     conj(A), G, the residual and the correction products under "conj",
@@ -390,7 +384,7 @@ def right_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None,
     with np.errstate(over="ignore", invalid="ignore"):
         kappa = (np.linalg.norm(gram, axis=(-2, -1))
                  * np.linalg.norm(gram_inv, axis=(-2, -1)))
-    fast = kappa < min(_GRAM_FAST_LIMIT, 0.5 * GRAM_CONDITION_LIMIT)
+    fast = kappa < _GRAM_FAST_LIMIT
     x = ws.array(name, (*ah.shape[:-1], keep), np.result_type(a, gram_inv))
     np.matmul(ah, gram_inv[..., :keep], out=x)
     refine = fast & (kappa >= _REFINE_LIMIT)
@@ -402,9 +396,7 @@ def right_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None,
         x[refine] = sub
     failed = np.zeros(fast.shape, dtype=bool)
     if not fast.all():
-        slow = ~fast
-        svd, failed[slow] = _svd_pseudo_inverse(a[slow])
-        x[slow] = svd[..., :keep]
+        x[~fast], failed[~fast] = _svd_pseudo_inverse(a[~fast], keep)
     return x, failed
 
 

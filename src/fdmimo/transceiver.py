@@ -50,10 +50,10 @@ def build(modes, h_ext_hat: np.ndarray, h_ul_hat: np.ndarray,
     h_ext_hat is (T, K + N, M): every downlink estimate stacked over its SI
     estimate; h_ul_hat is (T, N, K).  Returns the combiners (T, K, N) and
     a dict giving each mode its normalized precoders (T, M, K) and a (T,)
-    mask of the failed draws: a Gram matrix of the precoder or the
-    combiner is singular or fails the condition guard, or a precoder
-    column is zero.  NO_SIC and SUBTRACTION share one zero-forcing
-    precoder.  Each draw's matrices depend on that draw alone.
+    mask of the failed draws: the pseudo-inverse of the precoder or the
+    combiner leaves a residual above 1e-9, or a precoder column is zero.
+    NO_SIC and SUBTRACTION share one zero-forcing precoder.  Each draw's
+    matrices depend on that draw alone.
 
     The combiners and precoders are views of the workspace's buffers
     "combiner", "zf" and "sps" (a fresh workspace when None), and the

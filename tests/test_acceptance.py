@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdmimo import acceptance, metrics, numerics
+from fdmimo import acceptance, metrics
 from fdmimo.acceptance import (_Z99, CriterionResult,
                                criterion_paired_residual_si,
                                criterion_zero_forcing_residuals, run_all)
@@ -183,8 +183,7 @@ def test_criterion_4_matches_a_per_trial_build_loop(monkeypatch):
         assert np.array_equal(h_ul_hat, ul_hat)
 
 
-def test_criterion_4_fails_on_a_failed_transceiver(monkeypatch):
-    monkeypatch.setattr(numerics, "GRAM_CONDITION_LIMIT", 1.0)
+def test_criterion_4_fails_on_a_failed_transceiver(every_inverse_fails):
     got = criterion_zero_forcing_residuals(SMALL, 100, 1)
     assert not got.passed
     assert got.detail == "sps transceiver failed at trial 0"
@@ -212,8 +211,7 @@ def test_criterion_5_matches_a_per_trial_build_loop(monkeypatch):
     assert got.passed == (t_stat <= -_Z99)
 
 
-def test_criterion_5_fails_on_a_failed_transceiver(monkeypatch):
-    monkeypatch.setattr(numerics, "GRAM_CONDITION_LIMIT", 1.0)
+def test_criterion_5_fails_on_a_failed_transceiver(every_inverse_fails):
     got = criterion_paired_residual_si(SMALL, 4, 1)
     assert not got.passed
     assert got.detail == "stt transceiver failed at trial 0"

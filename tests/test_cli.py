@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 import fdmimo
 import fdmimo.cli as cli
-import fdmimo.numerics as numerics
 from fdmimo.acceptance import CriterionResult
 from fdmimo.experiments import (_CONFIG_KEYS, _SCENARIO_KEYS, CSV_HEADER,
                                 MODE_TOKENS, SCENARIO_NAMES, SweepRow,
@@ -147,8 +146,7 @@ def test_run_scenario_flag_beats_config_scenario(tmp_path, capsys):
 
 
 def test_run_warns_when_every_trial_of_a_mode_fails(small_conf, capsys,
-                                                   monkeypatch):
-    monkeypatch.setattr(numerics, "GRAM_CONDITION_LIMIT", 1.0)
+                                                   every_inverse_fails):
     assert cli.main(["run", "--config", small_conf]) == 0
     out, err = capsys.readouterr()
     assert "warning: mode stt: every trial failed" in err
@@ -178,9 +176,9 @@ def test_run_warns_when_a_tenth_of_a_percent_of_trials_fail(monkeypatch,
     # exactly 0.1 percent is flagged, just below it is not
     assert warnings == [
         "warning: mode stt: 1 of 1000 trials failed; its rates average the "
-        "other 999, the well-conditioned draws only",
+        "other 999, the draws whose transceiver was built",
         "warning: mode hd: 999 of 1000 trials failed; its rates average the "
-        "other 1, the well-conditioned draws only"]
+        "other 1, the draws whose transceiver was built"]
 
 
 def test_run_abort_with_no_rows_reports_plain_error(monkeypatch, capsys,

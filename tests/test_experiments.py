@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-import fdmimo.numerics as numerics
 from fdmimo.channel import ConfigError, SystemConfig
 from fdmimo.closedform import rate_perfect, ul_rate_imperfect
 from fdmimo.experiments import (CSV_HEADER, HALF_DUPLEX, MAX_SWEEP_POINTS,
@@ -284,9 +283,30 @@ def test_correlated_scenario_is_simulation_only():
         assert r.failures == 0
 
 
-def test_every_trial_failing_gives_nan_rates_and_empty_fields(monkeypatch):
-    # the Gram condition number is at least 1, so every build fails
-    monkeypatch.setattr(numerics, "GRAM_CONDITION_LIMIT", 1.0)
+def test_correlated_suppression_keeps_every_trial_as_nmse_falls():
+    # fig-correlated at x = 10 dB: as the SI estimate improves, the
+    # suppression input's Gram condition passes 1e12, and no trial fails
+    # while the downlink rate keeps falling as the SI null space tightens.
+    # With every trial kept, the uplink equals subtraction's: an average of
+    # the surviving draws only would be biased.  Below nmse = 1e-12 the
+    # rate is not determined, which is a named error.
+    scn = dataclasses.replace(default_scenario("fig-correlated"),
+                              sweep_start=10.0, sweep_stop=10.0, trials=200)
+    dl = []
+    for nmse, want in ((5e-8, 25.743), (1e-8, 24.583), (1e-10, 21.472),
+                       (1e-12, 18.506)):
+        stt, sps = run_scenario(SystemConfig(nmse=nmse), scn)
+        assert sps.failures == 0
+        assert sps.dl_sim == pytest.approx(want, abs=5e-4)
+        assert sps.ul_sim == pytest.approx(stt.ul_sim, rel=1e-5)
+        dl.append(sps.dl_sim)
+    assert all(a > b for a, b in zip(dl, dl[1:]))
+    with pytest.raises(ConfigError, match="correlated model needs"):
+        run_scenario(SystemConfig(nmse=0.0), scn)
+
+
+def test_every_trial_failing_gives_nan_rates_and_empty_fields(
+        every_inverse_fails):
     rows = run_scenario(SMALL, _small_scenario(modes=("sps", HALF_DUPLEX)))
     for r in rows:
         assert r.failures == r.trials == 30

@@ -214,12 +214,19 @@ def test_importing_the_package_loads_no_module_it_does_not_need():
     # of a run's set-up; acceptance and multiprocessing are fdmimo
     # check's.  The engine's draw thread needs threading, which NumPy
     # imports anyway.
-    code = ("import sys\nimport fdmimo\n"
-            "print(sorted(m for m in sys.modules if m.startswith(("
-            "'concurrent.futures', 'multiprocessing', 'fdmimo.acceptance'))))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+
+    def loaded(imports):
+        code = (f"import sys\n{imports}\n"
+                "print(sorted(m for m in sys.modules if m.startswith(("
+                "'concurrent.futures', 'multiprocessing', "
+                "'fdmimo.acceptance'))))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert loaded("import fdmimo") == "[]\n"
+    # the mutant twin: a package that imported the executors would show
+    assert loaded("import fdmimo\nimport concurrent.futures") != "[]\n"

@@ -245,7 +245,7 @@ def test_singular_stack_reports_context():
 def _awkward_chunk(seeds, svd, singular, k=3):
     """Stacked estimates of the given draws in which draw svd takes the
     SVD route (a downlink row scaled by 1e-5: Gram condition about 1e10,
-    inside the guard) and draw singular is exactly singular (zero
+    a residual within 1e-9) and draw singular is exactly singular (zero
     downlink rows and a zero uplink, so the batched Gram inverses
     raise)."""
     ext, ul = _stacked([_hats(seed=seed) for seed in seeds])
