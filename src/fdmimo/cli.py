@@ -20,7 +20,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import acceptance, experiments
+from . import experiments
 from .channel import ConfigError, SystemConfig
 
 #: Published CSVs are not trustworthy below this many trials.
@@ -148,6 +148,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"warning: the criteria's tolerances assume "
               f"{_CHECK_DESIGN_TRIALS} base trials; at {args.trials} a "
               f"criterion can fail by chance", file=sys.stderr)
+    # Imported here, so that no other command loads multiprocessing.
+    from . import acceptance
     results = acceptance.run_all(base_trials=args.trials, seed=args.seed,
                                  report=lambda line: print(line,
                                                            file=sys.stderr))

@@ -184,13 +184,13 @@ class _ChunkDraws:
     One row buffer, allocated here, holds a chunk's channel rows (one per
     trial, from substream 2t, widths[0] normals each) and then its error
     rows (from substream 2t + 1, widths[1] each; none under perfect CSI).
-    The thread draws them through Streams(master_seed) and nothing else:
-    wait(c) blocks until the next chunk's rows are in and returns them,
-    and release() hands the buffer back for the chunk after, one handoff
-    per chunk.  What the thread raises is raised by wait.  Used as a
-    context manager, which starts the thread and, on every exit, stops
-    and joins it.  The numbers depend on the stream keys alone, so they
-    are the same whenever the thread runs.
+    The thread draws each chunk's rows in one Streams(master_seed).normals
+    call and does nothing else: wait(c) blocks until the next chunk's rows
+    are in and returns them, and release() hands the buffer back for the
+    chunk after, one handoff per chunk.  What the thread raises is raised
+    by wait.  Used as a context manager, which starts the thread and, on
+    every exit, stops and joins it.  The numbers depend on the stream
+    keys alone, so they are the same whenever the thread runs.
     """
 
     def __init__(self, master_seed: int, chunks: list[range],
@@ -223,9 +223,7 @@ class _ChunkDraws:
                 indices = [2 * t for t in chunk]
                 if error_rows.size:
                     indices += [2 * t + 1 for t in chunk]
-                drawn = streams.at(indices)
-                drawn[:c].normals(channel_rows)
-                drawn[c:].normals(error_rows)
+                streams.normals(indices, [channel_rows, error_rows])
                 self._drawn.release()
         except BaseException as exc:    # re-raised by wait in the caller
             self._error = exc
@@ -260,12 +258,13 @@ def _trial_chunks(config: SystemConfig, perfect: bool, master_seed: int,
     or, with a sampler, correlated Rician, and the estimation errors of
     error_variances(config, perfect) from substream 2t+1, each stream in
     one call; perfect CSI draws no error stream.  The master seed is
-    mixed once per call, and the keys of a chunk's streams are derived
-    together.  A helper thread draws the next chunk's normals
-    (_ChunkDraws) while this one builds the chunk before and its caller
-    evaluates it; the thread only draws, so the fills, the estimates and
-    the builds all run on the calling thread, and the thread is joined
-    on every exit of this generator, closed early or raising included.
+    mixed once per call, and a chunk's streams are drawn in one
+    Streams.normals call, which derives their keys together.  A helper
+    thread draws the next chunk's normals (_ChunkDraws) while this one
+    builds the chunk before and its caller evaluates it; the thread only
+    draws, so the fills, the estimates and the builds all run on the
+    calling thread, and the thread is joined on every exit of this
+    generator, closed early or raising included.
     Yields, per chunk of at most _chunk_trials(M, N, K) trials, the
     chunk's trial indices, the stacked true channels h_dl, h_ul, h_si,
     the estimates h_ext_hat (each downlink estimate over its SI estimate)

@@ -2,7 +2,7 @@
 
 Everything downstream (channel draws, precoders, combiners) is built on the
 small set of primitives in this module: seeded counter-based RNG substreams,
-whose Philox keys are derived a batch of streams at a time, complex
+whose Philox keys are derived for all of a draw's streams at once, complex
 Gaussian stacks scattered from drawn rows in one stream layout, a
 clamping Hermitian square root, one rank-revealing pseudo-inverse kernel
 that works in a reusable workspace (the left inverse is the transpose of
@@ -12,7 +12,6 @@ the zero-order Bessel function J0 used by the spatial-correlation model.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -143,21 +142,20 @@ class RngStream:
 
 
 class Streams:
-    """A batch of substreams of one master seed, drawn through one Philox.
+    """Substreams of one master seed, drawn through one re-keyed Philox.
 
-    Streams(master_seed) mixes the master seed once and holds no
-    streams.  at(indices) is the batch of the substreams
-    RngStream(master_seed, i), i in indices, in that order, whose Philox
-    keys it holds in keys: it mixes in only those indices.  batch[rows]
-    is the batch of a slice of a batch's streams.  normals draws each
-    stream by setting its key, at counter 0, on one Philox that all these
-    batches share, which gives the numbers of a fresh generator of that
-    stream bit for bit.  So they serve one caller at a time; threads each
-    use their own.  The numbers depend on the keys alone, not on which
-    thread draws them or when, and standard_normal releases the GIL while
-    it fills a row: the engine (metrics._trial_chunks) draws each chunk's
-    rows on a thread of its own, with its own Streams, while the calling
-    thread builds and evaluates the chunk before.
+    Streams(master_seed) mixes the master seed once.  normals(indices,
+    outs) derives the Philox keys of the substreams RngStream(master_seed,
+    i), i in indices, in one pass, and fills the rows of the 2-D arrays in
+    outs in order, one stream per row: the first row of outs[0] takes
+    indices[0].  Each stream is drawn by setting its key, at counter 0, on
+    the one Philox, which gives the numbers of a fresh generator of that
+    stream bit for bit.  So a Streams serves one caller at a time; threads
+    each use their own.  The numbers depend on the keys alone, not on
+    which thread draws them or when, and standard_normal releases the GIL
+    while it fills a row: the engine (metrics._trial_chunks) draws each
+    chunk's rows on a thread of its own, with its own Streams, while the
+    calling thread builds and evaluates the chunk before.
     """
 
     def __init__(self, master_seed: int) -> None:
@@ -166,33 +164,21 @@ class Streams:
         self._pool = _seed_pool(master_seed)
         self._philox = np.random.Philox(key=0)
         self._generator = np.random.Generator(self._philox)
-        self.keys = np.empty((0, 2), np.uint64)
 
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def _with_keys(self, keys: np.ndarray) -> Streams:
-        batch = copy.copy(self)
-        batch.keys = keys
-        return batch
-
-    def at(self, indices) -> Streams:
-        return self._with_keys(_stream_keys(self._pool, indices))
-
-    def __getitem__(self, rows: slice) -> Streams:
-        return self._with_keys(self.keys[rows])
-
-    def normals(self, out: np.ndarray) -> None:
-        """Fill row i of the 2-D out with the first standard normals of
-        stream i."""
+    def normals(self, indices, outs: list[np.ndarray]) -> None:
+        """Fill each row of the 2-D arrays in outs, in order, with the
+        first standard normals of the stream of the next of indices; rows
+        past the last index, such as zero-width ones, are left as they are."""
+        keys = iter(_stream_keys(self._pool, indices))
         state = {"bit_generator": "Philox",
                  "state": {"counter": np.zeros(4, np.uint64), "key": None},
                  "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0}
-        for row, key in zip(out, self.keys):
-            state["state"]["key"] = key
-            self._philox.state = state
-            self._generator.standard_normal(out=row)
+        for out in outs:
+            for row, key in zip(out, keys):
+                state["state"]["key"] = key
+                self._philox.state = state
+                self._generator.standard_normal(out=row)
 
 
 class Workspace:

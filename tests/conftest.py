@@ -2,6 +2,16 @@ import numpy as np
 import pytest
 
 from fdmimo import transceiver
+from fdmimo.numerics import Streams, _stream_width
+
+
+def drawn_rows(seed, indices, shapes):
+    """Rows of the standard normals that complex matrices of the given
+    (rows, cols) shapes take from the substreams of seed with the given
+    indices, one row per index, as the engine draws them."""
+    rows = np.empty((len(indices), _stream_width(shapes)))
+    Streams(seed).normals(indices, [rows])
+    return rows
 
 
 @pytest.fixture

@@ -31,8 +31,10 @@ from fdmimo.channel import (CorrelatedSampler, SystemConfig, _channel_stack,
                             generate_iid)
 from fdmimo.estimation import error_variances, estimate
 from fdmimo.metrics import residual_si
-from fdmimo.numerics import RngStream, Streams, _stream_width
+from fdmimo.numerics import RngStream
 from fdmimo.transceiver import SicMode, build
+
+from conftest import drawn_rows
 
 BASE_TRIALS = 10_000
 SEED = 1
@@ -108,14 +110,6 @@ def test_run_all_lines_match_the_golden(results):
 SMALL = SystemConfig(M=12, N=4, K=2)
 
 
-def _normals(seed, index, shapes):
-    """One row of the standard normals that complex matrices of the given
-    shapes take from substream index of seed."""
-    normals = np.empty((1, _stream_width(shapes)))
-    Streams(seed).at([index]).normals(normals)
-    return normals
-
-
 def _trial(variances, seed, t, sampler=None):
     """Trial t's true channels and estimates (h_dl_hat, h_ul_hat,
     h_si_hat) on SMALL, drawn as a stack of one trial; a sampler's SI
@@ -123,10 +117,10 @@ def _trial(variances, seed, t, sampler=None):
     truth = _channel_stack(SMALL, 1)
     shapes = [h.shape[1:] for h in truth]
     fill = generate_iid if sampler is None else sampler.sample
-    fill(_normals(seed, 2 * t, shapes), *truth)
+    fill(drawn_rows(seed, [2 * t], shapes), *truth)
     hats = tuple(np.empty_like(h) for h in truth)
     drawn = [shape for shape, v in zip(shapes, variances) if v]
-    estimate(variances, _normals(seed, 2 * t + 1, drawn), truth, hats,
+    estimate(variances, drawn_rows(seed, [2 * t + 1], drawn), truth, hats,
              None if sampler is None else sampler.si_amp)
     return tuple(h[0] for h in truth), tuple(h[0] for h in hats)
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from fdmimo.channel import (STRONGEST_SI_GAIN_DB, ConfigError,
                             CorrelatedSampler, SystemConfig, _channel_stack,
                             db_to_linear, generate_iid)
-from fdmimo.numerics import Streams, _stream_width
+
+from conftest import drawn_rows
 
 
 def small_config(**kw):
@@ -25,9 +26,7 @@ def _draw(fill, cfg, seed, indices):
     sample) makes from the normals drawn from the substreams of seed with
     the given indices."""
     h = _channel_stack(cfg, len(indices))
-    normals = np.empty((len(indices), _stream_width(x.shape[1:] for x in h)))
-    Streams(seed).at(indices).normals(normals)
-    fill(normals, *h)
+    fill(drawn_rows(seed, indices, [x.shape[1:] for x in h]), *h)
     return h
 
 

@@ -456,7 +456,7 @@ def test_check_all_pass_exits_0(monkeypatch, capsys):
                 report(r.line())
         return results
 
-    monkeypatch.setattr(cli.acceptance, "run_all", fake_run_all)
+    monkeypatch.setattr("fdmimo.acceptance.run_all", fake_run_all)
     assert cli.main(["check", "--trials", "250", "--seed", "3"]) == 0
     assert seen == {"trials": 250, "seed": 3}
     err = capsys.readouterr().err
@@ -465,7 +465,7 @@ def test_check_all_pass_exits_0(monkeypatch, capsys):
 
 
 def test_check_warns_below_its_design_trial_count(monkeypatch, capsys):
-    monkeypatch.setattr(cli.acceptance, "run_all",
+    monkeypatch.setattr("fdmimo.acceptance.run_all",
                         lambda base_trials, seed, config=None, report=None:
                         [])
     assert cli.main(["check", "--trials", "500"]) == 0
@@ -480,7 +480,7 @@ def test_check_warns_below_its_design_trial_count(monkeypatch, capsys):
 
 
 def test_check_failure_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(cli.acceptance, "run_all",
+    monkeypatch.setattr("fdmimo.acceptance.run_all",
                         lambda base_trials, seed, config=None, report=None:
                         _fake_results(2))
     assert cli.main(["check"]) == 2

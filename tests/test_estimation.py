@@ -8,23 +8,17 @@ from fdmimo.channel import (CorrelatedSampler, SystemConfig, _channel_stack,
                             generate_iid)
 from fdmimo.estimation import error_variances, estimate
 from fdmimo.metrics import _trial_chunks
-from fdmimo.numerics import RngStream, Streams, _stream_width
+from fdmimo.numerics import RngStream
 
-
-def _normals(seed, indices, stacks):
-    """Rows of the standard normals that the complex stacks take from the
-    substreams of seed with the given indices."""
-    normals = np.empty((len(indices),
-                        _stream_width(h.shape[1:] for h in stacks)))
-    Streams(seed).at(indices).normals(normals)
-    return normals
+from conftest import drawn_rows
 
 
 def _draw(seed=0, trials=1, cfg=SystemConfig(M=16, N=6, K=3)):
     """Stacks (h_dl, h_ul, h_si) of i.i.d. channels, trial i from
     substream i of seed."""
     truth = _channel_stack(cfg, trials)
-    generate_iid(_normals(seed, range(trials), truth), *truth)
+    shapes = [h.shape[1:] for h in truth]
+    generate_iid(drawn_rows(seed, range(trials), shapes), *truth)
     return truth
 
 
@@ -32,8 +26,8 @@ def _estimate(truth, variances, seed, indices):
     """Estimates of the channel stacks truth, trial i's errors from the
     substream of seed with index indices[i]."""
     hats = tuple(np.empty_like(h) for h in truth)
-    drawn = [h for h, v in zip(truth, variances) if v]
-    estimate(variances, _normals(seed, indices, drawn), truth, hats)
+    drawn = [h.shape[1:] for h, v in zip(truth, variances) if v]
+    estimate(variances, drawn_rows(seed, indices, drawn), truth, hats)
     return hats
 
 

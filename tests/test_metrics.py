@@ -25,18 +25,12 @@ from fdmimo.estimation import error_variances, estimate
 from fdmimo.experiments import default_scenario, run_scenario
 from fdmimo.metrics import (Curve, dl_sinr, monte_carlo, monte_carlo_sweep,
                             residual_si, sum_rate, ul_sinr)
-from fdmimo.numerics import RngStream, Streams, _stream_width
+from fdmimo.numerics import RngStream, Streams, Workspace
 from fdmimo.transceiver import SicMode, build
 
+from conftest import drawn_rows
+
 CFG_SMALL = SystemConfig(M=9, N=5, K=3)
-
-
-def _normals(seed, index, shapes):
-    """One row of the standard normals that complex matrices of the given
-    shapes take from substream index of seed."""
-    normals = np.empty((1, _stream_width(shapes)))
-    Streams(seed).at([index]).normals(normals)
-    return normals
 
 
 def _trial(seed=0, variances=(0.0, 0.0, 0.0), t=0, cfg=CFG_SMALL,
@@ -48,10 +42,10 @@ def _trial(seed=0, variances=(0.0, 0.0, 0.0), t=0, cfg=CFG_SMALL,
     truth = _channel_stack(cfg, 1)
     shapes = [h.shape[1:] for h in truth]
     fill = generate_iid if sampler is None else sampler.sample
-    fill(_normals(seed, 2 * t, shapes), *truth)
+    fill(drawn_rows(seed, [2 * t], shapes), *truth)
     hats = tuple(np.empty_like(h) for h in truth)
     drawn = [shape for shape, v in zip(shapes, variances) if v]
-    estimate(variances, _normals(seed, 2 * t + 1, drawn), truth, hats,
+    estimate(variances, drawn_rows(seed, [2 * t + 1], drawn), truth, hats,
              None if sampler is None else sampler.si_amp)
     return tuple(h[0] for h in truth), tuple(h[0] for h in hats)
 
@@ -393,9 +387,9 @@ def test_trial_chunks_equal_the_per_trial_draw_bit_for_bit(
     opened = []
     normals = Streams.normals
 
-    def counted(streams, out):
-        opened.extend(map(tuple, streams.keys))
-        return normals(streams, out)
+    def counted(streams, indices, outs):
+        opened.extend(indices)
+        return normals(streams, indices, outs)
     monkeypatch.setattr(Streams, "normals", counted)
     chunks = []
     for chunk, *arrays in metrics._trial_chunks(cfg, perfect, seed, trials,
@@ -408,8 +402,7 @@ def test_trial_chunks_equal_the_per_trial_draw_bit_for_bit(
     assert chunks == [[2, 3, 4], [5, 6, 7], [8]]    # a partial last chunk
     # each stream drawn once; perfect CSI draws from no error stream
     errors = [] if perfect else [2 * t + 1 for t in trials]
-    keys = Streams(seed).at([2 * t for t in trials] + errors).keys
-    assert sorted(opened) == sorted(map(tuple, keys))
+    assert sorted(opened) == sorted([2 * t for t in trials] + errors)
 
 
 def test_stream_set_up_does_not_grow_with_the_trial_count(monkeypatch):
@@ -720,11 +713,11 @@ def test_a_draw_error_reaches_the_caller_and_ends_the_thread(monkeypatch):
     normals = Streams.normals
     calls = []
 
-    def second_fails(streams, out):
-        calls.append(len(streams))
+    def second_fails(streams, indices, outs):
+        calls.append(indices)
         if len(calls) == 2:
             raise RuntimeError("the second draw failed")
-        return normals(streams, out)
+        return normals(streams, indices, outs)
     monkeypatch.setattr(Streams, "normals", second_fails)
     before = threading.active_count()
     raised = []
@@ -760,17 +753,15 @@ def test_sweep_reports_do_not_depend_on_the_draw_timing(monkeypatch,
     assert _paired_sweep() == want
 
 
-def test_the_engine_peak_memory_is_bounded():
+def test_the_engine_peak_memory_is_bounded(monkeypatch):
     # fig-correlated at the default 64/20/10 holds the engine's largest
     # working set: two modes, 16 points, two chunks of trials.  Its peak
     # is 3.02 MiB in chunks of 11 trials, the row buffer of drawn normals
-    # included (without that buffer it was 2.66 MiB in chunks of 12); in
-    # chunks of 12 it is 3.29 MiB, so a larger chunk budget fails here,
-    # and so does a second row buffer.  With the cyclic garbage
-    # collector off, whatever the sweep leaves in a reference cycle stays
-    # allocated after it returns.  The workspace's buffers, about 1 MiB,
-    # must not be among it; what is left is about 2 KiB of the
-    # interpreter's free lists and caches.
+    # included (without that buffer it was 2.66 MiB in chunks of 12).
+    # With the cyclic garbage collector off, whatever the sweep leaves in
+    # a reference cycle stays allocated after it returns.  The
+    # workspace's buffers, about 1 MiB, must not be among it; what is left
+    # is about 2 KiB of the interpreter's free lists and caches.
     cfg = SystemConfig()
     scenario = default_scenario("fig-correlated")
     configs = [dataclasses.replace(cfg, rho_t_db=x - cfg.beta_ue_db)
@@ -778,21 +769,41 @@ def test_the_engine_peak_memory_is_bounded():
     sampler = CorrelatedSampler(cfg)
     curves = [Curve(SicMode(token)) for token in scenario.modes]
 
-    def sweep(trials):
-        monte_carlo_sweep(configs, curves, trials=trials, master_seed=1,
-                          perfect=False, sampler=sampler)
+    def traced():
+        """Peak and what is left allocated, in MiB, of a two-chunk sweep."""
+        trials = 2 * metrics._chunk_trials(cfg.M, cfg.N, cfg.K)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            monte_carlo_sweep(configs, curves, trials=trials, master_seed=1,
+                              perfect=False, sampler=sampler)
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        return peak / 2**20, left / 2**20
 
-    sweep(1)    # NumPy's first-call allocations are not the engine's
-    gc.disable()
-    tracemalloc.start()
-    try:
-        sweep(2 * metrics._chunk_trials(cfg.M, cfg.N, cfg.K))
-        left, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-    assert peak < 3.25 * 2**20
-    assert left < 0.1 * 2**20
+    # NumPy's first-call allocations are not the engine's
+    monte_carlo_sweep(configs, curves, trials=1, master_seed=1,
+                      perfect=False, sampler=sampler)
+    peak, left = traced()
+    assert peak < 3.25
+    assert left < 0.1
+
+    # the mutant twins: chunks of 12 trials (a larger chunk budget) peak
+    # at 3.29 MiB, and a workspace kept in a reference cycle leaves
+    # 0.93 MiB behind
+    class CyclicWorkspace(Workspace):
+        def __init__(self):
+            super().__init__()
+            self.cycle = self
+
+    with monkeypatch.context() as mp:
+        mp.setattr(metrics, "_chunk_trials", lambda m, n, k: 12)
+        assert traced()[0] >= 3.25
+    with monkeypatch.context() as mp:
+        mp.setattr(metrics, "Workspace", CyclicWorkspace)
+        assert traced()[1] >= 0.1
 
 
 #: Minor page faults of the second of two 600-trial sweeps at the default
@@ -828,9 +839,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="counts the page faults of glibc's allocator")
-@pytest.mark.parametrize("modes, correlated, mmap_threshold, bound, twin", [
-    # 323 faults, the mutant 583
-    (("sps",), False, None, 400, False),
+@pytest.mark.parametrize("modes, correlated, mmap_threshold", [
     # with the thresholds pinned, every freed buffer of 256 KiB or more
     # goes back to the system, so each one allocated again faults again:
     # 11 997 faults, the mutant 24 662.  Unpinned, the freed chunk buffers
@@ -838,27 +847,28 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     # faults less (631 against 581); pinned at 128 KiB, the correlated
     # sampler's own per-chunk temporaries narrow the gap (28 410 against
     # 32 136)
-    (("stt", "sps"), True, 256 << 10, 18_000, True),
+    (("stt", "sps"), True, 256 << 10),
     # 15 069 faults, the mutant 21 739; 24 847 with a fresh buffer of
-    # drawn normals per chunk
-    (("sps",), False, 128 << 10, 18_000, False),
-], ids=["iid-sps", "correlated-stt-sps", "iid-sps-pinned-threshold"])
+    # drawn normals per chunk.  Unpinned, the count follows the heap's
+    # history, down to the length of the child's PYTHONPATH: 266-405
+    # faults, the mutant 445-581.  Pinned at 256 KiB the gap is too
+    # narrow (5 528 against 6 262)
+    (("sps",), False, 128 << 10),
+], ids=["correlated-stt-sps", "iid-sps-pinned-threshold"])
 def test_a_warmed_sweep_does_not_fault_its_pages_in_again(
-        modes, correlated, mmap_threshold, bound, twin):
+        modes, correlated, mmap_threshold):
     # A chunk's pseudo-inverse temporaries are large enough that glibc
     # hands them back to the system when they are freed, and every chunk
     # faulted them in again: about 17 400 minor faults for 600 i.i.d.
     # suppression trials.  In one reused workspace they fault once.  The
-    # sweep runs in a fresh interpreter, as under the CLI, because the
-    # allocator's thresholds adapt to what the process freed before;
-    # setting glibc's mmap threshold also stops them adapting.
+    # sweep runs in a fresh interpreter, as under the CLI, with glibc's
+    # mmap threshold pinned, because unpinned the allocator's thresholds
+    # adapt to what the process freed before.
     src = str(Path(fdmimo.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+               MKL_NUM_THREADS="1", MALLOC_MMAP_THRESHOLD_=str(mmap_threshold),
+               PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("MALLOC_MMAP_THRESHOLD_", None)
-    if mmap_threshold is not None:
-        env["MALLOC_MMAP_THRESHOLD_"] = str(mmap_threshold)
 
     def faults(mutant):
         script = _WARMED_SWEEP_FAULTS.format(modes=modes,
@@ -870,8 +880,8 @@ def test_a_warmed_sweep_does_not_fault_its_pages_in_again(
         assert proc.returncode == 0, proc.stderr
         return int(proc.stdout)
 
+    bound = 18_000
     assert faults(False) < bound
-    if twin:
-        # the mutant twin breaks the bound, so the bound still tells a
-        # reused workspace from none
-        assert faults(True) >= bound
+    # the mutant twin breaks the bound, so the bound still tells a reused
+    # workspace from none
+    assert faults(True) >= bound

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 import fdmimo.numerics as numerics
 from fdmimo.numerics import (_GRAM_FAST_LIMIT, _SVD_RESIDUAL_LIMIT,
                              RngStream, Streams, _complex_gaussians,
-                             _seed_pool, _stream_keys, _stream_width,
+                             _seed_pool, _stream_keys,
                              _svd_pseudo_inverse,
                              bessel_j0, hermitian_sqrt, left_pseudo_inverse,
                              right_pseudo_inverse)
+
+from conftest import drawn_rows
 
 
 # ---------------------------------------------------------------- RngStream
@@ -82,21 +84,22 @@ def test_stream_keys_reject_negative_indices():
 
 @pytest.mark.parametrize("seed", [0, 2**64 + 3])
 def test_rekeyed_philox_draws_the_seed_sequence_streams(seed):
-    # the re-keyed Philox of a batch, its at and its slices, and
-    # RngStream.generator all draw a fresh SeedSequence generator's normals
+    # the re-keyed Philox, after a draw of another stream and filling
+    # rows of two outs of different widths, and RngStream.generator all
+    # draw a fresh SeedSequence generator's normals
     indices = [3, 2**32 + 1, 0]
-    batch = Streams(seed).at([7])
-    for streams in (Streams(seed).at(indices), batch.at(indices),
-                    batch.at([5, *indices])[1:]):
-        out = np.empty((len(indices), 11))
-        streams.normals(out)
-        for row, index in zip(out, indices):
-            fresh = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(seed, spawn_key=(index,))))
-            want = fresh.standard_normal(11)
-            assert np.array_equal(row, want)
-            assert np.array_equal(
-                RngStream(seed, index).generator().standard_normal(11), want)
+    streams = Streams(seed)
+    streams.normals([7], [np.empty((1, 5))])
+    outs = [np.empty((1, 11)), np.empty((2, 6))]
+    streams.normals(indices, outs)
+    for row, index in zip([*outs[0], *outs[1]], indices):
+        fresh = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=(index,))))
+        want = fresh.standard_normal(row.size)
+        assert np.array_equal(row, want)
+        assert np.array_equal(
+            RngStream(seed, index).generator().standard_normal(row.size),
+            want)
 
 
 # ------------------------------------------------------- complex Gaussians
@@ -105,24 +108,15 @@ def _complex_stack(*shape):
     return np.full(shape, np.nan, dtype=complex)
 
 
-def _normals(seed, indices, outs):
-    """Rows of the standard normals that the complex stacks outs take
-    from the substreams of seed with the given indices."""
-    normals = np.empty((len(indices),
-                        _stream_width(out.shape[1:] for out in outs)))
-    Streams(seed).at(indices).normals(normals)
-    return normals
-
-
 def test_complex_gaussian_zero_variance_is_exact_zero():
     z = _complex_stack(1, 3, 5)
-    _complex_gaussians(_normals(1, [0], [z]), [z], [0.0])
+    _complex_gaussians(drawn_rows(1, [0], [z.shape[1:]]), [z], [0.0])
     assert np.all(z == 0.0)
 
 
 def test_complex_gaussian_moments():
     z = _complex_stack(1, 400, 500)
-    _complex_gaussians(_normals(11, [0], [z]), [z], [2.5])
+    _complex_gaussians(drawn_rows(11, [0], [z.shape[1:]]), [z], [2.5])
     power = np.mean(np.abs(z) ** 2)
     assert abs(power - 2.5) < 0.02
     # circular symmetry: real and imaginary parts carry half the power each
@@ -135,7 +129,8 @@ def test_complex_gaussians_follow_the_stream_layout():
     # its real parts then its imaginary parts, row-major; equal bit for bit
     # to separate draws of each part and the complex product
     a, b = _complex_stack(2, 2, 3), _complex_stack(2, 4, 1)
-    _complex_gaussians(_normals(5, [2, 9], [a, b]), [a, b], [1.0, 0.3])
+    _complex_gaussians(drawn_rows(5, [2, 9], [a.shape[1:], b.shape[1:]]),
+                       [a, b], [1.0, 0.3])
     for i, index in enumerate([2, 9]):
         gen = RngStream(5, index).generator()
         for out, variance in ((a, 1.0), (b, 0.3)):

@@ -212,8 +212,8 @@ def test_the_checks_find_what_they_look_for():
 def test_importing_the_package_loads_no_module_it_does_not_need():
     # concurrent.futures alone takes about 9 ms to import, about a tenth
     # of a run's set-up; acceptance and multiprocessing are fdmimo
-    # check's.  The engine's draw thread needs threading, which NumPy
-    # imports anyway.
+    # check's, so the CLI imports them for that command alone.  The
+    # engine's draw thread needs threading, which NumPy imports anyway.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
 
@@ -228,5 +228,6 @@ def test_importing_the_package_loads_no_module_it_does_not_need():
         return proc.stdout
 
     assert loaded("import fdmimo") == "[]\n"
+    assert loaded("import fdmimo.cli") == "[]\n"
     # the mutant twin: a package that imported the executors would show
     assert loaded("import fdmimo\nimport concurrent.futures") != "[]\n"

@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 import fdmimo.transceiver as transceiver
 from fdmimo.channel import SystemConfig, _channel_stack, generate_iid
 from fdmimo.estimation import estimate
-from fdmimo.numerics import (RngStream, Streams, Workspace, _stream_width,
+from fdmimo.numerics import (RngStream, Workspace, _stream_width,
                              left_pseudo_inverse, right_pseudo_inverse)
 from fdmimo.transceiver import SicMode, build
+
+from conftest import drawn_rows
 
 
 def _hats(m=16, n=6, k=3, seed=0, variances=(0.0, 0.0, 0.0)):
@@ -15,8 +17,7 @@ def _hats(m=16, n=6, k=3, seed=0, variances=(0.0, 0.0, 0.0)):
     error variances, drawn as a stack of one trial."""
     truth = _channel_stack(SystemConfig(M=m, N=n, K=k), 1)
     shapes = [h.shape[1:] for h in truth]
-    normals = np.empty((2, _stream_width(shapes)))
-    Streams(seed).at([0, 1]).normals(normals)
+    normals = drawn_rows(seed, [0, 1], shapes)
     generate_iid(normals[:1], *truth)
     hats = tuple(np.empty_like(h) for h in truth)
     drawn = [shape for shape, v in zip(shapes, variances) if v]
