@@ -231,7 +231,8 @@ class CorrelatedSampler:
         self._nlos_amp = np.sqrt(1.0 / (KAPPA + 1.0))
 
     def sample(self, normals: np.ndarray, h_dl: np.ndarray,
-               h_ul: np.ndarray, h_si: np.ndarray) -> None:
+               h_ul: np.ndarray, h_si: np.ndarray,
+               scratch: tuple | None = None) -> None:
         """Fill stacks of correlated Rician realizations, trial i from
         row i of normals, its stream's drawn standard normals, which hold
         the three i.i.d. matrices of generate_iid.
@@ -241,13 +242,18 @@ class CorrelatedSampler:
         scaled entrywise by si_amp.  Each product
         is stacked over the trials against one 2-D factor, which equals
         the per-trial product bit for bit; the SI expression keeps its
-        grouping, since distributing it changes the last bits.
+        grouping, since distributing it changes the last bits.  The
+        i.i.d. matrices go into scratch, stacks shaped as h_dl, h_ul and
+        h_si that are overwritten (fresh ones when None), and the left SI
+        product into h_si, so with scratch no stack is allocated here.
         """
-        x_dl, x_ul, x_si = (np.empty_like(h) for h in (h_dl, h_ul, h_si))
+        x_dl, x_ul, x_si = scratch or (np.empty_like(h)
+                                       for h in (h_dl, h_ul, h_si))
         generate_iid(normals, x_dl, x_ul, x_si)
         np.matmul(x_dl, self.r_tx_sqrt, out=h_dl)
         np.matmul(self.r_rx_sqrt, x_ul, out=h_ul)
         x_si *= self._nlos_amp
         x_si += self._los
-        np.matmul(self.r_rx_sqrt @ x_si, self.r_tx_sqrt, out=h_si)
-        h_si *= self.si_amp
+        np.matmul(self.r_rx_sqrt, x_si, out=h_si)
+        np.matmul(h_si, self.r_tx_sqrt, out=x_si)
+        np.multiply(x_si, self.si_amp, out=h_si)

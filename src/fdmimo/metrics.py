@@ -26,6 +26,7 @@ estimated SI rows.
 from __future__ import annotations
 
 import math
+import queue
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -177,78 +178,6 @@ def _chunk_trials(m: int, n: int, k: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * entries))
 
 
-class _ChunkDraws:
-    """The standard normals of a run's chunks of trials, each chunk drawn
-    on a thread of its own while the caller works on the chunk before.
-
-    One row buffer, allocated here, holds a chunk's channel rows (one per
-    trial, from substream 2t, widths[0] normals each) and then its error
-    rows (from substream 2t + 1, widths[1] each; none under perfect CSI).
-    The thread draws each chunk's rows in one Streams(master_seed).normals
-    call and does nothing else: wait(c) blocks until the next chunk's rows
-    are in and returns them, and release() hands the buffer back for the
-    chunk after, one handoff per chunk.  What the thread raises is raised
-    by wait.  Used as a context manager, which starts the thread and, on
-    every exit, stops and joins it.  The numbers depend on the stream
-    keys alone, so they are the same whenever the thread runs.
-    """
-
-    def __init__(self, master_seed: int, chunks: list[range],
-                 widths: tuple[int, int]) -> None:
-        self._chunks = chunks
-        self._widths = widths
-        self._rows = np.empty(max(map(len, chunks), default=0) * sum(widths))
-        self._free = threading.Semaphore(1)
-        self._drawn = threading.Semaphore(0)
-        self._stop = False
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._draw,
-                                        args=(master_seed,), daemon=True)
-
-    def _views(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        channel, error = self._widths
-        return (self._rows[:c * channel].reshape(c, channel),
-                self._rows[c * channel:c * (channel + error)].reshape(c, error))
-
-    def _draw(self, master_seed: int) -> None:
-        try:
-            streams = Streams(master_seed)
-            for chunk in self._chunks:
-                self._free.acquire()
-                if self._stop:
-                    return
-                c = len(chunk)
-                channel_rows, error_rows = self._views(c)
-                # The channel streams 2t, then any error streams 2t + 1.
-                indices = [2 * t for t in chunk]
-                if error_rows.size:
-                    indices += [2 * t + 1 for t in chunk]
-                streams.normals(indices, [channel_rows, error_rows])
-                self._drawn.release()
-        except BaseException as exc:    # re-raised by wait in the caller
-            self._error = exc
-            self._drawn.release()
-
-    def wait(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        self._drawn.acquire()
-        if self._error is not None:
-            raise self._error
-        return self._views(c)
-
-    def release(self) -> None:
-        self._free.release()
-
-    def __enter__(self) -> _ChunkDraws:
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        del exc_info
-        self._stop = True
-        self._free.release()
-        self._thread.join()
-
-
 def _trial_chunks(config: SystemConfig, perfect: bool, master_seed: int,
                   trials: range, modes,
                   sampler: CorrelatedSampler | None = None):
@@ -259,12 +188,16 @@ def _trial_chunks(config: SystemConfig, perfect: bool, master_seed: int,
     error_variances(config, perfect) from substream 2t+1, each stream in
     one call; perfect CSI draws no error stream.  The master seed is
     mixed once per call, and a chunk's streams are drawn in one
-    Streams.normals call, which derives their keys together.  A helper
-    thread draws the next chunk's normals (_ChunkDraws) while this one
-    builds the chunk before and its caller evaluates it; the thread only
-    draws, so the fills, the estimates and the builds all run on the
-    calling thread, and the thread is joined on every exit of this
-    generator, closed early or raising included.
+    Streams.normals call, which derives their keys together, into one
+    row buffer: the chunk's channel rows, then its error rows.  A helper
+    thread draws one chunk ahead.  It takes each chunk's trial range
+    from one queue and puts the chunk's rows, or what its draw raised, on
+    another; the next chunk's range goes in as soon as this chunk's rows
+    are filled and estimated, so the thread draws while this one builds
+    the chunk and its caller evaluates it.  The thread only draws, so the
+    fills, the estimates and the builds all run on the calling thread;
+    what a draw raised is raised here, and the thread is joined on every
+    exit of this generator, closed early or raising included.
     Yields, per chunk of at most _chunk_trials(M, N, K) trials, the
     chunk's trial indices, the stacked true channels h_dl, h_ul, h_si,
     the estimates h_ext_hat (each downlink estimate over its SI estimate)
@@ -277,16 +210,13 @@ def _trial_chunks(config: SystemConfig, perfect: bool, master_seed: int,
     generator, that the next chunk overwrites.
     """
     m, n, k = config.M, config.N, config.K
-    if sampler is None:
-        fill, si_amp = generate_iid, None
-    else:
-        # The SI estimation error follows the local channel power, to keep
-        # the NMSE meaningful per element.
-        fill, si_amp = sampler.sample, sampler.si_amp
+    # The SI estimation error follows the local channel power, to keep
+    # the NMSE meaningful per element.
+    si_amp = None if sampler is None else sampler.si_amp
     variances = error_variances(config, perfect)
     shapes = [(k, m), (n, k), (n, m)]
-    widths = (_stream_width(shapes),
-              _stream_width([s for s, v in zip(shapes, variances) if v]))
+    channel_width = _stream_width(shapes)
+    error_width = _stream_width([s for s, v in zip(shapes, variances) if v])
     size = max(1, min(len(trials), _chunk_trials(m, n, k)))
     chunks = [trials[start:start + size]
               for start in range(0, len(trials), size)]
@@ -294,18 +224,52 @@ def _trial_chunks(config: SystemConfig, perfect: bool, master_seed: int,
     h_ext_hat = np.empty((size, k + n, m), dtype=complex)
     h_ul_hat = np.empty((size, n, k), dtype=complex)
     workspace = Workspace()
-    with _ChunkDraws(master_seed, chunks, widths) as draws:
+    rows = np.empty(size * (channel_width + error_width))
+    streams = Streams(master_seed)
+    ranges, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def draw() -> None:
+        for chunk in iter(ranges.get, None):
+            c = len(chunk)
+            views = [rows[:c * channel_width].reshape(c, channel_width),
+                     rows[c * channel_width:][:c * error_width]
+                     .reshape(c, error_width)]
+            # The channel streams 2t, then any error streams 2t + 1.
+            indices = [2 * t for t in chunk]
+            if error_width:
+                indices += [2 * t + 1 for t in chunk]
+            try:
+                streams.normals(indices, views)
+            except BaseException as exc:    # raised in the caller
+                drawn.put(exc)
+            else:
+                drawn.put(views)
+
+    thread = threading.Thread(target=draw, daemon=True)
+    thread.start()
+    try:
+        pending = iter(chunks)
+        ranges.put(next(pending, None))
         for chunk in chunks:
+            result = drawn.get()
+            if isinstance(result, BaseException):
+                raise result
+            channel_rows, error_rows = result
             c = len(chunk)
             channels = (h_dl[:c], h_ul[:c], h_si[:c])
-            channel_rows, error_rows = draws.wait(c)
-            fill(channel_rows, *channels)
-            estimate(variances, error_rows, channels,
-                     (h_ext_hat[:c, :k], h_ul_hat[:c], h_ext_hat[:c, k:]),
-                     si_amp)
-            draws.release()
+            estimates = (h_ext_hat[:c, :k], h_ul_hat[:c], h_ext_hat[:c, k:])
+            if sampler is None:
+                generate_iid(channel_rows, *channels)
+            else:
+                # The estimates' buffers are free until estimate writes them.
+                sampler.sample(channel_rows, *channels, scratch=estimates)
+            estimate(variances, error_rows, channels, estimates, si_amp)
+            ranges.put(next(pending, None))
             hats = (h_ext_hat[:c], h_ul_hat[:c])
             yield (chunk, *channels, *hats, *build(modes, *hats, workspace))
+    finally:
+        ranges.put(None)
+        thread.join()
 
 
 def monte_carlo_sweep(configs: Sequence[SystemConfig],

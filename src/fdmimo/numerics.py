@@ -153,9 +153,10 @@ class Streams:
     stream bit for bit.  So a Streams serves one caller at a time; threads
     each use their own.  The numbers depend on the keys alone, not on
     which thread draws them or when, and standard_normal releases the GIL
-    while it fills a row: the engine (metrics._trial_chunks) draws each
-    chunk's rows on a thread of its own, with its own Streams, while the
-    calling thread builds and evaluates the chunk before.
+    while it fills a row: the engine (metrics._trial_chunks) makes one
+    Streams per run, from which only its draw thread draws, one chunk
+    ahead of the calling thread, which builds and evaluates the chunk
+    before.
     """
 
     def __init__(self, master_seed: int) -> None:

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -10,6 +10,7 @@ away.  The checks walk the syntax tree of every module:
 - every module-level import is used, or carries ``# noqa: F401`` to say
   that the name is there for other modules to import.  The package's
   ``__init__`` re-exports its public names and is not checked for this;
+  the test modules are;
 - every public top-level function or class, and every public method, has
   a reader outside the tests: a name or attribute read of it in the
   package apart from its own definition, an import into the package
@@ -95,7 +96,8 @@ def test_every_parameter_is_read_or_deleted(path):
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "__init__.py"],
+    "path", [p for p in MODULES if p.name != "__init__.py"]
+    + sorted((ROOT / "tests").glob("*.py")),
     ids=lambda p: p.name)
 def test_every_import_is_used_or_marked(path):
     source = path.read_text(encoding="utf-8")
@@ -213,7 +215,8 @@ def test_importing_the_package_loads_no_module_it_does_not_need():
     # concurrent.futures alone takes about 9 ms to import, about a tenth
     # of a run's set-up; acceptance and multiprocessing are fdmimo
     # check's, so the CLI imports them for that command alone.  The
-    # engine's draw thread needs threading, which NumPy imports anyway.
+    # engine's draw thread needs threading, which NumPy imports anyway,
+    # and queue, which takes under 1 ms.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
 
