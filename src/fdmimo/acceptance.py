@@ -7,7 +7,7 @@ from the calling thread, then criterion 9, which waits on runs of its
 own, in a second one, and the rest on the calling thread.  The same
 checks back both the ``fdmimo check`` CLI subcommand and the acceptance
 test module.  base_trials scales the Monte Carlo effort (the documented
-tolerances assume the default 10000).
+tolerances assume ``fdmimo check``'s default, cli._CHECK_DESIGN_TRIALS).
 """
 
 from __future__ import annotations
@@ -511,7 +511,7 @@ def _receive(conn, child, number: int) -> CriterionResult | BaseException:
     return pickle.loads(data)
 
 
-def run_all(base_trials: int = 10_000, seed: int = 1,
+def run_all(base_trials: int, seed: int,
             config: SystemConfig | None = None,
             report: Callable[[str], None] | None = None
             ) -> list[CriterionResult]:

@@ -2,12 +2,13 @@
 
 Everything downstream (channel draws, precoders, combiners) is built on the
 small set of primitives in this module: seeded counter-based RNG substreams,
-whose Philox keys are derived for all of a draw's streams at once, complex
-Gaussian stacks scattered from drawn rows in one stream layout, a
-clamping Hermitian square root, one rank-revealing pseudo-inverse kernel
-that works in a reusable workspace (the left inverse is the transpose of
-a right one), and
-the zero-order Bessel function J0 used by the spatial-correlation model.
+whose Philox keys are derived from NumPy's SeedSequence pool of the master
+seed for all of a draw's streams at once, complex Gaussian stacks
+scattered from drawn rows in one stream layout, one rank-revealing
+pseudo-inverse kernel that works in a reusable workspace (the left inverse
+is the transpose of a right one), and, for the spatial-correlation model
+alone, a clamping square root of a symmetric positive semidefinite matrix
+and the zero-order Bessel function J0 of finite arguments.
 """
 
 from __future__ import annotations
@@ -43,30 +44,17 @@ def _mix(x, y):
 
 
 def _seed_pool(master_seed: int) -> tuple[list[int], int]:
-    """The entropy pool of SeedSequence(master_seed, spawn_key=key) after
-    the master seed's words, and the hash constant its spawn-key words
-    continue with.  Neither depends on the key, so a run mixes them once.
+    """The entropy pool of SeedSequence(master_seed), which is that of
+    SeedSequence(master_seed, spawn_key=key) after the master seed's
+    words, and the hash constant its spawn-key words continue with.
+    Neither depends on the key, so a run takes them once.  The pool took
+    one hashmix step, each multiplying the constant by _MULT_A, per pool
+    word, per ordered pair of them and per pool word for each seed word
+    past the fourth: 4 max(4, words) steps in all.
     """
-    words = [master_seed & _MASK32]
-    while master_seed >> 32 * len(words):
-        words.append(master_seed >> 32 * len(words) & _MASK32)
-    # A spawn key pads the seed's words with zeros to the pool size.
-    words += [0] * (4 - len(words))
-    const = _INIT_A
-    pool = []
-    for word in words[:4]:
-        h, const = _hashmix(word, const)
-        pool.append(h)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                h, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], h)
-    for word in words[4:]:
-        for dst in range(4):
-            h, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], h)
-    return pool, const
+    pool = np.random.SeedSequence(master_seed).pool.tolist()
+    words = (int(master_seed).bit_length() + 31) // 32
+    return pool, _INIT_A * pow(_MULT_A, 4 * max(4, words), 1 << 32) & _MASK32
 
 
 def _hash_consts(const: int, mult: int) -> tuple[np.ndarray, int]:
@@ -144,24 +132,22 @@ class RngStream:
 class Streams:
     """Substreams of one master seed, drawn through one re-keyed Philox.
 
-    Streams(master_seed) mixes the master seed once.  normals(indices,
-    outs) derives the Philox keys of the substreams RngStream(master_seed,
-    i), i in indices, in one pass, and fills the rows of the 2-D arrays in
-    outs in order, one stream per row: the first row of outs[0] takes
-    indices[0].  Each stream is drawn by setting its key, at counter 0, on
-    the one Philox, which gives the numbers of a fresh generator of that
-    stream bit for bit.  So a Streams serves one caller at a time; threads
-    each use their own.  The numbers depend on the keys alone, not on
-    which thread draws them or when, and standard_normal releases the GIL
-    while it fills a row: the engine (metrics._trial_chunks) makes one
-    Streams per run, from which only its draw thread draws, one chunk
-    ahead of the calling thread, which builds and evaluates the chunk
-    before.
+    Streams(master_seed) takes the master seed's SeedSequence pool once,
+    which rejects a negative seed.  normals(indices, outs) derives the
+    Philox keys of the substreams RngStream(master_seed, i), i in indices,
+    in one pass, and fills the rows of the 2-D arrays in outs in order,
+    one stream per row: the first row of outs[0] takes indices[0].  Each
+    stream is drawn by setting its key, at counter 0, on the one Philox,
+    which gives the numbers of a fresh generator of that stream bit for
+    bit.  So a Streams serves one caller at a time; threads each use their
+    own.  The numbers depend on the keys alone, not on which thread draws
+    them or when, and standard_normal releases the GIL while it fills a
+    row: the engine (metrics._trial_chunks) makes one Streams per run,
+    from which only its draw thread draws, one chunk ahead of the calling
+    thread, which builds and evaluates the chunk before.
     """
 
     def __init__(self, master_seed: int) -> None:
-        if master_seed < 0:
-            raise ValueError("master_seed must be a nonnegative integer")
         self._pool = _seed_pool(master_seed)
         self._philox = np.random.Philox(key=0)
         self._generator = np.random.Generator(self._philox)
@@ -244,19 +230,13 @@ def _complex_gaussians(normals: np.ndarray, outs: list[np.ndarray],
 
 
 def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian positive semidefinite matrix.
+    """Principal square root of a Hermitian positive semidefinite matrix,
+    which a is taken to be: eigh reads its lower triangle only.
 
     Eigenvalues that are slightly negative due to roundoff (down to
     -1e-8 times the largest eigenvalue) are clamped to zero; anything more
     negative means the input is genuinely indefinite and is rejected.
     """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("hermitian_sqrt expects a square matrix")
-    norm = np.linalg.norm(a)
-    asym = np.linalg.norm(a - a.conj().T)
-    if asym > 1e-10 * max(norm, 1e-300):
-        raise ValueError("input is not Hermitian to within 1e-10 relative")
     vals, vecs = np.linalg.eigh(a)
     scale = max(float(vals[-1]), 0.0)
     if vals[0] < -1e-8 * scale or (scale == 0.0 and vals[0] < 0.0):
@@ -402,7 +382,7 @@ def left_pseudo_inverse(a: np.ndarray, workspace: Workspace | None = None,
 
 
 def bessel_j0(x):
-    """Bessel function of the first kind of order zero.
+    """Bessel function of the first kind of order zero, of finite x.
 
     The midpoint rule on J0(x) = (1/pi) int_0^pi cos(x cos t) dt, which
     converges geometrically for this periodic integrand (Trefethen and
@@ -410,20 +390,14 @@ def bessel_j0(x):
     below 1e-14 on |x| <= 1000.  Each distinct |x| is evaluated once, in
     blocks of at most _J0_BLOCK node-argument pairs; the nodes are summed
     strictly in order (cumsum, not a pairwise sum), so the result does not
-    depend on the block size.  Accepts scalars or arrays; NaN and +-inf
-    give NaN.
+    depend on the block size.  The result has x's shape.
     """
-    arr = np.asarray(x, dtype=float)
-    ax, inverse = np.unique(np.abs(arr).ravel(), return_inverse=True)
-    nodes = int(ax[np.isfinite(ax)].max(initial=0.0)) + 40
+    ax, inverse = np.unique(np.abs(x), return_inverse=True)
+    nodes = int(ax.max(initial=0.0)) + 40
     c = np.cos((np.arange(nodes) + 0.5) * (np.pi / nodes))
     step = max(1, _J0_BLOCK // max(1, ax.size))
     total = np.zeros_like(ax)
-    with np.errstate(invalid="ignore"):
-        for start in range(0, nodes, step):
-            block = np.cos(np.outer(c[start:start + step], ax))
-            total = np.cumsum(np.vstack([total, block]), axis=0)[-1]
-    out = (total / nodes)[inverse].reshape(arr.shape)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    for start in range(0, nodes, step):
+        block = np.cos(np.outer(c[start:start + step], ax))
+        total = np.cumsum(np.vstack([total, block]), axis=0)[-1]
+    return (total / nodes)[inverse].reshape(np.shape(x))

@@ -27,14 +27,13 @@ from fdmimo import acceptance, metrics
 from fdmimo.acceptance import (_Z99, CriterionResult,
                                criterion_paired_residual_si,
                                criterion_zero_forcing_residuals, run_all)
-from fdmimo.channel import (CorrelatedSampler, SystemConfig, _channel_stack,
-                            generate_iid)
-from fdmimo.estimation import error_variances, estimate
+from fdmimo.channel import CorrelatedSampler, SystemConfig
+from fdmimo.estimation import error_variances
 from fdmimo.metrics import residual_si
 from fdmimo.numerics import RngStream
 from fdmimo.transceiver import SicMode, build
 
-from conftest import drawn_rows
+from conftest import chunks_of, drawn_trial, one_draw_build
 
 BASE_TRIALS = 10_000
 SEED = 1
@@ -110,35 +109,10 @@ def test_run_all_lines_match_the_golden(results):
 SMALL = SystemConfig(M=12, N=4, K=2)
 
 
-def _trial(variances, seed, t, sampler=None):
-    """Trial t's true channels and estimates (h_dl_hat, h_ul_hat,
-    h_si_hat) on SMALL, drawn as a stack of one trial; a sampler's SI
-    error is scaled by its path gains, as the correlated engine does."""
-    truth = _channel_stack(SMALL, 1)
-    shapes = [h.shape[1:] for h in truth]
-    fill = generate_iid if sampler is None else sampler.sample
-    fill(drawn_rows(seed, [2 * t], shapes), *truth)
-    hats = tuple(np.empty_like(h) for h in truth)
-    drawn = [shape for shape, v in zip(shapes, variances) if v]
-    estimate(variances, drawn_rows(seed, [2 * t + 1], drawn), truth, hats,
-             None if sampler is None else sampler.si_amp)
-    return tuple(h[0] for h in truth), tuple(h[0] for h in hats)
-
-
-def _build(mode, hats):
-    """One draw's precoder and combiner for mode, built as a stack of one
-    draw."""
-    dl, ul, si = hats
-    w, built = build((mode,), np.vstack([dl, si])[None], ul[None])
-    g, failed = built[mode]
-    assert not failed[0]
-    return g[0], w[0]
-
-
 def test_criterion_4_matches_a_per_trial_build_loop(monkeypatch):
     # chunks of 3: both the 50 i.i.d. and the 20 correlated trials end in
     # a partial chunk; the loop is the reference
-    monkeypatch.setattr("fdmimo.metrics._chunk_trials", lambda m, n, k: 3)
+    chunks_of(monkeypatch, 3)
     built = []
 
     def recording_build(modes, h_ext_hat, h_ul_hat, *args, **kwargs):
@@ -154,11 +128,12 @@ def test_criterion_4_matches_a_per_trial_build_loop(monkeypatch):
     worst_comb = 0.0
     ests = []
     for i in range(iid_trials + corr_trials):
-        _, hats = _trial(variances, seed, i,
-                         sampler if i >= iid_trials else None)
+        _, hats = drawn_trial(SMALL, seed, variances, i,
+                              sampler if i >= iid_trials else None)
         ests.append(hats)
         dl_hat, ul_hat, si_hat = hats
-        g, w = _build(SicMode.SPATIAL_SUPPRESSION, hats)
+        g, w, failed = one_draw_build(SicMode.SPATIAL_SUPPRESSION, hats)
+        assert not failed
         null = np.linalg.norm(si_hat @ g)
         null_rel = null / (np.linalg.norm(si_hat) * np.linalg.norm(g))
         comb = np.linalg.norm(w @ ul_hat - np.eye(SMALL.K))
@@ -185,15 +160,16 @@ def test_criterion_4_fails_on_a_failed_transceiver(every_inverse_fails):
 
 def test_criterion_5_matches_a_per_trial_build_loop(monkeypatch):
     # chunks of 3 with a partial last one; the loop is the reference
-    monkeypatch.setattr("fdmimo.metrics._chunk_trials", lambda m, n, k: 3)
+    chunks_of(monkeypatch, 3)
     trials, seed = 23, 1
     variances = error_variances(SMALL, perfect=False)
     diffs = np.empty(trials)
     for t in range(trials):
-        (_, _, h_si), hats = _trial(variances, seed, t)
+        (_, _, h_si), hats = drawn_trial(SMALL, seed, variances, t)
         om = {}
         for mode in (SicMode.SUBTRACTION, SicMode.SPATIAL_SUPPRESSION):
-            g, w = _build(mode, hats)
+            g, w, failed = one_draw_build(mode, hats)
+            assert not failed
             om[mode] = residual_si(mode, w, h_si, hats[2], g)
         diffs[t] = float(np.mean(om[SicMode.SPATIAL_SUPPRESSION])
                          - np.mean(om[SicMode.SUBTRACTION]))
@@ -294,7 +270,9 @@ def test_criterion_3_kernel_peak_memory():
 @pytest.fixture(scope="module")
 def small_run():
     """run_all on SMALL at a few base trials, recording the thread of each
-    report and of each RngStream.generator call."""
+    report and of each RngStream.generator call, with every warning an
+    error: Python 3.12 and later warn when a process with several OS
+    threads forks, as one with unpinned OpenBLAS threads does."""
     calls = []
     generator = RngStream.generator
 
@@ -305,7 +283,8 @@ def small_run():
     def report(line):
         calls.append((line, threading.current_thread()))
 
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
         mp.setattr(RngStream, "generator", recording_generator)
         results = run_all(base_trials=4, seed=11, config=SMALL,
                           report=report)
@@ -561,12 +540,3 @@ def test_run_all_without_fork_runs_no_criterion(monkeypatch):
     with pytest.raises(acceptance.CriterionError, match="os.fork"):
         run_all(base_trials=1, seed=0, config=SMALL)
     assert ran == []
-
-
-def test_run_all_raises_no_warning():
-    # Python 3.12 and later warn when a process with several OS threads
-    # forks, as one with unpinned OpenBLAS threads does
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        results = run_all(base_trials=4, seed=11, config=SMALL)
-    assert [r.number for r in results] == list(range(1, 10))

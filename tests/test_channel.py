@@ -12,7 +12,7 @@ from fdmimo.channel import (STRONGEST_SI_GAIN_DB, ConfigError,
                             CorrelatedSampler, SystemConfig, _channel_stack,
                             db_to_linear, generate_iid)
 
-from conftest import drawn_rows
+from conftest import drawn_rows, with_rician
 
 
 def small_config(**kw):
@@ -292,21 +292,11 @@ def _uncorrelated(sampler, si_amp=None):
     return sampler
 
 
-def _rician(sampler, kappa, sigma_si):
-    """The sampler with the LOS matrix and NLOS amplitude of Rician
-    factor kappa and LOS amplitude sigma_si, set after construction."""
-    cfg = sampler.config
-    sampler._los = (np.sqrt(kappa / (kappa + 1.0)) * sigma_si
-                    * np.ones((cfg.N, cfg.M)))
-    sampler._nlos_amp = np.sqrt(1.0 / (kappa + 1.0))
-    return sampler
-
-
 def test_identity_overrides_reduce_to_iid_draw():
     """With identity correlation, unit gains and kappa = 0 the correlated
     sampler must reproduce the i.i.d. generator bit for bit (same stream)."""
     cfg = small_config()
-    sampler = _uncorrelated(_rician(CorrelatedSampler(cfg), 0.0, 1.0),
+    sampler = _uncorrelated(with_rician(CorrelatedSampler(cfg), 0.0, 1.0),
                             np.ones((cfg.N, cfg.M)))
     a = _draw(sampler.sample, cfg, 99, [2, 5])
     b = _draw(generate_iid, cfg, 99, [2, 5])
@@ -316,7 +306,7 @@ def test_identity_overrides_reduce_to_iid_draw():
 
 def test_pure_los_limit():
     cfg = small_config()
-    sampler = _uncorrelated(_rician(CorrelatedSampler(cfg), 1e12, 2.0),
+    sampler = _uncorrelated(with_rician(CorrelatedSampler(cfg), 1e12, 2.0),
                             np.ones((cfg.N, cfg.M)))
     h_si = _draw(sampler.sample, cfg, 0, [0])[2]
     assert np.max(np.abs(h_si - 2.0)) < 1e-4
@@ -326,7 +316,7 @@ def test_si_channel_power_tracks_path_gains():
     # with sigma_si = 1 the LOS/NLOS split leaves per-element power equal
     # to the free-space gain, whatever kappa is
     cfg = small_config()
-    sampler = _uncorrelated(_rician(CorrelatedSampler(cfg), 3.0, 1.0))
+    sampler = _uncorrelated(with_rician(CorrelatedSampler(cfg), 3.0, 1.0))
     h_si = _draw(sampler.sample, cfg, 3, range(4000))[2]
     ratio = np.mean(np.abs(h_si) ** 2, axis=0) / sampler.si_amp ** 2
     assert abs(np.mean(ratio) - 1.0) < 0.05

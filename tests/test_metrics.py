@@ -18,45 +18,18 @@ from hypothesis import strategies as st
 import fdmimo
 import fdmimo.metrics as metrics
 import fdmimo.transceiver as transceiver
-from fdmimo.channel import (ConfigError, CorrelatedSampler, SystemConfig,
-                            _channel_stack, generate_iid)
+from fdmimo.channel import ConfigError, CorrelatedSampler, SystemConfig
 from fdmimo.closedform import rate_half_duplex, rate_perfect
-from fdmimo.estimation import error_variances, estimate
+from fdmimo.estimation import error_variances
 from fdmimo.experiments import default_scenario, run_scenario
 from fdmimo.metrics import (Curve, dl_sinr, monte_carlo, monte_carlo_sweep,
                             residual_si, sum_rate, ul_sinr)
 from fdmimo.numerics import RngStream, Streams, Workspace
-from fdmimo.transceiver import SicMode, build
+from fdmimo.transceiver import SicMode
 
-from conftest import drawn_rows
+from conftest import chunks_of, drawn_trial, one_draw_build, with_rician
 
 CFG_SMALL = SystemConfig(M=9, N=5, K=3)
-
-
-def _trial(seed=0, variances=(0.0, 0.0, 0.0), t=0, cfg=CFG_SMALL,
-           sampler=None):
-    """Trial t's true channels (h_dl, h_ul, h_si) and estimates
-    (h_dl_hat, h_ul_hat, h_si_hat) with the given error variances, drawn
-    as a stack of one trial from substreams 2t and 2t+1 of seed, as the
-    engine draws it."""
-    truth = _channel_stack(cfg, 1)
-    shapes = [h.shape[1:] for h in truth]
-    fill = generate_iid if sampler is None else sampler.sample
-    fill(drawn_rows(seed, [2 * t], shapes), *truth)
-    hats = tuple(np.empty_like(h) for h in truth)
-    drawn = [shape for shape, v in zip(shapes, variances) if v]
-    estimate(variances, drawn_rows(seed, [2 * t + 1], drawn), truth, hats,
-             None if sampler is None else sampler.si_amp)
-    return tuple(h[0] for h in truth), tuple(h[0] for h in hats)
-
-
-def _build(mode, hats):
-    """One draw's precoder, combiner and failure flag for mode, built as a
-    stack of one draw."""
-    dl, ul, si = hats
-    w, built = build((mode,), np.vstack([dl, si])[None], ul[None])
-    g, failed = built[mode]
-    return g[0], w[0], bool(failed[0])
 
 
 # -------------------------------------------------- oracle: naive loops
@@ -87,15 +60,15 @@ def _naive_omega(w, x, g):
 
 
 def test_dl_sinr_matches_naive_loops():
-    (h_dl, _, _), hats = _trial(3)
-    g, _, _ = _build(SicMode.SUBTRACTION, hats)
+    (h_dl, _, _), hats = drawn_trial(CFG_SMALL, 3)
+    g, _, _ = one_draw_build(SicMode.SUBTRACTION, hats)
     got = dl_sinr(h_dl, g, 2.5)
     assert np.allclose(got, _naive_dl(h_dl, g, 2.5), rtol=1e-12)
 
 
 def test_ul_sinr_matches_naive_loops():
-    (_, h_ul, h_si), hats = _trial(4, (0.05, 0.05, 0.1))
-    g, w, _ = _build(SicMode.NO_SIC, hats)
+    (_, h_ul, h_si), hats = drawn_trial(CFG_SMALL, 4, (0.05, 0.05, 0.1))
+    g, w, _ = one_draw_build(SicMode.NO_SIC, hats)
     omega = residual_si(SicMode.NO_SIC, w, h_si, hats[2], g)
     got = ul_sinr(h_ul, w, omega, CFG_SMALL.rho_ul,
                   CFG_SMALL.rho_si / CFG_SMALL.alpha_anc)
@@ -106,27 +79,27 @@ def test_ul_sinr_matches_naive_loops():
 
 
 def test_residual_si_subtraction_uses_error_only():
-    (_, _, h_si), hats = _trial(5, (0.0, 0.0, 0.1))
-    g, w, _ = _build(SicMode.SUBTRACTION, hats)
+    (_, _, h_si), hats = drawn_trial(CFG_SMALL, 5, (0.0, 0.0, 0.1))
+    g, w, _ = one_draw_build(SicMode.SUBTRACTION, hats)
     got = residual_si(SicMode.SUBTRACTION, w, h_si, hats[2], g)
     want = _naive_omega(w, h_si - hats[2], g)
     assert np.allclose(got, want, rtol=1e-12)
 
 
 def test_residual_si_perfect_estimates():
-    (_, _, h_si), hats = _trial(6)
-    g, w, _ = _build(SicMode.SUBTRACTION, hats)
+    (_, _, h_si), hats = drawn_trial(CFG_SMALL, 6)
+    g, w, _ = one_draw_build(SicMode.SUBTRACTION, hats)
     assert np.all(residual_si(SicMode.SUBTRACTION, w, h_si, hats[2],
                               g) == 0.0)
-    g_sps, w_sps, _ = _build(SicMode.SPATIAL_SUPPRESSION, hats)
+    g_sps, w_sps, _ = one_draw_build(SicMode.SPATIAL_SUPPRESSION, hats)
     assert np.max(residual_si(SicMode.SPATIAL_SUPPRESSION, w_sps, h_si,
                               hats[2], g_sps)) < 1e-20
     assert np.min(residual_si(SicMode.NO_SIC, w, h_si, hats[2], g)) > 0.0
 
 
 def test_ul_sinr_si_snr_override():
-    (_, h_ul, h_si), hats = _trial(7)
-    g, w, _ = _build(SicMode.NO_SIC, hats)
+    (_, h_ul, h_si), hats = drawn_trial(CFG_SMALL, 7)
+    g, w, _ = one_draw_build(SicMode.NO_SIC, hats)
     omega = residual_si(SicMode.NO_SIC, w, h_si, hats[2], g)
     off = ul_sinr(h_ul, w, omega, CFG_SMALL.rho_ul, 0.0)
     want = _naive_ul(h_ul, w, omega, CFG_SMALL.rho_ul, 0.0)
@@ -134,8 +107,9 @@ def test_ul_sinr_si_snr_override():
 
 
 def test_sinrs_broadcast_over_trials_and_points():
-    draws = [_trial(seed, (0.05, 0.05, 0.1)) for seed in range(3)]
-    sets = [_build(SicMode.SUBTRACTION, hats) for _, hats in draws]
+    draws = [drawn_trial(CFG_SMALL, seed, (0.05, 0.05, 0.1))
+             for seed in range(3)]
+    sets = [one_draw_build(SicMode.SUBTRACTION, hats) for _, hats in draws]
     h_dl, h_ul, h_si, h_si_hat, g, w = (np.stack(a) for a in zip(*[
         (*truth, hats[2], g, w) for (truth, hats), (g, w, _)
         in zip(draws, sets)]))
@@ -211,10 +185,6 @@ def test_common_random_numbers_pair_modes():
     assert a.dl_sum_rate > b.dl_sum_rate
 
 
-def _chunks_of(monkeypatch, size):
-    monkeypatch.setattr(metrics, "_chunk_trials", lambda m, n, k: size)
-
-
 def _failing_precoders(monkeypatch, doomed, rows=None):
     """Make the right pseudo-inverse guard reject the downlink precoders
     of the trials in doomed (counting precoder inputs in call order), only
@@ -234,20 +204,20 @@ def _failing_precoders(monkeypatch, doomed, rows=None):
 
 
 def test_failures_are_counted(monkeypatch):
-    _chunks_of(monkeypatch, 4)
+    chunks_of(monkeypatch, 4)
     _failing_precoders(monkeypatch, [4, 9, 14, 19, 24])
     rep = monte_carlo(CFG_SMALL, SicMode.SUBTRACTION, trials=25, master_seed=1)
     assert rep.failures == 5
     assert rep.trials == 25
 
 
-def test_failed_suppression_trial_still_counts_for_other_modes(monkeypatch):
+def test_failed_suppression_trial_still_counts_for_other_modes():
     cfg, trials, seed = CFG_SMALL, 10, 3
     curves = [Curve(SicMode.NO_SIC), Curve(SicMode.SUBTRACTION),
               Curve(SicMode.SPATIAL_SUPPRESSION),
               Curve(SicMode.SUBTRACTION, si_free=True)]
     with pytest.MonkeyPatch.context() as mp:
-        _chunks_of(mp, 4)
+        chunks_of(mp, 4)
         _failing_precoders(mp, [0, 5, 9], rows=cfg.K + cfg.N)
         got = monte_carlo_sweep([cfg], curves, trials=trials,
                                 master_seed=seed)
@@ -259,8 +229,8 @@ def test_failed_suppression_trial_still_counts_for_other_modes(monkeypatch):
     # the suppression curve averages exactly the trials that survived
     dl = []
     for t in sorted(set(range(trials)) - {0, 5, 9}):
-        (h_dl, _, _), hats = _trial(seed, t=t, cfg=cfg)
-        g, _, _ = _build(SicMode.SPATIAL_SUPPRESSION, hats)
+        (h_dl, _, _), hats = drawn_trial(cfg, seed, t=t)
+        g, _, _ = one_draw_build(SicMode.SPATIAL_SUPPRESSION, hats)
         dl.append(sum_rate(dl_sinr(h_dl, g, cfg.rho_dl)))
     assert got[2][0].dl_sum_rate == pytest.approx(np.mean(dl), rel=1e-12)
 
@@ -298,7 +268,7 @@ def test_multi_curve_call_equals_one_curve_calls(k, extra_n, extra_m, chunk,
     if correlated:
         kw.update(sampler=CorrelatedSampler(cfg))
     with pytest.MonkeyPatch.context() as mp:
-        _chunks_of(mp, chunk)
+        chunks_of(mp, chunk)
         together = monte_carlo_sweep(configs, curves, **kw)
     for curve, reports in zip(curves, together):
         # one-curve calls at the default chunk size, one chunk here; a CI
@@ -319,16 +289,6 @@ def _complex_gaussian(gen, rows, cols, variance):
     real = gen.standard_normal((rows, cols))
     imag = gen.standard_normal((rows, cols))
     return scale * (real + 1j * imag)
-
-
-def _rician(sampler, kappa, sigma_si):
-    """The sampler with the LOS matrix and NLOS amplitude of Rician
-    factor kappa and LOS amplitude sigma_si, set after construction."""
-    cfg = sampler.config
-    sampler._los = (np.sqrt(kappa / (kappa + 1.0)) * sigma_si
-                    * np.ones((cfg.N, cfg.M)))
-    sampler._nlos_amp = np.sqrt(1.0 / (kappa + 1.0))
-    return sampler
 
 
 def _reference_trial(cfg, variances, seed, t, rician, sampler):
@@ -379,8 +339,8 @@ def test_trial_chunks_equal_the_per_trial_draw_bit_for_bit(
     rician = sampler = None
     if correlated:
         rician = (2.0, 0.7)
-        sampler = _rician(CorrelatedSampler(cfg), *rician)
-    _chunks_of(monkeypatch, 3)
+        sampler = with_rician(CorrelatedSampler(cfg), *rician)
+    chunks_of(monkeypatch, 3)
     seed, trials = 17, range(2, 9)
     want = {t: _reference_trial(cfg, variances, seed, t, rician, sampler)
             for t in trials}
@@ -405,7 +365,7 @@ def test_trial_chunks_equal_the_per_trial_draw_bit_for_bit(
     assert sorted(opened) == sorted([2 * t for t in trials] + errors)
 
 
-def test_stream_set_up_does_not_grow_with_the_trial_count(monkeypatch):
+def test_stream_set_up_does_not_grow_with_the_trial_count():
     # a sweep mixes its master seed and builds its one Philox once, and
     # derives each chunk's keys from them, so 4x the trials (2 and 7
     # chunks at the default sizes) build no more SeedSequence or Philox
@@ -470,8 +430,8 @@ def test_edge_configs_give_finite_rates_and_count_failures(
     got = monte_carlo_sweep([cfg], curves, trials=trials, master_seed=seed,
                             perfect=perfect, sampler=sampler)
     for curve, (rep,) in zip(curves, got):
-        failed = sum(_build(curve.mode, _trial(seed, variances, t, cfg,
-                                               sampler)[1])[2]
+        failed = sum(one_draw_build(curve.mode, drawn_trial(
+                         cfg, seed, variances, t, sampler)[1])[2]
                      for t in range(trials))
         assert rep.failures == failed
         assert rep.trials == trials
@@ -507,7 +467,7 @@ def test_monte_carlo_tracks_closed_form():
 
 def test_correlated_model_smoke():
     cfg = SystemConfig(M=12, N=6, K=3)
-    sampler = _rician(CorrelatedSampler(cfg), 3.0, 1.0)
+    sampler = with_rician(CorrelatedSampler(cfg), 3.0, 1.0)
     rep = monte_carlo(cfg, SicMode.SUBTRACTION, trials=20, master_seed=4,
                       sampler=sampler)
     assert rep.failures == 0
@@ -647,7 +607,7 @@ def test_concurrent_sweeps_equal_sequential_ones(monkeypatch):
     # every sweep owns its workspace, so four at once on threads (more
     # than the cores), switching as often as the interpreter allows,
     # return what they return one after another
-    _chunks_of(monkeypatch, 2)
+    chunks_of(monkeypatch, 2)
     curves = [Curve(SicMode.NO_SIC), Curve(SicMode.SUBTRACTION),
               Curve(SicMode.SPATIAL_SUPPRESSION)]
     configs = [CFG_SMALL, dataclasses.replace(CFG_SMALL, rho_t_db=60.0)]
@@ -688,7 +648,7 @@ def _paired_sweep(perfect=False):
 
 
 def test_a_sweep_leaves_no_draw_thread_behind(monkeypatch):
-    _chunks_of(monkeypatch, 4)
+    chunks_of(monkeypatch, 4)
     before = threading.active_count()
     _paired_sweep()
     assert threading.active_count() == before
@@ -697,7 +657,7 @@ def test_a_sweep_leaves_no_draw_thread_behind(monkeypatch):
 def test_closing_the_trial_chunks_early_joins_the_draw_thread(monkeypatch):
     # criteria 4 and 5 return mid-loop, which closes the generator; no
     # thread may then be left for run_all's next fork
-    _chunks_of(monkeypatch, 4)
+    chunks_of(monkeypatch, 4)
     before = threading.active_count()
     chunks = metrics._trial_chunks(CFG_SMALL, False, 3, range(30), ())
     next(chunks)
@@ -715,7 +675,7 @@ def test_a_draw_error_reaches_the_caller_and_ends_the_thread(
     # while the caller works on the first; a build runs on the calling
     # thread, the second while the thread draws the third chunk.  A hang
     # here would fail on the timeout
-    _chunks_of(monkeypatch, 4)
+    chunks_of(monkeypatch, 4)
     real = getattr(owner, name)
     calls = []
 
@@ -746,7 +706,7 @@ def test_sweep_reports_do_not_depend_on_the_draw_timing(monkeypatch,
                                                         slowed):
     # slow draws keep the caller waiting for every chunk; slow builds let
     # the thread finish each chunk's draw long before the caller asks
-    _chunks_of(monkeypatch, 4)
+    chunks_of(monkeypatch, 4)
     want = _paired_sweep()
     owner, name = ((Streams, "normals") if slowed == "draws"
                    else (metrics, "build"))
@@ -806,7 +766,7 @@ def test_the_engine_peak_memory_is_bounded(monkeypatch):
             self.cycle = self
 
     with monkeypatch.context() as mp:
-        mp.setattr(metrics, "_chunk_trials", lambda m, n, k: 12)
+        chunks_of(mp, 12)
         assert traced()[0] >= 3.0
     with monkeypatch.context() as mp:
         mp.setattr(metrics, "Workspace", CyclicWorkspace)
@@ -849,9 +809,10 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.parametrize("modes, correlated, mmap_threshold, bound", [
     # with the thresholds pinned, every freed buffer of 256 KiB or more
     # goes back to the system, so each one allocated again faults again:
-    # 8 497 faults, the mutant 17 794 or 23 472 from run to run (11 997
-    # and 25 302 while the correlated sampler allocated temporaries of
-    # its own per chunk).  Unpinned, the freed chunk buffers of the first
+    # 8 373-8 504 faults, the mutant 17 794-25 818 from run to run, in
+    # modes that MALLOC_ARENA_MAX=1 does not settle (11 997 and 25 302
+    # while the correlated sampler allocated temporaries of its own per
+    # chunk).  Unpinned, the freed chunk buffers of the first
     # sweep raise glibc's thresholds so far that the mutant faults less
     # (587 against 570); pinned at 128 KiB the gap is too narrow (27 145
     # against 28 616)

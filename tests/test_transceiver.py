@@ -3,34 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdmimo.transceiver as transceiver
-from fdmimo.channel import SystemConfig, _channel_stack, generate_iid
-from fdmimo.estimation import estimate
-from fdmimo.numerics import (RngStream, Workspace, _stream_width,
-                             left_pseudo_inverse, right_pseudo_inverse)
+from fdmimo.channel import SystemConfig
+from fdmimo.numerics import (RngStream, Workspace, left_pseudo_inverse,
+                             right_pseudo_inverse)
 from fdmimo.transceiver import SicMode, build
 
-from conftest import drawn_rows
+from conftest import drawn_trial, one_draw_build
 
-
-def _hats(m=16, n=6, k=3, seed=0, variances=(0.0, 0.0, 0.0)):
-    """One draw's estimates (h_dl_hat, h_ul_hat, h_si_hat) with the given
-    error variances, drawn as a stack of one trial."""
-    truth = _channel_stack(SystemConfig(M=m, N=n, K=k), 1)
-    shapes = [h.shape[1:] for h in truth]
-    normals = drawn_rows(seed, [0, 1], shapes)
-    generate_iid(normals[:1], *truth)
-    hats = tuple(np.empty_like(h) for h in truth)
-    drawn = [shape for shape, v in zip(shapes, variances) if v]
-    estimate(variances, normals[1:, :_stream_width(drawn)], truth, hats)
-    return tuple(h[0] for h in hats)
-
-
-def _build(mode, dl, ul, si):
-    """One draw's precoder, combiner and failure flag for mode, built as a
-    stack of one draw."""
-    w, built = build((mode,), np.vstack([dl, si])[None], ul[None])
-    g, failed = built[mode]
-    return g[0], w[0], bool(failed[0])
+CFG = SystemConfig(M=16, N=6, K=3)
 
 
 def _normalized(f):
@@ -55,8 +35,8 @@ def test_mode_tokens_round_trip():
 # ------------------------------------------------------------- precoders
 
 def test_zf_precoder_inverts_downlink():
-    dl, ul, si = _hats()
-    g, _, failed = _build(SicMode.SUBTRACTION, dl, ul, si)
+    _, (dl, ul, si) = drawn_trial(CFG)
+    g, _, failed = one_draw_build(SicMode.SUBTRACTION, (dl, ul, si))
     assert not failed
     assert g.shape == (16, 3)
     prod = dl @ g
@@ -65,8 +45,8 @@ def test_zf_precoder_inverts_downlink():
 
 
 def test_sps_precoder_nulls_si_and_keeps_downlink():
-    dl, ul, si = _hats()
-    g, _, failed = _build(SicMode.SPATIAL_SUPPRESSION, dl, ul, si)
+    _, (dl, ul, si) = drawn_trial(CFG)
+    g, _, failed = one_draw_build(SicMode.SPATIAL_SUPPRESSION, (dl, ul, si))
     assert not failed
     assert g.shape == (16, 3)
     assert np.max(np.abs(_off_diagonal(dl @ g))) < 1e-10
@@ -75,23 +55,24 @@ def test_sps_precoder_nulls_si_and_keeps_downlink():
 
 
 def test_sps_with_no_si_rows_is_plain_zf():
-    dl, ul, si = _hats()
+    _, (dl, ul, si) = drawn_trial(CFG)
     empty = np.zeros((0, 16), complex)
-    g_sps = _build(SicMode.SPATIAL_SUPPRESSION, dl, ul, empty)[0]
-    assert np.array_equal(g_sps, _build(SicMode.SUBTRACTION, dl, ul, si)[0])
+    g_sps = one_draw_build(SicMode.SPATIAL_SUPPRESSION, (dl, ul, empty))[0]
+    g_stt = one_draw_build(SicMode.SUBTRACTION, (dl, ul, si))[0]
+    assert np.array_equal(g_sps, g_stt)
 
 
 def test_precoders_have_unit_total_power():
-    hats = _hats()
+    _, hats = drawn_trial(CFG)
     for mode in SicMode:
-        g = _build(mode, *hats)[0]
+        g = one_draw_build(mode, hats)[0]
         norms = np.linalg.norm(g, axis=0)
         assert np.allclose(norms, 1.0 / np.sqrt(3), rtol=1e-12)
         assert np.linalg.norm(g) == pytest.approx(1.0, rel=1e-12)
 
 
 def _stacked(draws):
-    """The build inputs of a list of _hats draws."""
+    """The build inputs of a list of drawn estimates."""
     ext = np.stack([np.vstack([dl, si]) for dl, _, si in draws])
     return ext, np.stack([ul for _, ul, _ in draws])
 
@@ -105,8 +86,8 @@ def test_a_zero_precoder_column_fails_the_draw(monkeypatch):
         return x, failed
 
     monkeypatch.setattr(transceiver, "right_pseudo_inverse", zero_column)
-    _, built = build(list(SicMode),
-                     *_stacked([_hats(seed=seed) for seed in range(3)]))
+    draws = [drawn_trial(CFG, seed)[1] for seed in range(3)]
+    _, built = build(list(SicMode), *_stacked(draws))
     for _, failed in built.values():
         assert failed.tolist() == [False, True, False]
 
@@ -114,8 +95,8 @@ def test_a_zero_precoder_column_fails_the_draw(monkeypatch):
 # -------------------------------------------------------------- combiner
 
 def test_zf_combiner_inverts_uplink():
-    dl, ul, si = _hats()
-    w = _build(SicMode.SUBTRACTION, dl, ul, si)[1]
+    _, (dl, ul, si) = drawn_trial(CFG)
+    w = one_draw_build(SicMode.SUBTRACTION, (dl, ul, si))[1]
     assert w.shape == (3, 6)
     assert np.max(np.abs(w @ ul - np.eye(3))) < 1e-10
 
@@ -124,21 +105,21 @@ def test_zf_combiner_inverts_uplink():
 
 def test_build_zf_matches_parts():
     # one code path: build is the pseudo-inverses of the same stack
-    dl, ul, si = _hats(seed=3)
-    g, w, _ = _build(SicMode.SUBTRACTION, dl, ul, si)
+    _, (dl, ul, si) = drawn_trial(CFG, 3)
+    g, w, _ = one_draw_build(SicMode.SUBTRACTION, (dl, ul, si))
     assert np.array_equal(g, _normalized(right_pseudo_inverse(dl[None])[0][0]))
     assert np.array_equal(w, left_pseudo_inverse(ul[None])[0][0])
 
 
 def test_build_sps_uses_extended_precoder():
-    dl, ul, si = _hats(seed=3)
-    g = _build(SicMode.SPATIAL_SUPPRESSION, dl, ul, si)[0]
+    _, (dl, ul, si) = drawn_trial(CFG, 3)
+    g = one_draw_build(SicMode.SPATIAL_SUPPRESSION, (dl, ul, si))[0]
     f, _ = right_pseudo_inverse(np.vstack([dl, si])[None], keep=3)
     assert np.array_equal(g, _normalized(f[0]))
 
 
 def test_build_nosic_equals_subtraction_front_end():
-    ext, ul = _stacked([_hats(seed=5)])
+    ext, ul = _stacked([drawn_trial(CFG, 5)[1]])
     w, built = build(list(SicMode), ext, ul)
     assert built[SicMode.NO_SIC] is built[SicMode.SUBTRACTION]
     w_alone, alone = build((SicMode.NO_SIC,), ext, ul)
@@ -150,7 +131,7 @@ def test_build_nosic_equals_subtraction_front_end():
 def test_precoder_column_norms_match_gram_inverse():
     # 1/||f_k||^2 identity used by the closed forms: ||f_k||^2 is the
     # k-th diagonal of (A A^H)^-1 for the right inverse of A
-    dl, _, si = _hats(m=24, n=8, k=5, seed=7)
+    _, (dl, _, si) = drawn_trial(SystemConfig(M=24, N=8, K=5), 7)
     f, _ = right_pseudo_inverse(dl)
     gram_inv = np.linalg.inv(dl @ dl.conj().T)
     assert np.allclose(np.linalg.norm(f, axis=0) ** 2,
@@ -164,7 +145,7 @@ def test_precoder_column_norms_match_gram_inverse():
 
 
 def test_combiner_row_norms_match_gram_inverse():
-    _, ul, _ = _hats(m=24, n=8, k=5, seed=7)
+    _, (_, ul, _) = drawn_trial(SystemConfig(M=24, N=8, K=5), 7)
     w, _ = left_pseudo_inverse(ul)
     gram_inv = np.linalg.inv(ul.conj().T @ ul)
     assert np.allclose(np.linalg.norm(w, axis=1) ** 2,
@@ -175,7 +156,8 @@ def test_build_stack_matches_an_inline_per_draw_reference():
     # (7, 4, 3) and (9, 6, 3) have M = N + K: the suppression input is
     # square and leaves the precoder exactly K dimensions
     for m, n, k in [(16, 6, 3), (7, 4, 3), (9, 6, 3)]:
-        draws = [_hats(m, n, k, seed, (0.1, 0.1, 0.2))
+        cfg = SystemConfig(M=m, N=n, K=k)
+        draws = [drawn_trial(cfg, seed, (0.1, 0.1, 0.2))[1]
                  for seed in range(6)]
         ext, ul = _stacked(draws)
         w, built = build(list(SicMode), ext, ul)
@@ -208,7 +190,7 @@ def _check_against_reference(mode, draw, ext, g, w, k):
 
 def test_singular_downlink_reports_context():
     # a repeated downlink row breaks every mode's precoder, flagged per mode
-    good = _hats()
+    _, good = drawn_trial(CFG)
     dl, ul, si = (h.copy() for h in good)
     dl[1] = dl[0]
     _, built = build(list(SicMode), *_stacked([good, (dl, ul, si)]))
@@ -219,7 +201,7 @@ def test_singular_downlink_reports_context():
 
 def test_singular_uplink_reports_context():
     # a repeated uplink column breaks the combiner, which every mode shares
-    good = _hats()
+    _, good = drawn_trial(CFG)
     dl, ul, si = (h.copy() for h in good)
     ul[:, 1] = ul[:, 0]
     _, built = build(list(SicMode), *_stacked([good, (dl, ul, si)]))
@@ -230,7 +212,7 @@ def test_singular_uplink_reports_context():
 
 def test_singular_stack_reports_context():
     # SI rows that repeat a downlink row only break the extended inverse
-    dl, ul, si = _hats()
+    _, (dl, ul, si) = drawn_trial(CFG)
     bad_si = np.vstack([dl[0:1]] * 6)
     _, built = build(list(SicMode),
                      *_stacked([(dl, ul, si), (dl, ul, bad_si)]))
@@ -249,7 +231,7 @@ def _awkward_chunk(seeds, svd, singular, k=3):
     a residual within 1e-9) and draw singular is exactly singular (zero
     downlink rows and a zero uplink, so the batched Gram inverses
     raise)."""
-    ext, ul = _stacked([_hats(seed=seed) for seed in seeds])
+    ext, ul = _stacked([drawn_trial(CFG, seed)[1] for seed in seeds])
     ext[svd, 0] *= 1e-5
     ext[singular, :k] = 0.0
     ul[singular] = 0.0
@@ -305,8 +287,8 @@ def test_a_reused_workspace_builds_what_fresh_builds_do():
 def test_build_residuals_random_sizes(seed, k):
     n = k + 2
     m = n + k + 3
-    dl, ul, si = _hats(m=m, n=n, k=k, seed=seed)
-    g, w, failed = _build(SicMode.SPATIAL_SUPPRESSION, dl, ul, si)
+    _, (dl, ul, si) = drawn_trial(SystemConfig(M=m, N=n, K=k), seed)
+    g, w, failed = one_draw_build(SicMode.SPATIAL_SUPPRESSION, (dl, ul, si))
     assert not failed
     prod = dl @ g
     off = prod - np.diag(np.diag(prod))
