@@ -3,8 +3,8 @@
 Each criterion is a standalone function returning a CriterionResult; run_all
 executes the lot: criterion 3 in a forked child process, since on a
 thread each of its many short NumPy calls waits to take the GIL back
-from the calling thread, then criterion 9, which waits on runs of its
-own, in a second one, and the rest on the calling thread.  The same
+from the calling thread, and the rest on the calling thread, which also
+starts criterion 9's three runs as its own child processes.  The same
 checks back both the ``fdmimo check`` CLI subcommand and the acceptance
 test module.  base_trials scales the Monte Carlo effort (the documented
 tolerances assume ``fdmimo check``'s default, cli._CHECK_DESIGN_TRIALS).
@@ -19,7 +19,6 @@ import math
 import multiprocessing
 import os
 import pickle
-import signal
 import subprocess
 import sys
 import tempfile
@@ -390,16 +389,16 @@ def criterion_correlated_orderings(config: SystemConfig, base_trials: int,
     return CriterionResult(8, "correlated orderings", not problems, detail)
 
 
-def criterion_csv_determinism(config: SystemConfig, base_trials: int,
-                              seed: int) -> CriterionResult:
-    """9: identical flags and seed give byte-identical CSVs, any threads.
+@contextlib.contextmanager
+def _csv_runs(seed: int):
+    """Criterion 9's three runs, started together in a temporary directory,
+    since each spends most of its time importing.
 
-    The three runs start together, since each spends most of its time
-    importing, and are awaited in run order; the first failing run in
-    that order is the one reported.
+    Yields a function that awaits them in run order and returns the
+    criterion's result; the first failing run in that order is the one
+    reported.  On exit the runs are awaited, not stopped, and the
+    directory is removed.
     """
-    del config, base_trials
-    outputs = []
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.ExitStack() as running:
         runs = []
@@ -413,19 +412,32 @@ def criterion_csv_determinism(config: SystemConfig, base_trials: int,
                  "--output", path],
                 env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                 text=True))))
-        for path, proc in runs:
-            _, stderr = proc.communicate()
-            if proc.returncode != 0:
-                return CriterionResult(
-                    9, "CSV determinism", False,
-                    f"run exited {proc.returncode}: {stderr.strip()}")
-            with open(path, "rb") as fh:
-                outputs.append(fh.read())
-    identical = outputs[0] == outputs[1] == outputs[2]
-    return CriterionResult(
-        9, "CSV determinism", identical,
-        "three runs (thread counts 1/2/1) byte-identical" if identical
-        else "outputs differ between runs")
+
+        def result() -> CriterionResult:
+            outputs = []
+            for path, proc in runs:
+                _, stderr = proc.communicate()
+                if proc.returncode != 0:
+                    return CriterionResult(
+                        9, "CSV determinism", False,
+                        f"run exited {proc.returncode}: {stderr.strip()}")
+                with open(path, "rb") as fh:
+                    outputs.append(fh.read())
+            identical = outputs[0] == outputs[1] == outputs[2]
+            return CriterionResult(
+                9, "CSV determinism", identical,
+                "three runs (thread counts 1/2/1) byte-identical" if identical
+                else "outputs differ between runs")
+
+        yield result
+
+
+def criterion_csv_determinism(config: SystemConfig, base_trials: int,
+                              seed: int) -> CriterionResult:
+    """9: identical flags and seed give byte-identical CSVs, any threads."""
+    del config, base_trials
+    with _csv_runs(seed) as result:
+        return result()
 
 
 _CRITERIA: tuple[Callable[[SystemConfig, int, int], CriterionResult], ...] = (
@@ -442,42 +454,35 @@ _CRITERIA: tuple[Callable[[SystemConfig, int, int], CriterionResult], ...] = (
 
 
 class CriterionError(RuntimeError):
-    """A criterion gave no result: its child process failed or could not
+    """Criterion 3 gave no result: its child process failed or could not
     be started."""
 
 
-#: Indices into _CRITERIA of the criteria that run_all runs in forked
-#: child processes, one after the other.  Criterion 3 is a loop of short
-#: NumPy calls (normal draws, Gram products, solves) on slices of a few
-#: matrices.  Each call releases the GIL, but on a thread each one then
-#: waited to take it back from the Python-heavy criteria on the calling
-#: thread, up to the 5 ms switch interval, so there it ran about 1.7
-#: times slower than alone.  Its child draws the same Philox numbers from
-#: the same keys and shares no lock with the calling thread.  Criterion 9
-#: waits on three runs of its own, which take the core that criterion
-#: 3's child frees.
-_FORKED = (2, 8)
+#: Index into _CRITERIA of the criterion that run_all runs in a forked
+#: child process.  Criterion 3 is a loop of short NumPy calls (normal
+#: draws, Gram products, solves) on slices of a few matrices.  Each call
+#: releases the GIL, but on a thread each one then waited to take it back
+#: from the Python-heavy criteria on the calling thread, up to the 5 ms
+#: switch interval, so there it ran about 1.7 times slower than alone.
+#: Its child draws the same Philox numbers from the same keys and shares
+#: no lock with the calling thread.
+_FORKED = 2
+#: Index into _CRITERIA of criterion 9, whose three runs run_all starts
+#: through _csv_runs once it has collected criterion 3's result, so that
+#: they take the core the child frees.
+_RUNS = 8
 
 
-def _unwind(signum, frame) -> None:
-    """SIGTERM in a criterion's child: raise SystemExit, so that the
-    criterion's with statements wait for its runs and remove its files."""
-    del signum, frame
-    raise SystemExit(1)
+def _send_outcome(job: Callable[[], CriterionResult], conn) -> None:
+    """In the child: run criterion 3's job and send its pickled result, or
+    what it raised, through conn.
 
-
-def _send_outcome(job: Callable[[], CriterionResult], number: int,
-                  conn) -> None:
-    """In the child: run criterion number's job and send its pickled
-    result, or what it raised, through conn.
-
-    SIGTERM unwinds the job.  An exception that does not survive a pickle
-    round trip is replaced by a CriterionError naming its type and
-    message.  Nothing escapes, so the child writes nothing to stdout or
-    stderr; a child that cannot send exits with code 1.
+    An exception that does not survive a pickle round trip is replaced by
+    a CriterionError naming its type and message.  Nothing escapes, so the
+    child writes nothing to stdout or stderr; a child that cannot send
+    exits with code 1.
     """
     try:
-        signal.signal(signal.SIGTERM, _unwind)
         try:
             outcome = job()
         except BaseException as exc:
@@ -487,25 +492,24 @@ def _send_outcome(job: Callable[[], CriterionResult], number: int,
             pickle.loads(data)
         except Exception:
             data = pickle.dumps(CriterionError(
-                f"criterion {number} raised {type(outcome).__qualname__}: "
-                f"{outcome}"))
+                f"criterion {_FORKED + 1} raised "
+                f"{type(outcome).__qualname__}: {outcome}"))
         conn.send_bytes(data)
         conn.close()
     except BaseException:
         os._exit(1)
 
 
-def _receive(conn, child, number: int) -> CriterionResult | BaseException:
-    """Criterion number's outcome from its child process, or a
-    CriterionError if the child sent none; conn is closed and the child
-    reaped."""
+def _receive(conn, child) -> CriterionResult | BaseException:
+    """Criterion 3's outcome from its child process, or a CriterionError if
+    the child sent none; conn is closed and the child reaped."""
     try:
         with conn:
             data = conn.recv_bytes()
     except EOFError:
         child.join()
         return CriterionError(
-            f"criterion {number}'s child process exited with code "
+            f"criterion {_FORKED + 1}'s child process exited with code "
             f"{child.exitcode} and sent no result")
     child.join()
     return pickle.loads(data)
@@ -518,42 +522,35 @@ def run_all(base_trials: int, seed: int,
     """Run all criteria; report (if given) receives one line per result.
 
     Criterion 3 runs in a child process, forked before anything else
-    starts.  Criterion 9 runs in a second child, forked once criterion
-    3's result has been collected, so that its three runs take the core
-    the first child leaves.  The others run one after another on the
-    calling thread.  Results are returned and reported in criterion
-    order, from the calling thread, each as soon as it and all before it
-    are done; a child's result is collected whenever a criterion on the
-    calling thread ends.  An exception in criterion 3 or 9, or a child
-    that ends without a result, is raised at its criterion's position,
-    and after one in criterion 3 criterion 9 never starts; one on the
-    calling thread is raised at once.  The running child is reaped on
-    every exit, and stopped first unless it has sent its result; a
-    stopped child unwinds its criterion.  Needs os.fork: without it a
+    starts.  Criterion 9's three runs are run_all's own child processes,
+    started once criterion 3's result has been collected, so that they
+    take the core the child frees, and never after criterion 3 has failed.
+    The other criteria, and criterion 9's wait for its runs, run one after
+    another on the calling thread.  Results are returned and reported in
+    criterion order, from the calling thread, each as soon as it and all
+    before it are done; criterion 3's result is collected whenever a
+    criterion on the calling thread ends, and awaited after criterion 8.
+    An exception in criterion 3, or a child that ends without a result, is
+    raised at criterion 3's position; one on the calling thread is raised
+    at once.  On every exit the child is stopped unless its result has
+    been collected, and reaped, and criterion 9's runs are awaited, not
+    stopped, and their directory removed.  Needs os.fork: without it a
     CriterionError is raised before any criterion runs.
     """
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:
         raise CriterionError(
-            "run_all runs criteria 3 and 9 in forked child processes, and "
-            "this platform has no os.fork") from None
+            "run_all runs criterion 3 in a forked child process, and this "
+            "platform has no os.fork") from None
     cfg = config if config is not None else SystemConfig()
-
-    def fork(i: int):
-        """Criterion i + 1 started in a child: i, the receiving end of its
-        pipe and the child."""
-        receiver, sender = context.Pipe(duplex=False)
-        job = functools.partial(_CRITERIA[i], cfg, base_trials,
-                                seed + 1000 * i)
-        child = context.Process(target=_send_outcome,
-                                args=(job, i + 1, sender), daemon=True)
-        child.start()
-        sender.close()
-        return i, receiver, child
-
-    queued = list(_FORKED)
-    running = fork(queued.pop(0))
+    receiver, sender = context.Pipe(duplex=False)
+    job = functools.partial(_CRITERIA[_FORKED], cfg, base_trials,
+                            seed + 1000 * _FORKED)
+    child = context.Process(target=_send_outcome, args=(job, sender),
+                            daemon=True)
+    child.start()
+    sender.close()
     outcomes: dict[int, CriterionResult | BaseException] = {}
     results: list[CriterionResult] = []
 
@@ -567,26 +564,22 @@ def run_all(base_trials: int, seed: int,
             if report is not None:
                 report(outcome.line())
 
-    try:
+    with contextlib.ExitStack() as stack:
+        # terminate does nothing to a child that has been reaped
+        stack.callback(receiver.close)
+        stack.callback(child.join)
+        stack.callback(child.terminate)
         for i, criterion in enumerate(_CRITERIA):
-            if i not in _FORKED:
+            if i == _RUNS:
+                outcomes[i] = runs_result()
+            elif i != _FORKED:
                 outcomes[i] = criterion(cfg, base_trials, seed + 1000 * i)
-            while running is not None and (i + 1 == len(_CRITERIA)
-                                           or running[1].poll()):
-                j, receiver, child = running
-                outcome = outcomes[j] = _receive(receiver, child, j + 1)
-                running = None
-                # a failed criterion starts no later child; flush raises
-                # it at its position
-                if queued and not isinstance(outcome, BaseException):
-                    running = fork(queued.pop(0))
+            if not receiver.closed and (i + 1 == _RUNS or receiver.poll()):
+                outcome = outcomes[_FORKED] = _receive(receiver, child)
+                # a failed criterion 3 starts no runs; flush raises it at
+                # its position, before criterion 9's result is called
+                if not isinstance(outcome, BaseException):
+                    runs_result = stack.enter_context(
+                        _csv_runs(seed + 1000 * _RUNS))
             flush()
-    except BaseException:
-        if running is not None:
-            running[2].terminate()
-        raise
-    finally:
-        if running is not None:
-            running[1].close()
-            running[2].join()
     return results

@@ -251,12 +251,12 @@ def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
 _SVD_RESIDUAL_LIMIT = 1e-9
 
 
-def _svd_pseudo_inverse(a: np.ndarray, keep: int | None = None
+def _svd_pseudo_inverse(a: np.ndarray, keep: int
                         ) -> tuple[np.ndarray, np.ndarray]:
     """First keep columns X_K of the Moore-Penrose inverse of a wide matrix
-    or stack via SVD (all when keep is None), and the mask of the matrices
-    whose residual ||A X_K - E_K||_F is above _SVD_RESIDUAL_LIMIT or not
-    finite.  Their X_K stay finite: a zero singular value scales no row."""
+    or stack via SVD, and the mask of the matrices whose residual
+    ||A X_K - E_K||_F is above _SVD_RESIDUAL_LIMIT or not finite.  Their
+    X_K stay finite: a zero singular value scales no row."""
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     # x = (V / s) U^H, with the conjugates and the scaling done in place.
     np.conjugate(vh, out=vh)

@@ -7,11 +7,14 @@ capture settings; expect roughly a minute for the module.  The tests at
 the end check criterion internals on small configs.
 """
 
+import contextlib
+import functools
 import math
 import multiprocessing
 import os
 import re
 import signal
+import subprocess
 import sys
 import tempfile
 import threading
@@ -267,18 +270,37 @@ def test_criterion_3_kernel_peak_memory():
 
 # ------------------------------------------------------------ scheduling
 
+def _record_popens(mp, runs):
+    """Make every subprocess.Popen append (the starting process's pid,
+    the Popen) to runs."""
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runs.append((os.getpid(), self))
+
+    mp.setattr(subprocess, "Popen", RecordingPopen)
+
+
 @pytest.fixture(scope="module")
 def small_run():
     """run_all on SMALL at a few base trials, recording the thread of each
-    report and of each RngStream.generator call, with every warning an
-    error: Python 3.12 and later warn when a process with several OS
-    threads forks, as one with unpinned OpenBLAS threads does."""
+    report and of each RngStream.generator call, each multiprocessing
+    child started and each subprocess.Popen, with every warning an error:
+    Python 3.12 and later warn when a process with several OS threads
+    forks, as one with unpinned OpenBLAS threads does."""
     calls = []
+    children = []
+    runs = []
     generator = RngStream.generator
+    start = multiprocessing.process.BaseProcess.start
 
     def recording_generator(self):
         calls.append(("generator", threading.current_thread()))
         return generator(self)
+
+    def recording_start(self):
+        children.append(self)
+        start(self)
 
     def report(line):
         calls.append((line, threading.current_thread()))
@@ -286,13 +308,16 @@ def small_run():
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("error")
         mp.setattr(RngStream, "generator", recording_generator)
+        mp.setattr(multiprocessing.process.BaseProcess, "start",
+                   recording_start)
+        _record_popens(mp, runs)
         results = run_all(base_trials=4, seed=11, config=SMALL,
                           report=report)
-    return results, calls
+    return results, calls, children, runs
 
 
 def test_run_all_equals_the_criteria_called_in_order(small_run):
-    results, calls = small_run
+    results, calls, _, _ = small_run
     want = [criterion(SMALL, 4, 11 + 1000 * i)
             for i, criterion in enumerate(acceptance._CRITERIA)]
     assert results == want
@@ -303,10 +328,23 @@ def test_run_all_equals_the_criteria_called_in_order(small_run):
 
 def test_run_all_draws_every_generator_on_the_calling_thread(small_run):
     # a tracer that wraps RngStream.generator keeps one span stack
-    _, calls = small_run
+    _, calls, _, _ = small_run
     generators = [thread for what, thread in calls if what == "generator"]
     assert generators
     assert set(generators) == {threading.current_thread()}
+
+
+def test_run_all_forks_one_child_and_starts_criterion_9s_runs(small_run):
+    _, _, children, runs = small_run
+    assert len(children) == 1
+    assert [pid for pid, _ in runs] == [os.getpid()] * 3
+
+
+def test_run_all_leaves_no_child_running(small_run):
+    _, _, children, runs = small_run
+    assert multiprocessing.active_children() == []
+    assert all(child.exitcode is not None for child in children)
+    assert runs and all(run.returncode is not None for _, run in runs)
 
 
 def _fake(number, action=None):
@@ -317,18 +355,36 @@ def _fake(number, action=None):
     return criterion
 
 
+def _use_fakes(monkeypatch, replaced=None, started=None):
+    """Make run_all run fakes: criterion n is replaced[n] if given, else
+    _fake(n).  Criterion 9's fake is what the result function of a fake
+    _csv_runs calls, and started (if given) is called where the real
+    _csv_runs starts its runs."""
+    criteria = [(replaced or {}).get(n, _fake(n)) for n in range(1, 10)]
+    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(criteria))
+
+    @contextlib.contextmanager
+    def csv_runs(seed):
+        if started is not None:
+            started()
+        yield functools.partial(criteria[8], SMALL, 1, seed)
+
+    monkeypatch.setattr(acceptance, "_csv_runs", csv_runs)
+
+
 def test_a_failing_background_criterion_raises_at_its_position(monkeypatch):
     def boom():
         raise RuntimeError("criterion 3 broke")
 
-    fakes = [_fake(i + 1) for i in range(9)]
-    fakes[2] = _fake(3, boom)
-    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
+    started = []
+    _use_fakes(monkeypatch, {3: _fake(3, boom)},
+               started=lambda: started.append(1))
     lines = []
     with pytest.raises(RuntimeError, match="criterion 3 broke"):
         run_all(base_trials=1, seed=0, config=SMALL, report=lines.append)
     assert lines == ["PASS criterion 1 (fake 1): 0",
                      "PASS criterion 2 (fake 2): 1000"]
+    assert started == []
 
 
 def test_a_failing_foreground_criterion_does_not_wait(monkeypatch):
@@ -350,10 +406,7 @@ def test_a_failing_foreground_criterion_does_not_wait(monkeypatch):
         assert started.wait(60.0)
         raise RuntimeError("criterion 1 broke")
 
-    fakes = [_fake(i + 1) for i in range(9)]
-    fakes[0] = _fake(1, boom)
-    fakes[2] = _fake(3, block)
-    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
+    _use_fakes(monkeypatch, {1: _fake(1, boom), 3: _fake(3, block)})
     t0 = time.monotonic()
     try:
         with pytest.raises(RuntimeError, match="criterion 1 broke"):
@@ -374,10 +427,9 @@ def test_an_interrupt_on_the_calling_thread_reaps_the_child(monkeypatch):
         assert started.wait(60.0)
         raise KeyboardInterrupt
 
-    fakes = [_fake(i + 1) for i in range(9)]
-    fakes[0] = _fake(1, interrupt)
-    fakes[2] = _fake(3, lambda: (started.set(), time.sleep(60.0)))
-    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
+    _use_fakes(monkeypatch, {
+        1: _fake(1, interrupt),
+        3: _fake(3, lambda: (started.set(), time.sleep(60.0)))})
     t0 = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         run_all(base_trials=1, seed=0, config=SMALL)
@@ -386,9 +438,7 @@ def test_an_interrupt_on_the_calling_thread_reaps_the_child(monkeypatch):
 
 
 def test_criterion_3_that_exits_is_a_named_error(monkeypatch):
-    fakes = [_fake(i + 1) for i in range(9)]
-    fakes[2] = _fake(3, lambda: os._exit(3))
-    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
+    _use_fakes(monkeypatch, {3: _fake(3, lambda: os._exit(3))})
     lines = []
     with pytest.raises(acceptance.CriterionError,
                        match="criterion 3's child process exited with code 3 "
@@ -407,9 +457,7 @@ def test_criterion_3_raising_what_cannot_be_pickled_is_a_named_error(
     def boom():
         raise LocalError("kernel broke")
 
-    fakes = [_fake(i + 1) for i in range(9)]
-    fakes[2] = _fake(3, boom)
-    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
+    _use_fakes(monkeypatch, {3: _fake(3, boom)})
     lines = []
     with pytest.raises(acceptance.CriterionError) as info:
         run_all(base_trials=1, seed=0, config=SMALL, report=lines.append)
@@ -429,103 +477,69 @@ def _pid(number):
 
 
 def test_criterion_3_runs_in_another_process(monkeypatch):
-    # and so does criterion 9
-    fakes = [_fake(i + 1) for i in range(9)]
-    fakes[2] = _pid(3)
-    fakes[8] = _pid(9)
-    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
+    # and criterion 9's result is awaited on the calling one
+    _use_fakes(monkeypatch, {3: _pid(3), 9: _pid(9)})
     results = run_all(base_trials=1, seed=0, config=SMALL)
     assert [r.number for r in results] == list(range(1, 10))
     assert int(results[2].detail) != os.getpid()
-    assert int(results[8].detail) != os.getpid()
+    assert int(results[8].detail) == os.getpid()
     assert multiprocessing.active_children() == []
 
 
 def test_criterion_9_starts_after_criterion_3_has_ended(monkeypatch):
     # criterion 9's three runs would otherwise compete with criterion 3's
-    # child for the cores; criterion 9 runs in a child too, so it reports
-    # what it saw in its detail
+    # child for the cores
     ended = multiprocessing.get_context("fork").Event()
-
-    def criterion_9(config, base_trials, seed):
-        return CriterionResult(9, "fake 9", True, str(ended.is_set()))
-
-    fakes = [_fake(i + 1) for i in range(9)]
-    fakes[2] = _fake(3, lambda: (time.sleep(0.5), ended.set()))
-    fakes[8] = criterion_9
-    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
+    seen = []
+    _use_fakes(monkeypatch, {3: _fake(3, lambda: (time.sleep(0.5),
+                                                  ended.set()))},
+               started=lambda: seen.append(ended.is_set()))
     results = run_all(base_trials=1, seed=0, config=SMALL)
     assert [r.number for r in results] == list(range(1, 10))
-    assert results[8].detail == "True"
+    assert seen == [True]
 
 
-def test_a_stopped_criterion_9_unwinds(monkeypatch, tmp_path):
-    # run_all stops criterion 9's child with SIGTERM when criterion 8
-    # raises; the child unwinds, so criterion 9's temporary directory is
-    # removed, as its three runs' would be
-    context = multiprocessing.get_context("fork")
-    started = context.Event()
+def test_an_exception_after_criterion_9s_runs_started_awaits_them(
+        monkeypatch, tmp_path):
+    # run_all does not stop the runs when criterion 8 raises: it waits for
+    # them and removes their temporary directory
+    runs = []
 
     def await_criterion_3():
         # its child exits after sending its result, which run_all then
-        # collects, and starts criterion 9
+        # collects, and starts criterion 9's runs
         deadline = time.monotonic() + 60.0
         while multiprocessing.active_children():
             assert time.monotonic() < deadline
             time.sleep(0.01)
 
-    def hold_a_directory():
-        with tempfile.TemporaryDirectory(dir=tmp_path):
-            started.set()
-            time.sleep(60.0)
-
     def boom():
-        assert started.wait(60.0)
+        assert len(runs) == 3 and len(list(tmp_path.iterdir())) == 1
         raise RuntimeError("criterion 8 broke")
 
-    fakes = [_fake(i + 1) for i in range(9)]
-    fakes[0] = _fake(1, await_criterion_3)
-    fakes[7] = _fake(8, boom)
-    fakes[8] = _fake(9, hold_a_directory)
-    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
-    t0 = time.monotonic()
+    csv_runs = acceptance._csv_runs
+    _use_fakes(monkeypatch, {1: _fake(1, await_criterion_3),
+                             8: _fake(8, boom)})
+    monkeypatch.setattr(acceptance, "_csv_runs", csv_runs)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    _record_popens(monkeypatch, runs)
     with pytest.raises(RuntimeError, match="criterion 8 broke"):
         run_all(base_trials=1, seed=0, config=SMALL)
-    assert time.monotonic() - t0 < 30.0
-    assert multiprocessing.active_children() == []
+    assert all(run.returncode is not None for _, run in runs)
     assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
-def _raise_what_cannot_be_pickled():
-    class LocalError(Exception):
-        pass
+def test_criterion_9s_result_raises_at_its_position(monkeypatch):
+    def boom():
+        raise RuntimeError("runs broke")
 
-    raise LocalError("runs broke")
-
-
-@pytest.mark.parametrize("action, message", [
-    (lambda: os._exit(4),
-     "criterion 9's child process exited with code 4 and sent no result"),
-    (_raise_what_cannot_be_pickled,
-     "criterion 9 raised _raise_what_cannot_be_pickled.<locals>.LocalError: "
-     "runs broke"),
-])
-def test_criterion_9_failures_are_named_errors_at_its_position(
-        monkeypatch, action, message):
-    fakes = [_fake(i + 1) for i in range(9)]
-    fakes[8] = _fake(9, action)
-    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(fakes))
+    _use_fakes(monkeypatch, {9: _fake(9, boom)})
     lines = []
-    with pytest.raises(acceptance.CriterionError) as info:
+    with pytest.raises(RuntimeError, match="runs broke"):
         run_all(base_trials=1, seed=0, config=SMALL, report=lines.append)
-    assert str(info.value) == message
     assert lines == [f"PASS criterion {n} (fake {n}): {1000 * (n - 1)}"
                      for n in range(1, 9)]
-    assert multiprocessing.active_children() == []
-
-
-def test_run_all_leaves_no_child_running(small_run):
-    assert multiprocessing.active_children() == []
 
 
 def test_run_all_without_fork_runs_no_criterion(monkeypatch):
@@ -533,9 +547,9 @@ def test_run_all_without_fork_runs_no_criterion(monkeypatch):
         raise ValueError(f"cannot find context for {method!r}")
 
     ran = []
-    monkeypatch.setattr(acceptance, "_CRITERIA",
-                        tuple(_fake(i + 1, lambda: ran.append(1))
-                              for i in range(9)))
+    _use_fakes(monkeypatch,
+               {n: _fake(n, lambda: ran.append(1)) for n in range(1, 10)},
+               started=lambda: ran.append(1))
     monkeypatch.setattr(acceptance.multiprocessing, "get_context", no_fork)
     with pytest.raises(acceptance.CriterionError, match="os.fork"):
         run_all(base_trials=1, seed=0, config=SMALL)

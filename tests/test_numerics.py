@@ -364,7 +364,8 @@ def test_pseudo_inverse_routes_agree_with_the_svd(rows, extra, tall, spreads,
     x, failed = inverse(a)
     if tall:
         # the left inverse is the transpose of the right inverse of A^T
-        ref, ref_failed = _svd_pseudo_inverse(a.swapaxes(-1, -2))
+        ref, ref_failed = _svd_pseudo_inverse(a.swapaxes(-1, -2),
+                                               a.shape[-1])
         ref = ref.swapaxes(-1, -2)
     else:
         ref, ref_failed = _svd_pseudo_inverse(a, keep)
